@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -21,16 +20,8 @@ from . import suites as su
 
 _CONFIG_KEYS = (
     "N", "genus", "beta_index", "r_list", "seed", "sample_count",
-    "fd_step", "tol_quad", "tol_fd", "quad_nodes", "suites", "jobs",
+    "fd_step", "tol_quad", "tol_fd", "quad_nodes", "suites",
 )
-
-
-def _default_jobs():
-    env = os.environ.get("FLATMOD_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _parse_int_list(text):
@@ -66,8 +57,6 @@ def _build_parser():
         p.add_argument("--quad-nodes", type=int, dest="quad_nodes",
                        help="node cap for the radial quadrature "
                        "(default 256)")
-        p.add_argument("--jobs", type=int,
-                       help="worker threads (default FLATMOD_JOBS or 1)")
         p.add_argument("--out", help="write JSON output to this file")
 
     verify = sub.add_parser("verify", help="run identity suites")
@@ -117,8 +106,6 @@ def _load_config(args):
         data["r_list"] = _parse_int_list(args.r)
     if isinstance(data.get("r_list"), str):
         data["r_list"] = _parse_int_list(data["r_list"])
-    if "jobs" not in data:
-        data["jobs"] = _default_jobs()
     return su.RunConfig(**data)
 
 

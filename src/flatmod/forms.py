@@ -21,7 +21,7 @@ import numpy as np
 
 from . import liecore as lc
 
-DEFAULT_FD_STEP = 1e-5
+DEFAULT_FD_STEP = 1e-4
 
 
 class SimplexMarginError(ValueError):
@@ -115,24 +115,8 @@ def tangent(shape, *parts, validate=True):
     return Tangent(tuple(fixed))
 
 
-def zero_tangent(shape):
-    parts = []
-    for fac in shape:
-        if isinstance(fac, GroupFactor):
-            parts.append(np.zeros((fac.n, fac.n), dtype=complex))
-        elif isinstance(fac, VectorFactor):
-            parts.append(np.zeros(fac.dim))
-        else:
-            parts.append(np.zeros(fac.n + 1))
-    return Tangent(tuple(parts))
-
-
 def add_tangents(u, v, a=1.0, b=1.0):
     return Tangent(tuple(a * x + b * y for x, y in zip(u.parts, v.parts)))
-
-
-def scale_tangent(v, a):
-    return Tangent(tuple(a * x for x in v.parts))
 
 
 def random_point(shape, seed, simplex_margin=0.05):
@@ -231,8 +215,36 @@ class EquivariantFormField:
         return f"EquivariantFormField({self.name or 'anon'}, arities={self.arities})"
 
 
-def constant_function(shape, value):
-    return FormField(shape, 0, lambda pt: value, name="const")
+def linear_combination(terms, name=""):
+    """The field sum c f over (c, f) pairs, each f evaluated through its own
+    __call__.
+
+    All fields share one shape, and plain fields one arity. Equivariant
+    fields sum arity by arity, a missing arity counting as zero; the result
+    takes its actions and phi degree from the first term.
+    """
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a linear combination needs at least one term")
+    first = terms[0][1]
+    if any(f.shape != first.shape for _, f in terms):
+        raise ValueError("linear combination of forms on different shapes")
+    if isinstance(first, EquivariantFormField):
+        def efn(phi, pt, *vs):
+            return sum(c * f(phi, pt, *vs) for c, f in terms)
+
+        arities = sorted({p for _, f in terms for p in f.components})
+        return EquivariantFormField(
+            first.shape, first.actions, dict.fromkeys(arities, efn),
+            phi_degree=first.phi_degree, name=name,
+        )
+    if any(f.arity != first.arity for _, f in terms):
+        raise ValueError("linear combination of forms of different arities")
+
+    def fn(pt, *vs):
+        return sum(c * f(pt, *vs) for c, f in terms)
+
+    return FormField(first.shape, first.arity, fn, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +298,6 @@ class SmoothMap:
 
     def push(self, pt, v):
         raise NotImplementedError
-
-
-class IdentityMap(SmoothMap):
-    def __init__(self, shape):
-        self.domain = tuple(shape)
-        self.codomain = tuple(shape)
-
-    def apply(self, pt):
-        return pt
-
-    def push(self, pt, v):
-        return v
 
 
 class ComposedMap(SmoothMap):

@@ -375,12 +375,6 @@ def random_group(n, seed):
     return q
 
 
-def random_unit_tangent(n, seed):
-    """Random algebra element normalized to <x,x> = 1."""
-    x = random_algebra(n, seed)
-    return x / math.sqrt(inner(x, x))
-
-
 # ---------------------------------------------------------------------------
 # serialization: complex matrices as row-major [re, im] pairs
 

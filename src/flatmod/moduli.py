@@ -390,22 +390,13 @@ def generator_form_direct_f(config, r, Q=None):
     ng = config.num_generators
     total = sp.bott_shulman_total_equivariant(2, Q)
     actions = ("conjugation",) * ng
-    pulled = []
+    terms = []
     for (a, b), coeff in wd.fundamental_class(config.genus).terms.items():
         pair_map = wd.WordMap.from_words([a, b], ng)
         fused = sp.compose_word_maps(sp.section_map(2), pair_map)
         geo = fused.geometry(config.N)
-        pulled.append((forms.pullback_equivariant(geo, total, actions), coeff))
-    comps = {}
-    for p in sorted({q for f, _ in pulled for q in f.components}):
-        def make(p):
-            def fn(phi, pt, *vs):
-                return sum(c * f(phi, pt, *vs) for f, c in pulled)
-            return fn
-        comps[p] = make(p)
-    return forms.EquivariantFormField(
-        config.shape, actions, comps, name=f"f-direct[{Q.name}]",
-    )
+        terms.append((coeff, forms.pullback_equivariant(geo, total, actions)))
+    return forms.linear_combination(terms, name=f"f-direct[{Q.name}]")
 
 
 def goldman_form(config):
@@ -485,23 +476,6 @@ def sigma_Q(config, Q, max_nodes=256):
 # ---------------------------------------------------------------------------
 # extended generators on the chart
 
-def _ef_difference(a, b, name=""):
-    arities = set(a.components) | set(b.components)
-    comps = {}
-    for p in arities:
-        fa, fb = a.components.get(p), b.components.get(p)
-
-        def make(fa, fb):
-            def fn(phi, pt, *vs):
-                va = fa(phi, pt, *vs) if fa else 0j
-                vb = fb(phi, pt, *vs) if fb else 0j
-                return va - vb
-            return fn
-
-        comps[p] = make(fa, fb)
-    return forms.EquivariantFormField(a.shape, a.actions, comps, name=name)
-
-
 def extended_generator(config, kind, r, j=None, Q=None, max_nodes=256):
     """Generator forms of the extended space, written in the graph chart.
 
@@ -517,7 +491,8 @@ def extended_generator(config, kind, r, j=None, Q=None, max_nodes=256):
     correction = forms.pullback_equivariant(
         chart, sigma, ("conjugation",) * config.num_generators
     )
-    out = _ef_difference(base, correction, name=f"f-ext[{Q.name}]")
+    out = forms.linear_combination(
+        [(1, base), (-1, correction)], name=f"f-ext[{Q.name}]")
     out.built_from = getattr(base, "built_from", None)
     return out
 
@@ -542,20 +517,15 @@ def stokes_sides(config, Q):
 # the symplectic example forms
 
 def omega_tilde(config, max_nodes=256):
-    """2-form on the chart: goldman minus the chart pullback of the radial
-    primitive of the inner-product polynomial."""
-    om = goldman_form(config)
-    sig = sigma_Q(config, lc.inner_polynomial(config.N), max_nodes=max_nodes)
-    chart = chart_map(config)
+    """2-form on the chart: the arity-2 part of omega-bar at phi = 0, that
+    is goldman minus the chart pullback of the radial primitive of the
+    inner-product polynomial. For Q = <.,.> this part does not depend on
+    phi."""
+    ob = omega_bar(config, max_nodes=max_nodes)
     zero = np.zeros((config.N, config.N), dtype=complex)
-    comp2 = sig.components.get(2)
 
     def fn(pt, u, v):
-        val = om(pt, u, v)
-        if comp2 is not None:
-            mid = chart.apply(pt)
-            val -= comp2(zero, mid, chart.push(pt, u), chart.push(pt, v))
-        return val
+        return ob(zero, pt, u, v)
 
     return forms.FormField(config.shape, 2, fn, name="omega-tilde")
 

@@ -98,39 +98,22 @@ def _delta_faces(field_shape, group_size):
 def simplicial_delta(field, group_size=None):
     """Alternating sum of face pullbacks, offset so level one starts at minus."""
     target, N = _delta_faces(field.shape, group_size)
-    pulled = [
-        forms.pullback(face_map(target, i).geometry(N), field)
-        for i in range(target + 1)
-    ]
-
-    def fn(pt, *vs):
-        return sum((-1) ** (i + 1) * f(pt, *vs) for i, f in enumerate(pulled))
-
-    return forms.FormField(
-        forms.group_power(N, target), field.arity, fn, name=f"delta({field.name})"
+    return forms.linear_combination(
+        [((-1) ** (i + 1),
+          forms.pullback(face_map(target, i).geometry(N), field))
+         for i in range(target + 1)],
+        name=f"delta({field.name})",
     )
 
 
 def simplicial_delta_equivariant(field, group_size=None):
     target, N = _delta_faces(field.shape, group_size)
     actions = ("conjugation",) * target
-    pulled = [
-        forms.pullback_equivariant(face_map(target, i).geometry(N), field, actions)
-        for i in range(target + 1)
-    ]
-    comps = {}
-    for p in {q for f in pulled for q in f.components}:
-        def make(p):
-            def fn(phi, pt, *vs):
-                return sum(
-                    (-1) ** (i + 1) * f(phi, pt, *vs)
-                    for i, f in enumerate(pulled)
-                )
-            return fn
-        comps[p] = make(p)
-    return forms.EquivariantFormField(
-        forms.group_power(N, target), actions, comps,
-        phi_degree=field.phi_degree, name=f"delta({field.name})",
+    return forms.linear_combination(
+        [((-1) ** (i + 1), forms.pullback_equivariant(
+            face_map(target, i).geometry(N), field, actions))
+         for i in range(target + 1)],
+        name=f"delta({field.name})",
     )
 
 

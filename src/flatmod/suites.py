@@ -1,15 +1,15 @@
 """Identity suites and machine-readable verification reports.
 
 Each suite builds a list of identity tasks; a task carries per-sample
-residual callables whose inputs are pre-generated from the run seed, so
-reports are bit-identical across repeated runs and across worker counts.
+residual callables whose inputs are pre-generated from the run seed. The
+samples run one after another on the calling thread, so reports are
+bit-identical across repeated runs.
 """
 
 from __future__ import annotations
 
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -44,7 +44,7 @@ class RunConfig:
     r_list: tuple = (2,)
     seed: int = 0
     sample_count: int = 20
-    fd_step: float = 1e-4
+    fd_step: float = forms.DEFAULT_FD_STEP
     tol_quad: float = 1e-9
     tol_fd: float = 1e-6
     quad_nodes: int = 256
@@ -57,10 +57,12 @@ class RunConfig:
         for name, value in (
             ("sample_count", self.sample_count), ("fd_step", self.fd_step),
             ("tol_quad", self.tol_quad), ("tol_fd", self.tol_fd),
-            ("quad_nodes", self.quad_nodes), ("jobs", self.jobs),
+            ("quad_nodes", self.quad_nodes),
         ):
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.jobs != 1:
+            raise ValueError("jobs must be 1: samples run on the calling thread")
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {s!r}")
@@ -143,7 +145,7 @@ def _suite_cocycle(config):
     for r in config.r_list:
         Q = lc.chern_polynomial(N, r)
         phi1 = sp.bott_shulman(1, Q)
-        phi2 = sp.bott_shulman(2, Q) if r >= 1 else None
+        phi2 = sp.bott_shulman(2, Q)
 
         ident = f"cocycle.level1-closed.r{r}"
         rng = _rng_for(config, ident)
@@ -464,13 +466,17 @@ def _suite_rank(config):
             cache[i] = (skew, s, sq)
         return cache[i]
 
+    rank = (2 * mcfg.genus - 2) * (mcfg.N ** 2 - 1)
     tasks = []
     tasks.append(IdentityTask(
         "rank.skew", "omega is antisymmetric on the reduced frame", 1e-8,
         [lambda i=i: certificate(i)[0] for i in range(n_y)]))
     tasks.append(IdentityTask(
-        "rank.gap", "omega has numerical rank 6 with gap >= 1e3", 1e-3,
-        [lambda i=i: float(certificate(i)[1][6] / certificate(i)[1][5])
+        "rank.gap",
+        f"omega has numerical rank (2g-2)(N^2-1) = {rank} with gap >= 1e3",
+        1e-3,
+        [lambda i=i: float(
+            certificate(i)[1][rank] / certificate(i)[1][rank - 1])
          for i in range(n_y)]))
     tasks.append(IdentityTask(
         "rank.quotient-condition",
@@ -773,25 +779,19 @@ def run_suites(config):
     for name in config.suites:
         t0 = time.perf_counter()
         try:
-            tasks = _BUILDERS[name](config)
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                futures = [
-                    (task, [pool.submit(fn) for fn in task.samples])
-                    for task in tasks
-                ]
-                for task, futs in futures:
-                    residuals = [float(f.result()) for f in futs]
-                    worst = max(residuals) if residuals else 0.0
-                    passed = True if task.report_only else worst <= task.tolerance
-                    records.append(IdentityRecord(
-                        identity_id=task.identity_id,
-                        reference=task.reference,
-                        samples=len(residuals),
-                        max_residual=worst,
-                        tolerance=task.tolerance,
-                        passed=passed,
-                        report_only=task.report_only,
-                    ))
+            for task in _BUILDERS[name](config):
+                residuals = [float(fn()) for fn in task.samples]
+                worst = max(residuals) if residuals else 0.0
+                passed = True if task.report_only else worst <= task.tolerance
+                records.append(IdentityRecord(
+                    identity_id=task.identity_id,
+                    reference=task.reference,
+                    samples=len(residuals),
+                    max_residual=worst,
+                    tolerance=task.tolerance,
+                    passed=passed,
+                    report_only=task.report_only,
+                ))
         except _NUMERIC_ERRORS as exc:
             raise NumericalBreakdown(f"suite {name}: {exc}") from exc
         timings[name] = time.perf_counter() - t0

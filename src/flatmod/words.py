@@ -255,10 +255,6 @@ def fundamental_class(genus):
     return Chain2(terms)
 
 
-def augmentation(chain):
-    return sum(chain.terms.values())
-
-
 def random_word(num_generators, length, seed):
     rng = lc.as_rng(seed)
     letters = []
@@ -365,6 +361,18 @@ def evaluation_map(words, num_generators):
 # ---------------------------------------------------------------------------
 # slant products against word chains
 
+def _chain_items(chain, form, n):
+    """(words, coefficient) pairs of a Chain1 or Chain2, after checking that
+    the form lives on K^(words per term)."""
+    if isinstance(chain, Chain1):
+        items = [((w,), c) for w, c in chain.terms.items()]
+    else:
+        items = [((a, b), c) for (a, b), c in chain.terms.items()]
+    if form.shape != forms.group_power(n, len(items[0][0]) if items else 1):
+        raise ValueError("form shape does not match the chain's word count")
+    return items
+
+
 def slant_form(chain, form, num_generators, n):
     """Pair a word chain with a form on a group power.
 
@@ -372,45 +380,20 @@ def slant_form(chain, form, num_generators, n):
     lives on K^num_generators, pulled back along each term's evaluation map
     and summed with the chain coefficients.
     """
-    pulled = []
-    if isinstance(chain, Chain1):
-        items = [((w,), c) for w, c in chain.terms.items()]
-    else:
-        items = [((a, b), c) for (a, b), c in chain.terms.items()]
-    for words, c in items:
-        m = evaluation_map(words, num_generators).geometry(n)
-        pulled.append((forms.pullback(m, form), c))
-    shape = forms.group_power(n, num_generators)
-    if form.shape != forms.group_power(n, len(items[0][0]) if items else 1):
-        raise ValueError("form shape does not match the chain's word count")
-
-    def fn(pt, *vs):
-        return sum(c * f(pt, *vs) for f, c in pulled)
-
-    return forms.FormField(shape, form.arity, fn, name=f"slant({form.name})")
+    return forms.linear_combination(
+        [(c, forms.pullback(
+            evaluation_map(words, num_generators).geometry(n), form))
+         for words, c in _chain_items(chain, form, n)],
+        name=f"slant({form.name})",
+    )
 
 
 def slant_form_equivariant(chain, eform, num_generators, n):
     """Equivariant version of slant_form; conjugation acts on every factor."""
-    if isinstance(chain, Chain1):
-        items = [((w,), c) for w, c in chain.terms.items()]
-    else:
-        items = [((a, b), c) for (a, b), c in chain.terms.items()]
-    shape = forms.group_power(n, num_generators)
     actions = ("conjugation",) * num_generators
-    pulled = []
-    for words, c in items:
-        m = evaluation_map(words, num_generators).geometry(n)
-        pulled.append((forms.pullback_equivariant(m, eform, actions), c))
-    arities = sorted({p for f, _ in pulled for p in f.components})
-    comps = {}
-    for p in arities:
-        def make(p):
-            def fn(phi, pt, *vs):
-                return sum(c * f(phi, pt, *vs) for f, c in pulled)
-            return fn
-        comps[p] = make(p)
-    return forms.EquivariantFormField(
-        shape, actions, comps, phi_degree=eform.phi_degree,
+    return forms.linear_combination(
+        [(c, forms.pullback_equivariant(
+            evaluation_map(words, num_generators).geometry(n), eform, actions))
+         for words, c in _chain_items(chain, eform, n)],
         name=f"slant({eform.name})",
     )

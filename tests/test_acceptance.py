@@ -34,7 +34,7 @@ def _assert_all_pass(by_id, ids):
 @pytest.fixture(scope="module")
 def anchors_run():
     return _run(suites.RunConfig(
-        sample_count=50, suites=("closed-form-anchors",), jobs=4))
+        sample_count=50, suites=("closed-form-anchors",)))
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +42,14 @@ def n2_run():
     return _run(suites.RunConfig(
         sample_count=20,
         suites=("cocycle", "equivariant-cocycle", "goldman", "rank",
-                "extended", "moment"),
-        jobs=4))
+                "extended", "moment")))
 
 
 @pytest.fixture(scope="module")
 def n3_run():
     return _run(suites.RunConfig(
         N=3, beta_index=0, r_list=(2, 3), sample_count=20,
-        suites=("cocycle", "equivariant-cocycle", "extended"), jobs=4))
+        suites=("cocycle", "equivariant-cocycle", "extended")))
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +134,15 @@ def test_criterion_5_goldman_form(n2_run):
     assert by_id["rank.gap"].max_residual <= 1e-3
 
 
+def test_rank_gap_at_genus_three():
+    # the moduli space has dimension (2g-2)(N^2-1) = 12 at N=2, g=3
+    report, _ = _run(suites.RunConfig(
+        genus=3, sample_count=2, suites=("rank",)))
+    by_id = _by_id(report)
+    assert "= 12 " in by_id["rank.gap"].reference
+    _assert_all_pass(by_id, ["rank.gap"])
+
+
 def test_criterion_6_extended_closure_and_restriction(n2_run, n3_run):
     by2 = _by_id(n2_run[0])
     by3 = _by_id(n3_run[0])
@@ -206,7 +214,7 @@ def test_criterion_8_cross_implementation_oracle(n2_run, n3_run):
 def test_criterion_9_deterministic_reports():
     config = suites.RunConfig(
         sample_count=5,
-        suites=("cocycle", "closed-form-anchors", "fox-symbolic"), jobs=2)
+        suites=("cocycle", "closed-form-anchors", "fox-symbolic"))
     first = suites.run_suites(config).to_dict()
     second = suites.run_suites(config).to_dict()
     first.pop("timings")

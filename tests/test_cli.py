@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flatmod import cli
+from flatmod import suites as su
 
 
 EXPECTED_RECORD_KEYS = {
@@ -63,23 +64,19 @@ def test_verify_moment_suite_reports_honest_failure(tmp_path, capsys):
         assert by_id[ident]["max_residual"] <= 1e-8
 
 
-def test_verify_report_independent_of_job_count(tmp_path, capsys):
-    payloads = []
-    for jobs in ("1", "4"):
-        out = tmp_path / f"report-{jobs}.json"
-        code, _, _ = run_cli(
-            ["verify", "--suite", "cocycle", "--suite", "fox-symbolic",
-             "--samples", "3", "--jobs", jobs, "--out", str(out)],
-            capsys,
-        )
-        assert code == 0
-        payloads.append(json.loads(out.read_text()))
-    a, b = payloads
-    a.pop("timings")
-    b.pop("timings")
-    a["config"].pop("jobs")
-    b["config"].pop("jobs")
-    assert a == b
+def test_jobs_setting_is_rejected(tmp_path, capsys):
+    # samples run on the calling thread; reports stay deterministic by
+    # test_criterion_9_deterministic_reports
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        su.RunConfig(jobs=2)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "fox-symbolic", "--jobs", "2"])
+    assert exc.value.code == 2
+    config = tmp_path / "jobs.json"
+    config.write_text(json.dumps({"jobs": 1}))
+    code, _, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert code == 2
+    assert "jobs" in err
 
 
 def test_verify_rejects_malformed_config(tmp_path, capsys):

@@ -303,6 +303,38 @@ def test_pullback_equivariant_keeps_components():
     assert pulled.arities == [1]
 
 
+def test_linear_combination_rejects_mixed_shapes_and_arities():
+    A = lc.random_algebra(2, 160)
+    on_su3 = forms.FormField(
+        (forms.GroupFactor(3),), 1, lambda pt, v: lc.inner(v[0], v[0]))
+    with pytest.raises(ValueError, match="shapes"):
+        forms.linear_combination([(1, mc_form(A)), (1, on_su3)])
+    two_form = forms.wedge(mc_form(A), mc_form(A))
+    with pytest.raises(ValueError, match="arities"):
+        forms.linear_combination([(1, mc_form(A)), (-1, two_form)])
+
+
+def test_linear_combination_sums_equivariant_arities():
+    # theta has only arity 1 and u only arity 0: each arity of the sum is
+    # the one term that has it, the other counting as zero
+    th = theta_form()
+
+    def comp0(phi, pt):
+        return lc.inner(phi, lc.adjoint(pt[0], phi))
+
+    u = forms.EquivariantFormField(
+        SU2, ("conjugation",), {0: comp0}, phi_degree=2, name="u")
+    combo = forms.linear_combination([(2, th), (-3, u)], name="combo")
+    assert combo.arities == [0, 1]
+    assert combo.actions == th.actions and combo.phi_degree == th.phi_degree
+    phi = lc.random_algebra(2, 170)
+    pt = forms.random_point(SU2, 171)
+    v = forms.random_tangent(SU2, 172)
+    assert combo(phi, pt, v) == 2 * th(phi, pt, v)
+    assert combo(phi, pt) == -3 * u(phi, pt)
+    assert combo(phi, pt, v, v) == 0
+
+
 def test_random_point_margin_and_determinism():
     shape = (forms.GroupFactor(2), forms.SimplexFactor(3))
     a = forms.random_point(shape, 200)

@@ -350,6 +350,22 @@ def test_omega_tilde_is_closed():
     assert abs(dot(pt, *tangents)) <= 1e-6
 
 
+def test_omega_tilde_is_goldman_minus_chart_pulled_sigma():
+    # reference: the hand assembly of goldman minus sigma's arity-2 part
+    # pulled through the chart, independent of omega-bar
+    ot = md.omega_tilde(CFG)
+    om = md.goldman_form(CFG)
+    sig2 = md.sigma_Q(CFG, lc.inner_polynomial(2)).components[2]
+    chart = md.chart_map(CFG)
+    zero = np.zeros((2, 2), dtype=complex)
+    rng = lc.as_rng(60)
+    for pt in md.sample_chart_points(CFG, rng, 3):
+        u, v = (fo.random_tangent(CFG.shape, rng) for _ in range(2))
+        want = om(pt, u, v) - sig2(
+            zero, chart.apply(pt), chart.push(pt, u), chart.push(pt, v))
+        assert abs(ot(pt, u, v) - want) <= 1e-12 * max(1.0, abs(want))
+
+
 def test_omega_bar_is_equivariantly_closed_in_low_arity():
     ob = md.omega_bar(CFG)
     dk = fo.cartan_differential(ob, step=1e-4)
