@@ -9,6 +9,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -257,27 +258,6 @@ def from_coords(v, n):
 # ---------------------------------------------------------------------------
 # invariant polynomials
 
-def _esym_batch(m, r):
-    """r-th elementary symmetric function of the eigenvalues, batched.
-
-    Newton's identities on power sums p_k = tr(m^k); no eigendecomposition.
-    m has shape (..., n, n).
-    """
-    p = []
-    mk = m
-    for k in range(1, r + 1):
-        p.append(np.trace(mk, axis1=-2, axis2=-1))
-        if k < r:
-            mk = mk @ m
-    e = [np.ones_like(p[0])]
-    for k in range(1, r + 1):
-        acc = np.zeros_like(p[0])
-        for i in range(1, k + 1):
-            acc = acc + ((-1) ** (i - 1)) * e[k - i] * p[i - 1]
-        e.append(acc / k)
-    return e[r]
-
-
 class InvariantPolynomial:
     """Symmetric r-linear Ad-invariant form on the algebra.
 
@@ -300,13 +280,18 @@ class InvariantPolynomial:
                 f"got {len(mats)} arguments"
             )
         stack = np.stack([np.asarray(m, dtype=complex) for m in mats])[None]
-        return complex(self._batch(stack)[0])
+        return complex(self._batch(self._checked(stack))[0])
 
     def eval_batch(self, stack):
-        stack = np.asarray(stack, dtype=complex)
-        if stack.ndim != 4 or stack.shape[1] != self.degree:
-            raise ValueError("batch must have shape (batch, degree, n, n)")
-        return self._batch(stack)
+        return self._batch(self._checked(np.asarray(stack, dtype=complex)))
+
+    def _checked(self, stack):
+        if stack.shape[1:] != (self.degree, self.n, self.n):
+            raise ValueError(
+                f"batch must have shape (batch, {self.degree}, {self.n}, "
+                f"{self.n}), got {stack.shape}"
+            )
+        return stack
 
     def __repr__(self):
         return f"InvariantPolynomial({self.name or 'Q'}, degree={self.degree}, n={self.n})"
@@ -321,27 +306,69 @@ def inner_polynomial(n):
     return InvariantPolynomial(2, n, batch, name="inner")
 
 
+def _permutation_cycles(r):
+    """(sign, cycles) for every permutation of range(r).
+
+    Each cycle is the tuple (i, s(i), s(s(i)), ...) started at its smallest
+    slot, and the sign is (-1)^(r - number of cycles).
+    """
+    terms = []
+    for perm in itertools.permutations(range(r)):
+        seen = set()
+        cycles = []
+        for start in range(r):
+            if start in seen:
+                continue
+            cycle = []
+            i = start
+            while i not in seen:
+                seen.add(i)
+                cycle.append(i)
+                i = perm[i]
+            cycles.append(tuple(cycle))
+        terms.append(((-1.0) ** (r - len(cycles)), tuple(cycles)))
+    return terms
+
+
 def chern_polynomial(n, r):
     """Polarization of the degree-r coefficient of det(I + (i/2pi) X).
 
-    The unpolarized value on a single matrix is the r-th elementary symmetric
-    function of the eigenvalues of (i/2pi) X; the polarization is recovered by
-    inclusion-exclusion over argument subsets.
+    On a single matrix the value is the r-th elementary symmetric function
+    of the eigenvalues of (i/2pi) X. Its polarization is the cycle-trace sum
+
+        (i/2pi)^r / r! * sum over s in S_r of sgn(s) * prod over the cycles
+        (c_1 .. c_k) of s of tr(X_{c_1} ... X_{c_k}),
+
+    which is symmetric and multilinear in the X_i for any complex matrices.
+    Each distinct cyclic trace is computed once per batch; the matrix
+    product of a cycle's leading slots is shared with the longer cycles
+    that start the same way.
     """
     if not 1 <= r <= n:
         raise ValueError("degree must satisfy 1 <= r <= n")
-    scale = 1j / (2 * np.pi)
-    norm = 1.0 / math.factorial(r)
-    subsets = [
-        [i for i in range(r) if mask >> i & 1] for mask in range(1, 2 ** r)
-    ]
-    signs = [(-1.0) ** (r - len(s)) for s in subsets]
+    norm = (1j / (2 * np.pi)) ** r / math.factorial(r)
+    terms = _permutation_cycles(r)
+    cycles = sorted({c for _, cs in terms for c in cs}, key=lambda c: (len(c), c))
+    shared = {c[:-1] for c in cycles if len(c) > 2}
 
     def batch(stack):
+        mats = [stack[:, i] for i in range(r)]
+        products = {}
+        traces = {}
+        for c in cycles:
+            if len(c) == 1:
+                traces[c] = np.trace(mats[c[0]], axis1=1, axis2=2)
+                continue
+            head = products[c[:-1]] if len(c) > 2 else mats[c[0]]
+            traces[c] = np.einsum("bij,bji->b", head, mats[c[-1]])
+            if c in shared:
+                products[c] = head @ mats[c[-1]]
         total = np.zeros(stack.shape[0], dtype=complex)
-        for sign, members in zip(signs, subsets):
-            m = scale * stack[:, members].sum(axis=1)
-            total += sign * _esym_batch(m, r)
+        for sign, cs in terms:
+            term = traces[cs[0]]
+            for c in cs[1:]:
+                term = term * traces[c]
+            total += sign * term
         return total * norm
 
     return InvariantPolynomial(r, n, batch, name=f"chern{r}")

@@ -146,20 +146,34 @@ def relator_jacobian(config, pt):
 # ---------------------------------------------------------------------------
 # sampling the relator level set
 
+def _special_unitary(mat):
+    """Rescale a unitary matrix by a scalar so that its determinant is 1."""
+    n = mat.shape[0]
+    return mat * np.exp(-1j * np.angle(np.linalg.det(mat)) / n)
+
+
 def seed_point(config):
-    """A shipped exact solution of relator(h) = beta."""
+    """A shipped exact solution of relator(h) = beta.
+
+    beta = 1 takes every generator to the identity and (N, beta) = (2, -1)
+    a pair of Pauli-type matrices. Any other beta = exp(2 pi i k / N) takes
+    x1, x2 to the clock C = diag(omega^(k j)) and the cyclic shift S, each
+    rescaled into SU(N): C S = omega^k S C with omega = exp(2 pi i / N), so
+    [x1, x2] = beta and the remaining generators are the identity.
+    """
     N = config.N
     eye = np.eye(N, dtype=complex)
+    rest = (eye.copy(),) * (config.num_generators - 2)
     if config.beta_index == 0:
         return forms.Point((eye.copy(),) * config.num_generators)
     if N == 2 and config.beta_index == 1:
         sz = np.array([[1j, 0], [0, -1j]])
         sx = np.array([[0, 1j], [1j, 0]])
-        rest = (eye.copy(),) * (config.num_generators - 2)
         return forms.Point((sz, sx) + rest)
-    raise ValueError(
-        "no shipped seed for this (N, beta); provide one via project_to_level"
-    )
+    phases = 2j * np.pi * config.beta_index * np.arange(N) / N
+    clock = _special_unitary(np.diag(np.exp(phases)))
+    shift = _special_unitary(np.roll(eye, 1, axis=0))
+    return forms.Point((clock, shift) + rest)
 
 
 def project_to_level(config, pt, tol=1e-10, max_iter=60):
@@ -538,10 +552,10 @@ def omega_bar(config, max_nodes=256):
     )
 
 
-def moment_linear_coefficients(config, pt):
+def moment_linear_coefficients(config, pt, max_nodes=256):
     """Coordinates of the arity-0 part of omega-bar as a linear functional
     of phi, together with the chart coordinate Lam at the same point."""
-    ob = omega_bar(config)
+    ob = omega_bar(config, max_nodes=max_nodes)
     comp0 = ob.components[0]
     d = config.algebra_dim
     coeffs = np.array([

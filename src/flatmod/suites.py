@@ -720,7 +720,8 @@ def _suite_moment(config):
     rng = _rng_for(config, ident)
     pts = md.sample_chart_points(mcfg, rng, n_m)
     def linear_part(pt):
-        coeffs, lam = md.moment_linear_coefficients(mcfg, pt)
+        coeffs, lam = md.moment_linear_coefficients(
+            mcfg, pt, max_nodes=config.quad_nodes)
         scale = max(1.0, float(np.linalg.norm(lam)))
         return float(np.linalg.norm(coeffs - 2.0 * lam)) / scale
     tasks.append(IdentityTask(

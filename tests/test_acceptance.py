@@ -143,6 +143,15 @@ def test_rank_gap_at_genus_three():
     _assert_all_pass(by_id, ["rank.gap"])
 
 
+def test_rank_certificate_at_n3_beta1():
+    # the clock-and-shift seed; the moduli space has dimension 2 * 8 = 16
+    report, _ = _run(suites.RunConfig(
+        N=3, beta_index=1, sample_count=1, suites=("rank",)))
+    by_id = _by_id(report)
+    assert "= 16 " in by_id["rank.gap"].reference
+    _assert_all_pass(by_id, list(by_id))
+
+
 def test_criterion_6_extended_closure_and_restriction(n2_run, n3_run):
     by2 = _by_id(n2_run[0])
     by3 = _by_id(n3_run[0])

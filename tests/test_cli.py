@@ -197,3 +197,15 @@ def test_sample_zero_count(capsys):
     payload = json.loads(out)
     assert payload["count"] == 0
     assert payload["points"] == []
+
+
+def test_verify_n3_beta1_rank_exits_zero(capsys):
+    code, out, err = run_cli(
+        ["verify", "--N", "3", "--beta", "1", "--suite", "rank",
+         "--samples", "1"],
+        capsys,
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["overall_pass"] is True
+    assert payload["config"]["N"] == 3 and payload["config"]["beta_index"] == 1

@@ -1,5 +1,8 @@
 """Core matrix layer: brackets, inner product, exp/log, invariant polynomials."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,6 +187,95 @@ def test_chern_polarization_symmetry_and_ad_invariance():
         g = lc.random_group(3, rng)
         conj = [lc.adjoint(g, x) for x in xs]
         assert q(*conj) == pytest.approx(base, abs=1e-10)
+
+
+def _esym_newton(m, r):
+    """r-th elementary symmetric function of the eigenvalues of each matrix
+    in the stack m, from the power sums tr(m^k) by Newton's identities."""
+    p = []
+    mk = m
+    for k in range(1, r + 1):
+        p.append(np.trace(mk, axis1=-2, axis2=-1))
+        mk = mk @ m
+    e = [np.ones_like(p[0])]
+    for k in range(1, r + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
+                     for i in range(1, k + 1)) / k)
+    return e[r]
+
+
+def _chern_by_inclusion_exclusion(stack, r):
+    """Independent oracle: the polarization of e_r((i/2pi) X) recovered by
+    inclusion-exclusion over the 2^r - 1 nonempty argument subsets."""
+    total = np.zeros(stack.shape[0], dtype=complex)
+    for size in range(1, r + 1):
+        for members in itertools.combinations(range(r), size):
+            m = (1j / (2 * np.pi)) * stack[:, list(members)].sum(axis=1)
+            total += (-1.0) ** (r - size) * _esym_newton(m, r)
+    return total / math.factorial(r)
+
+
+def _complex_stack(rng, rows, r, n):
+    # general complex matrices: neither traceless nor anti-Hermitian
+    return (rng.standard_normal((rows, r, n, n))
+            + 1j * rng.standard_normal((rows, r, n, n)))
+
+
+def test_chern_matches_inclusion_exclusion_oracle():
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 4):
+        for r in range(1, n + 1):
+            stack = _complex_stack(rng, 9, r, n)
+            # unequal magnitudes across slots, so no slot dominates the mix
+            stack *= np.geomspace(0.3, 3.0, r)[None, :, None, None]
+            got = lc.chern_polynomial(n, r).eval_batch(stack)
+            want = _chern_by_inclusion_exclusion(stack, r)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_chern_is_multilinear_in_each_slot():
+    rng = np.random.default_rng(17)
+    for n, r in ((3, 3), (4, 4)):
+        q = lc.chern_polynomial(n, r)
+        xs = list(_complex_stack(rng, 1, r, n)[0])
+        y = _complex_stack(rng, 1, 1, n)[0, 0]
+        a, b = 0.7 - 1.3j, -2.1 + 0.4j
+        for slot in range(r):
+            mixed = xs.copy()
+            mixed[slot] = a * xs[slot] + b * y
+            other = xs.copy()
+            other[slot] = y
+            want = a * q(*xs) + b * q(*other)
+            assert abs(q(*mixed) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_chern_symmetric_under_every_permutation():
+    rng = np.random.default_rng(18)
+    q = lc.chern_polynomial(4, 4)
+    xs = list(_complex_stack(rng, 1, 4, 4)[0])
+    base = q(*xs)
+    perms = np.stack([[xs[i] for i in perm]
+                      for perm in itertools.permutations(range(4))])
+    vals = q.eval_batch(perms)
+    assert np.max(np.abs(vals - base)) <= 1e-12 * abs(base)
+
+
+def test_chern_diagonal_against_char_poly_oracle_degree_four():
+    rng = np.random.default_rng(19)
+    q = lc.chern_polynomial(4, 4)
+    for x in (lc.random_algebra(4, rng), _complex_stack(rng, 1, 1, 4)[0, 0]):
+        coeffs = np.poly((1j / (2 * np.pi)) * x)  # det(s I - M)
+        oracle = coeffs[4]
+        assert q(x, x, x, x) == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+
+
+def test_eval_batch_rejects_wrong_matrix_size():
+    stack = np.zeros((1, 2, 3, 3), dtype=complex)
+    for q in (lc.chern_polynomial(2, 2), lc.inner_polynomial(2)):
+        with pytest.raises(ValueError):
+            q.eval_batch(stack)
+        with pytest.raises(ValueError):
+            q(stack[0, 0], stack[0, 1])
 
 
 def test_chern_rejects_degree_above_rank():

@@ -7,6 +7,7 @@ import flatmod.forms as fo
 import flatmod.liecore as lc
 import flatmod.moduli as md
 import flatmod.simplicial as sp
+import flatmod.suites as su
 import flatmod.words as wd
 
 CFG = md.ModuliConfig()
@@ -36,6 +37,17 @@ def test_relator_values_at_identity_and_seed():
     val = eps.evaluate(seed.parts)[0]
     assert np.allclose(val, -eye, atol=1e-14)
     assert md.is_relator_point(CFG, seed, tol=1e-12)
+
+
+def test_seed_point_meets_every_central_relator():
+    for n in range(2, 6):
+        for k in range(n):
+            config = md.ModuliConfig(N=n, beta_index=k, degrees=(2,))
+            seed = md.seed_point(config)
+            for g in seed.parts:
+                lc.check_group(g, tol=1e-12)
+            val = md.epsilon_R(config).evaluate(seed.parts)[0]
+            assert np.linalg.norm(val - config.beta.matrix()) <= 1e-12
 
 
 def test_sampling_constraint_and_distinctness():
@@ -382,6 +394,25 @@ def test_moment_linear_part_measures_plus_two_lambda():
     scale = max(1.0, float(np.linalg.norm(lam)))
     assert np.linalg.norm(coeffs - 2.0 * lam) <= 1e-8 * scale
     assert np.linalg.norm(coeffs - (-2.0) * lam) > 1e-2
+
+
+def test_moment_linear_part_honours_quad_nodes(monkeypatch):
+    caps = []
+    homotopy_h = md.homotopy_h
+
+    def spy(field, rtol=1e-11, max_nodes=256):
+        caps.append(max_nodes)
+        return homotopy_h(field, rtol=rtol, max_nodes=max_nodes)
+
+    monkeypatch.setattr(md, "homotopy_h", spy)
+    config = su.RunConfig(quad_nodes=64, sample_count=1, suites=("moment",))
+    (task,) = [t for t in su._suite_moment(config)
+               if t.identity_id == "moment.linear-part"]
+    built = len(caps)
+    residuals = [fn() for fn in task.samples]
+    assert len(caps) > built
+    assert set(caps) == {64}
+    assert max(residuals) <= task.tolerance
 
 
 def test_symplectic_rank_certificate():
