@@ -1,7 +1,8 @@
 """Command-line interface: run identity suites, evaluate forms, sample points.
 
 Exit codes: 0 pass, 1 identity failure, 2 usage or config error, 3 numeric
-breakdown (branch cut, non-convergence, quadrature failure).
+breakdown (branch cut, simplex margin, non-convergence, quadrature failure,
+non-generic point, non-finite residual).
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ def _load_points(config, args):
         for entry in entries:
             body = entry.get("matrices", entry.get("h")) if isinstance(
                 entry, dict) else entry
-            pts.append(md.point_from_json(body))
+            pts.append(forms.point(mcfg.shape, *md.point_from_json(body).parts))
         return pts
     count = args.sample if args.sample else 1
     rng = lc.as_rng(config.seed)
@@ -181,6 +182,8 @@ def _c2(value):
 
 def _cmd_eval(args):
     config = _load_config(args)
+    if args.sample < 0:
+        raise ValueError("sample must be nonnegative")
     mcfg = config.moduli()
     kind, field = _resolve_form(args.form, config)
     rng = lc.as_rng(config.seed + 1)
@@ -302,13 +305,14 @@ def main(argv=None):
         if args.command == "eval":
             return _cmd_eval(args)
         return _cmd_sample(args)
+    except (su.NumericalBreakdown,) + su._NUMERIC_ERRORS as exc:
+        # before the usage clause: BranchCutError and SimplexMarginError
+        # are ValueErrors
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (su.NumericalBreakdown, lc.BranchCutError, md.ConvergenceError,
-            md.QuadratureError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

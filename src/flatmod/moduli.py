@@ -43,8 +43,8 @@ class ModuliConfig:
     degrees: tuple = (2,)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("group size must be at least 1")
+        if self.N < 2:
+            raise ValueError("group size must be at least 2: SU(1) is trivial")
         if self.genus < 2:
             raise ValueError("genus must be at least 2")
         if not 0 <= self.beta_index < self.N:
@@ -552,10 +552,9 @@ def omega_bar(config, max_nodes=256):
     )
 
 
-def moment_linear_coefficients(config, pt, max_nodes=256):
-    """Coordinates of the arity-0 part of omega-bar as a linear functional
-    of phi, together with the chart coordinate Lam at the same point."""
-    ob = omega_bar(config, max_nodes=max_nodes)
+def moment_linear_coefficients(config, ob, pt):
+    """Coordinates of the arity-0 part of the omega-bar field ob as a linear
+    functional of phi, together with the chart coordinate Lam at pt."""
     comp0 = ob.components[0]
     d = config.algebra_dim
     coeffs = np.array([

@@ -152,6 +152,21 @@ def test_rank_certificate_at_n3_beta1():
     _assert_all_pass(by_id, list(by_id))
 
 
+def test_extended_and_moment_at_n3_beta1():
+    # chart-level closure, restriction and the moment map at a central
+    # beta != 1 with N = 3, on the clock-and-shift seed's level set
+    report, _ = _run(suites.RunConfig(
+        N=3, beta_index=1, r_list=(2, 3), sample_count=2,
+        suites=("extended", "moment")))
+    by_id = _by_id(report)
+    gated = [i for i, rec in by_id.items() if not rec.report_only]
+    for ident in ("extended.f-closed.r3", "extended.crosspath.r3",
+                  "moment.omega-bar-closed", "moment.linear-part",
+                  "moment.linear-part-measured"):
+        assert ident in gated
+    _assert_all_pass(by_id, gated)
+
+
 def test_criterion_6_extended_closure_and_restriction(n2_run, n3_run):
     by2 = _by_id(n2_run[0])
     by3 = _by_id(n3_run[0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flatmod import cli
+from flatmod import liecore as lc
 from flatmod import suites as su
 
 
@@ -209,3 +210,70 @@ def test_verify_n3_beta1_rank_exits_zero(capsys):
     payload = json.loads(out)
     assert payload["overall_pass"] is True
     assert payload["config"]["N"] == 3 and payload["config"]["beta_index"] == 1
+
+
+def _write_points(path, mat):
+    entry = {"matrices": [lc.matrix_to_json(mat)] * 4}
+    path.write_text(json.dumps({"points": [entry]}))
+
+
+def test_numeric_failures_in_eval_exit_three(tmp_path, capsys):
+    # the all-identity point sits on the chart's branch cut at beta = -1
+    # and is a non-generic point of the relator at beta = 1
+    pts = tmp_path / "identity.json"
+    _write_points(pts, np.eye(2))
+    argv = ["eval", "--form", "omega", "--frame", "reduced", "--points",
+            str(pts)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3, err
+    assert "numeric failure:" in err
+    code, _, err = run_cli(argv + ["--beta", "0"], capsys)
+    assert code == 3, err
+    assert "constraint rank drops" in err
+
+
+def test_eval_rejects_points_off_the_group(tmp_path, capsys):
+    pts = tmp_path / "diag.json"
+    _write_points(pts, np.diag([2.0, 0.5]))
+    code, out, err = run_cli(
+        ["eval", "--form", "omega", "--points", str(pts)], capsys)
+    assert code == 2
+    assert "not unitary" in err
+    assert out == ""
+
+
+def test_eval_rejects_negative_sample_count(capsys):
+    code, out, err = run_cli(["eval", "--form", "omega", "--sample", "-2"],
+                             capsys)
+    assert code == 2
+    assert "sample must be nonnegative" in err
+    assert out == ""
+
+
+def test_verify_rejects_trivial_group(capsys):
+    for suite in ("cocycle", "rank"):
+        code, _, err = run_cli(
+            ["verify", "--N", "1", "--beta", "0", "--r", "1", "--suite", suite],
+            capsys)
+        assert code == 2
+        assert "at least 2" in err
+
+
+def test_non_finite_residual_is_a_numeric_failure(monkeypatch, capsys):
+    # max() skips a NaN that is not the first item, so without the check
+    # this record would pass on its first sample
+    def nan_suite(config):
+        return [su.IdentityTask("fake.nan-second", "first sample passes, the "
+                                "second is NaN", 1e-8,
+                                [lambda: 1e-10, lambda: float("nan")])]
+
+    monkeypatch.setitem(su._BUILDERS, "fox-symbolic", nan_suite)
+    config = su.RunConfig(sample_count=2, suites=("fox-symbolic",))
+    with pytest.raises(su.NumericalBreakdown,
+                       match=r"fake\.nan-second sample 1"):
+        su.run_suites(config)
+    code, out, err = run_cli(
+        ["verify", "--suite", "fox-symbolic", "--samples", "2"], capsys)
+    assert code == 3
+    assert "fake.nan-second sample 1" in err
+    assert out == ""

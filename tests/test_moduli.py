@@ -390,7 +390,7 @@ def test_omega_bar_is_equivariantly_closed_in_low_arity():
 
 def test_moment_linear_part_measures_plus_two_lambda():
     pt = fo.random_point(CFG.shape, 67)
-    coeffs, lam = md.moment_linear_coefficients(CFG, pt)
+    coeffs, lam = md.moment_linear_coefficients(CFG, md.omega_bar(CFG), pt)
     scale = max(1.0, float(np.linalg.norm(lam)))
     assert np.linalg.norm(coeffs - 2.0 * lam) <= 1e-8 * scale
     assert np.linalg.norm(coeffs - (-2.0) * lam) > 1e-2
@@ -410,7 +410,7 @@ def test_moment_linear_part_honours_quad_nodes(monkeypatch):
                if t.identity_id == "moment.linear-part"]
     built = len(caps)
     residuals = [fn() for fn in task.samples]
-    assert len(caps) > built
+    assert len(caps) == built
     assert set(caps) == {64}
     assert max(residuals) <= task.tolerance
 
@@ -440,6 +440,51 @@ def test_symplectic_rank_certificate():
             Wq[i, j] = om(y, rows_q[i], rows_q[j]).real
     sq = np.linalg.svd(Wq, compute_uv=False)
     assert sq[-1] > 1e-6 * sq[0]
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_rank_certificate_evaluates_omega_on_the_kernel_frame_only(
+        monkeypatch, count):
+    calls = []
+    goldman_form = md.goldman_form
+
+    def counting(mcfg):
+        om = goldman_form(mcfg)
+
+        def fn(pt, u, v):
+            calls.append(1)
+            return om(pt, u, v)
+
+        return fo.FormField(om.shape, 2, fn, name="goldman")
+
+    monkeypatch.setattr(md, "goldman_form", counting)
+    config = su.RunConfig(sample_count=count, suites=("rank",))
+    for task in su._suite_rank(config):
+        assert len(task.samples) == count
+        for fn in task.samples:
+            fn()
+    k = (2 * CFG.genus - 1) * CFG.algebra_dim
+    assert k * (k - 1) == 72
+    assert len(calls) == count * k * (k - 1)
+
+
+def test_rank_quotient_condition_matches_direct_quotient_block():
+    # the certificate reads omega's quotient block off the kernel matrix;
+    # the reference evaluates omega on the quotient rows themselves
+    config = su.RunConfig(sample_count=3, suites=("rank",))
+    (task,) = [t for t in su._suite_rank(config)
+               if t.identity_id == "rank.quotient-condition"]
+    got = [fn() for fn in task.samples]
+    om = md.goldman_form(CFG)
+    points = md.sample_Y(CFG, su._rng_for(config, "rank"), 3)
+    assert len(got) == len(points)
+    for y, cond in zip(points, got):
+        rows = [md.tangent_from_coords(CFG, r)
+                for r in md.reduced_frame(CFG, y).quotient]
+        Wq = np.array([[om(y, u, v).real for v in rows] for u in rows])
+        sq = np.linalg.svd(Wq, compute_uv=False)
+        want = sq[0] / sq[-1]
+        assert abs(cond - want) <= 1e-10 * want
 
 
 def test_generator_forms_ignore_central_shifts():
