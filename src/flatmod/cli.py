@@ -72,8 +72,9 @@ def _build_parser():
                     help="a_R, b_R_J, f_R, omega, omega_tilde, sigma_Q, "
                     "or extended_{a,b,f}_...")
     ev.add_argument("--points", help="JSON point file from the sample command")
-    ev.add_argument("--sample", type=int, default=0,
-                    help="evaluate at this many random points instead")
+    ev.add_argument("--sample", type=int,
+                    help="evaluate at this many random points instead "
+                    "(default 1)")
     ev.add_argument("--frame", choices=("random", "reduced", "phi-basis"),
                     default="random", help="tangent frame choice")
 
@@ -103,8 +104,8 @@ def _load_config(args):
         value = getattr(args, key, None)
         if value is not None:
             data[key] = value
-    if "r_list" not in data and getattr(args, "r", None):
-        data["r_list"] = _parse_int_list(args.r)
+    if getattr(args, "r", None):
+        data["r_list"] = args.r
     if isinstance(data.get("r_list"), str):
         data["r_list"] = _parse_int_list(data["r_list"])
     return su.RunConfig(**data)
@@ -155,11 +156,11 @@ def _resolve_form(form_id, config):
     return ("group" if kind != "a" else "constant", field)
 
 
-def _load_points(config, args):
+def _load_points(config, path, count):
     mcfg = config.moduli()
-    if args.points:
+    if path:
         try:
-            with open(args.points) as fh:
+            with open(path) as fh:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read point file: {exc}") from exc
@@ -170,7 +171,6 @@ def _load_points(config, args):
                 entry, dict) else entry
             pts.append(forms.point(mcfg.shape, *md.point_from_json(body).parts))
         return pts
-    count = args.sample if args.sample else 1
     rng = lc.as_rng(config.seed)
     return [forms.random_point(mcfg.shape, rng) for _ in range(count)]
 
@@ -182,7 +182,8 @@ def _c2(value):
 
 def _cmd_eval(args):
     config = _load_config(args)
-    if args.sample < 0:
+    count = 1 if args.sample is None else args.sample
+    if count < 0:
         raise ValueError("sample must be nonnegative")
     mcfg = config.moduli()
     kind, field = _resolve_form(args.form, config)
@@ -205,7 +206,6 @@ def _cmd_eval(args):
         return 0
 
     if kind == "algebra":
-        count = args.sample if args.sample else 1
         for i in range(count):
             lam = rng.standard_normal(d) * 0.7
             pt = forms.Point((lam,))
@@ -222,7 +222,7 @@ def _cmd_eval(args):
         _emit(payload, args.out)
         return 0
 
-    points = _load_points(config, args)
+    points = _load_points(config, args.points, count)
     for i, pt in enumerate(points):
         if args.frame == "reduced":
             frame = md.reduced_frame(mcfg, pt)

@@ -599,7 +599,8 @@ def sigma_coefficient_sweep(config, Q, radii, directions=3, seed=0, max_nodes=25
                         abs(sig(phis[0], pt, *tangents[:p])),
                         abs(sig(phis[1], pt, *tangents[1:p + 1])),
                     ]
-                worst[p] = max(worst[p], max(vals))
+                # np.max, unlike max, keeps a NaN wherever it falls
+                worst[p] = np.max([worst[p], *vals])
         for p in sig.arities:
             sups[p].append(worst[p])
     half = len(radii) // 2

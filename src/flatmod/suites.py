@@ -1,9 +1,11 @@
 """Identity suites and machine-readable verification reports.
 
 Each suite builds a list of identity tasks; a task carries per-sample
-residual callables whose inputs are pre-generated from the run seed. The
-samples run one after another on the calling thread, so reports are
-bit-identical across repeated runs.
+residual callables whose inputs are pre-generated from the run seed. Every
+vanishing or agreement identity takes one path: `_identity` draws each
+sample's argument tuples, and `_worst` compares lhs with rhs (or with zero)
+over them. The samples run one after another on the calling thread, so
+reports are bit-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import time
 import zlib
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -132,8 +135,64 @@ def _tangents(shape, rng, k):
     return [forms.random_tangent(shape, rng) for _ in range(k)]
 
 
-def _rel(value, scale=1.0):
-    return abs(value) / max(1.0, abs(scale))
+def _call(f, *args):
+    return f(*args)
+
+
+def _worst(lhs, rhs, calls):
+    """Worst residual of one sample over its argument tuples: |lhs| when rhs
+    is None, else |lhs - rhs| / max(1, |rhs|). A non-finite residual is
+    returned as soon as one appears."""
+    worst = 0.0
+    for args in calls:
+        if rhs is None:
+            value = abs(lhs(*args))
+        else:
+            want = rhs(*args)
+            value = abs(lhs(*args) - want) / max(1.0, abs(want))
+        if not np.isfinite(value):
+            return value
+        worst = max(worst, value)
+    return worst
+
+
+def _identity(config, ident, reference, tolerance, draws, lhs, rhs=None):
+    """A vanishing (rhs None) or agreement identity. draws(rng) yields one
+    list of argument tuples per sample from the identity's own generator."""
+    rng = _rng_for(config, ident)
+    samples = [partial(_worst, lhs, rhs, calls) for calls in draws(rng)]
+    return IdentityTask(ident, reference, tolerance, samples)
+
+
+def _plain_draws(shape, arity, count):
+    """One random point and tangent frame per sample."""
+    def draws(rng):
+        for _ in range(count):
+            pt = forms.random_point(shape, rng)
+            yield [(pt, *_tangents(shape, rng, arity))]
+    return draws
+
+
+def _equivariant_draws(N, shape, arities, count):
+    """One phi and point per sample, with a fresh frame for each arity."""
+    def draws(rng):
+        for _ in range(count):
+            phi = lc.random_algebra(N, rng)
+            pt = forms.random_point(shape, rng)
+            yield [(phi, pt, *_tangents(shape, rng, p)) for p in arities]
+    return draws
+
+
+def _chart_draws(mcfg, arities, count):
+    """Chart points drawn in bulk, then per sample a phi and one frame whose
+    arity cycles through arities."""
+    def draws(rng):
+        pts = md.sample_chart_points(mcfg, rng, count)
+        for i, pt in enumerate(pts):
+            phi = lc.random_algebra(mcfg.N, rng)
+            p = arities[i % len(arities)]
+            yield [(phi, pt, *_tangents(mcfg.shape, rng, p))]
+    return draws
 
 
 # ---------------------------------------------------------------------------
@@ -141,64 +200,41 @@ def _rel(value, scale=1.0):
 
 def _suite_cocycle(config):
     tasks = []
-    N = config.N
+    n = config.sample_count
     for r in config.r_list:
-        Q = lc.chern_polynomial(N, r)
+        Q = lc.chern_polynomial(config.N, r)
         phi1 = sp.bott_shulman(1, Q)
-        phi2 = sp.bott_shulman(2, Q)
-
-        ident = f"cocycle.level1-closed.r{r}"
-        rng = _rng_for(config, ident)
-        d1 = forms.exterior_derivative(phi1, step=config.fd_step)
-        samples = []
-        for _ in range(config.sample_count):
-            pt = forms.random_point(phi1.shape, rng)
-            vs = _tangents(phi1.shape, rng, 2 * r)
-            samples.append(lambda d1=d1, pt=pt, vs=vs: abs(d1(pt, *vs)))
-        tasks.append(IdentityTask(
-            ident, f"d Phi_1(Q_{r}) = 0", config.tol_fd, samples))
-
-        ident = f"cocycle.coboundary-12.r{r}"
-        rng = _rng_for(config, ident)
-        lhs = sp.simplicial_delta(phi1)
-        rhs = forms.exterior_derivative(phi2, step=config.fd_step)
-        samples = []
-        for _ in range(config.sample_count):
-            pt = forms.random_point(lhs.shape, rng)
-            vs = _tangents(lhs.shape, rng, 2 * r - 1)
-            def fn(lhs=lhs, rhs=rhs, pt=pt, vs=vs):
-                want = rhs(pt, *vs)
-                return _rel(lhs(pt, *vs) - want, want)
-            samples.append(fn)
-        tasks.append(IdentityTask(
-            ident, f"delta Phi_1(Q_{r}) = +d Phi_2(Q_{r})",
-            config.tol_fd, samples))
-
-        ident = f"cocycle.top-cycle.r{r}"
-        rng = _rng_for(config, ident)
+        delta1 = sp.simplicial_delta(phi1)
         top = sp.simplicial_delta(sp.bott_shulman(r, Q))
-        samples = []
-        for _ in range(config.sample_count):
-            pt = forms.random_point(top.shape, rng)
-            vs = _tangents(top.shape, rng, r)
-            samples.append(lambda top=top, pt=pt, vs=vs: abs(top(pt, *vs)))
-        tasks.append(IdentityTask(
-            ident, f"delta Phi_{r}(Q_{r}) = 0", config.tol_fd, samples))
+        higher = [sp.bott_shulman(k, Q) for k in range(r + 1, 2 * r + 1)]
 
-        ident = f"cocycle.vanishing.r{r}"
-        rng = _rng_for(config, ident)
-        higher = [(n, sp.bott_shulman(n, Q)) for n in range(r + 1, 2 * r + 1)]
-        samples = []
-        for _ in range(config.sample_count):
-            frames = []
-            for n, f in higher:
-                pt = forms.random_point(f.shape, rng)
-                vs = _tangents(f.shape, rng, f.arity)
-                frames.append((f, pt, vs))
-            samples.append(lambda frames=frames: max(
-                abs(f(pt, *vs)) for f, pt, vs in frames))
-        tasks.append(IdentityTask(
-            ident, f"Phi_n(Q_{r}) = 0 for n > {r}", config.tol_quad, samples))
+        def vanishing_draws(rng):
+            for _ in range(n):
+                calls = []
+                for f in higher:
+                    pt = forms.random_point(f.shape, rng)
+                    calls.append((f, pt, *_tangents(f.shape, rng, f.arity)))
+                yield calls
+
+        tasks += [
+            _identity(
+                config, f"cocycle.level1-closed.r{r}", f"d Phi_1(Q_{r}) = 0",
+                config.tol_fd, _plain_draws(phi1.shape, 2 * r, n),
+                forms.exterior_derivative(phi1, step=config.fd_step)),
+            _identity(
+                config, f"cocycle.coboundary-12.r{r}",
+                f"delta Phi_1(Q_{r}) = +d Phi_2(Q_{r})", config.tol_fd,
+                _plain_draws(delta1.shape, 2 * r - 1, n), delta1,
+                forms.exterior_derivative(sp.bott_shulman(2, Q),
+                                          step=config.fd_step)),
+            _identity(
+                config, f"cocycle.top-cycle.r{r}", f"delta Phi_{r}(Q_{r}) = 0",
+                config.tol_fd, _plain_draws(top.shape, r, n), top),
+            _identity(
+                config, f"cocycle.vanishing.r{r}",
+                f"Phi_n(Q_{r}) = 0 for n > {r}", config.tol_quad,
+                vanishing_draws, _call),
+        ]
     return tasks
 
 
@@ -208,56 +244,29 @@ def _suite_cocycle(config):
 def _suite_equivariant(config):
     tasks = []
     N = config.N
+    n = config.sample_count
     for r in config.r_list:
         Q = lc.chern_polynomial(N, r)
         phi1 = sp.bott_shulman_equivariant(1, Q)
-        phi2 = sp.bott_shulman_equivariant(2, Q)
-
-        ident = f"equivariant.level1-closed.r{r}"
-        rng = _rng_for(config, ident)
         dk = forms.cartan_differential(phi1, step=config.fd_step)
-        samples = []
-        for _ in range(config.sample_count):
-            phi = lc.random_algebra(N, rng)
-            pt = forms.random_point(phi1.shape, rng)
-            frames = [(p, _tangents(phi1.shape, rng, p)) for p in dk.arities]
-            samples.append(lambda dk=dk, phi=phi, pt=pt, frames=frames: max(
-                abs(dk(phi, pt, *vs)) for _, vs in frames))
-        tasks.append(IdentityTask(
-            ident, f"d_K Phi^K_1(Q_{r}) = 0", config.tol_fd, samples))
-
-        ident = f"equivariant.coboundary-12.r{r}"
-        rng = _rng_for(config, ident)
-        lhs = sp.simplicial_delta_equivariant(phi1)
-        rhs = forms.cartan_differential(phi2, step=config.fd_step)
-        samples = []
-        for _ in range(config.sample_count):
-            phi = lc.random_algebra(N, rng)
-            pt = forms.random_point(lhs.shape, rng)
-            frames = [(p, _tangents(lhs.shape, rng, p)) for p in lhs.arities]
-            def fn(lhs=lhs, rhs=rhs, phi=phi, pt=pt, frames=frames):
-                worst = 0.0
-                for _, vs in frames:
-                    want = rhs(phi, pt, *vs)
-                    worst = max(worst, _rel(lhs(phi, pt, *vs) - want, want))
-                return worst
-            samples.append(fn)
-        tasks.append(IdentityTask(
-            ident, f"delta Phi^K_1(Q_{r}) = +d_K Phi^K_2(Q_{r})",
-            config.tol_fd, samples))
-
-        ident = f"equivariant.top-cycle.r{r}"
-        rng = _rng_for(config, ident)
+        delta1 = sp.simplicial_delta_equivariant(phi1)
         top = sp.simplicial_delta_equivariant(sp.bott_shulman_equivariant(r, Q))
-        samples = []
-        for _ in range(config.sample_count):
-            phi = lc.random_algebra(N, rng)
-            pt = forms.random_point(top.shape, rng)
-            frames = [(p, _tangents(top.shape, rng, p)) for p in top.arities]
-            samples.append(lambda top=top, phi=phi, pt=pt, frames=frames: max(
-                abs(top(phi, pt, *vs)) for _, vs in frames))
-        tasks.append(IdentityTask(
-            ident, f"delta Phi^K_{r}(Q_{r}) = 0", config.tol_fd, samples))
+        tasks += [
+            _identity(
+                config, f"equivariant.level1-closed.r{r}",
+                f"d_K Phi^K_1(Q_{r}) = 0", config.tol_fd,
+                _equivariant_draws(N, phi1.shape, dk.arities, n), dk),
+            _identity(
+                config, f"equivariant.coboundary-12.r{r}",
+                f"delta Phi^K_1(Q_{r}) = +d_K Phi^K_2(Q_{r})", config.tol_fd,
+                _equivariant_draws(N, delta1.shape, delta1.arities, n), delta1,
+                forms.cartan_differential(sp.bott_shulman_equivariant(2, Q),
+                                          step=config.fd_step)),
+            _identity(
+                config, f"equivariant.top-cycle.r{r}",
+                f"delta Phi^K_{r}(Q_{r}) = 0", config.tol_fd,
+                _equivariant_draws(N, top.shape, top.arities, n), top),
+        ]
     return tasks
 
 
@@ -265,79 +274,41 @@ def _suite_equivariant(config):
 # closed-form anchor suite
 
 def _suite_anchors(config):
-    tasks = []
     N = config.N
+    n = config.sample_count
     Q = lc.inner_polynomial(N)
-    lam = sp.lambda_form(N)
-    om = sp.omega_form(N)
-    th = sp.theta_pairing_field(N)
+    f1, f2 = sp.bott_shulman(1, Q), sp.bott_shulman(2, Q)
+    e1, e2 = sp.bott_shulman_equivariant(1, Q), sp.bott_shulman_equivariant(2, Q)
+    closed1, closed2 = sp.phi1_inner_closed(N), sp.phi2_inner_closed(N)
 
-    ident = "anchors.level1-plain"
-    rng = _rng_for(config, ident)
-    f1 = sp.bott_shulman(1, Q)
-    samples = []
-    for _ in range(config.sample_count):
-        pt = forms.random_point(f1.shape, rng)
-        vs = _tangents(f1.shape, rng, 3)
-        def fn(pt=pt, vs=vs):
-            want = -lam(pt, *vs)
-            return _rel(f1(pt, *vs) - want, want)
-        samples.append(fn)
-    tasks.append(IdentityTask(
-        ident, "Phi_1(<.,.>) = -(1/6)<theta,[theta,theta]>",
-        config.tol_quad, samples))
+    def prefix_draws(shape, arities):
+        # one frame of the top arity; the lower arities take its prefixes
+        def draws(rng):
+            for _ in range(n):
+                phi = lc.random_algebra(N, rng)
+                pt = forms.random_point(shape, rng)
+                vs = _tangents(shape, rng, arities[0])
+                yield [(phi, pt, *vs[:p]) for p in arities]
+        return draws
 
-    ident = "anchors.level2-plain"
-    rng = _rng_for(config, ident)
-    f2 = sp.bott_shulman(2, Q)
-    samples = []
-    for _ in range(config.sample_count):
-        pt = forms.random_point(f2.shape, rng)
-        vs = _tangents(f2.shape, rng, 2)
-        def fn(pt=pt, vs=vs):
-            want = om(pt, *vs)
-            return _rel(f2(pt, *vs) - want, want)
-        samples.append(fn)
-    tasks.append(IdentityTask(
-        ident, "Phi_2(<.,.>) = <theta_1, rtheta_2>", config.tol_quad, samples))
-
-    ident = "anchors.level1-equivariant"
-    rng = _rng_for(config, ident)
-    e1 = sp.bott_shulman_equivariant(1, Q)
-    samples = []
-    for _ in range(config.sample_count):
-        phi = lc.random_algebra(N, rng)
-        pt = forms.random_point(e1.shape, rng)
-        vs = _tangents(e1.shape, rng, 3)
-        def fn(phi=phi, pt=pt, vs=vs):
-            want3 = -lam(pt, *vs)
-            want1 = -th(phi, pt, vs[0])
-            return max(
-                _rel(e1(phi, pt, *vs) - want3, want3),
-                _rel(e1(phi, pt, vs[0]) - want1, want1),
-            )
-        samples.append(fn)
-    tasks.append(IdentityTask(
-        ident, "Phi^K_1(<.,.>) = -lambda - Theta", config.tol_quad, samples))
-
-    ident = "anchors.level2-equivariant"
-    rng = _rng_for(config, ident)
-    e2 = sp.bott_shulman_equivariant(2, Q)
-    samples = []
-    for _ in range(config.sample_count):
-        phi = lc.random_algebra(N, rng)
-        pt = forms.random_point(e2.shape, rng)
-        vs = _tangents(e2.shape, rng, 2)
-        def fn(phi=phi, pt=pt, vs=vs):
-            want = om(pt, *vs)
-            return max(
-                _rel(e2(phi, pt, *vs) - want, want),
-                abs(e2(phi, pt)),
-            )
-        samples.append(fn)
-    tasks.append(IdentityTask(
-        ident, "Phi^K_2(<.,.>) = Omega", config.tol_quad, samples))
-    return tasks
+    # the plain integrals are the phi-free components of the closed forms
+    return [
+        _identity(
+            config, "anchors.level1-plain",
+            "Phi_1(<.,.>) = -(1/6)<theta,[theta,theta]>", config.tol_quad,
+            _plain_draws(f1.shape, 3, n), f1, partial(closed1, None)),
+        _identity(
+            config, "anchors.level2-plain", "Phi_2(<.,.>) = <theta_1, rtheta_2>",
+            config.tol_quad, _plain_draws(f2.shape, 2, n), f2,
+            partial(closed2, None)),
+        _identity(
+            config, "anchors.level1-equivariant",
+            "Phi^K_1(<.,.>) = -lambda - Theta", config.tol_quad,
+            prefix_draws(e1.shape, (3, 1)), e1, closed1),
+        _identity(
+            config, "anchors.level2-equivariant", "Phi^K_2(<.,.>) = Omega",
+            config.tol_quad, prefix_draws(e2.shape, (2, 0)), e2, closed2),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +383,15 @@ def _suite_fox(config):
 
 def _suite_goldman(config):
     mcfg = config.moduli()
-    om = md.goldman_form(mcfg)
-    dom = forms.exterior_derivative(om, step=config.fd_step)
     pulled = forms.pullback(
         md.epsilon_R(mcfg).geometry(mcfg.N),
         sp.bott_shulman(1, lc.inner_polynomial(mcfg.N)),
     )
-    ident = "goldman.exactness"
-    rng = _rng_for(config, ident)
-    samples = []
-    for _ in range(config.sample_count):
-        pt = forms.random_point(mcfg.shape, rng)
-        vs = _tangents(mcfg.shape, rng, 3)
-        def fn(pt=pt, vs=vs):
-            want = pulled(pt, *vs)
-            return _rel(dom(pt, *vs) - want, want)
-        samples.append(fn)
-    return [IdentityTask(
-        ident, "d omega = relator^* Phi_1(<.,.>)", config.tol_fd, samples)]
+    return [_identity(
+        config, "goldman.exactness", "d omega = relator^* Phi_1(<.,.>)",
+        config.tol_fd, _plain_draws(mcfg.shape, 3, config.sample_count),
+        forms.exterior_derivative(md.goldman_form(mcfg), step=config.fd_step),
+        pulled)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,57 +448,68 @@ def _suite_rank(config):
 # ---------------------------------------------------------------------------
 # extended suite: chart-level closure, restriction, cross paths, homotopy
 
+def _polynomial_field(shape, a1, b1, c1, a2, M, x0):
+    """A 1- plus 2-form on a vector factor, polynomial in Lambda and phi."""
+    def comp1(phi, pt, w):
+        lam = pt[0]
+        scale = 1.0 + lc.inner(phi, x0)
+        return scale * (1.0 + a1 @ lam + (b1 @ lam) ** 2) * (c1 @ w[0])
+
+    def comp2(phi, pt, u, v):
+        lam = pt[0]
+        return (1.0 + a2 @ lam) * (u[0] @ M @ v[0] - v[0] @ M @ u[0])
+
+    return forms.EquivariantFormField(shape, ("adjoint",), {1: comp1, 2: comp2})
+
+
+def _homotopy_sum(f, phi, pt, *vs, step, max_nodes):
+    """(h d_K + d_K h) f at one argument tuple."""
+    hd = md.homotopy_h(forms.cartan_differential(f, step=step),
+                       max_nodes=max_nodes)
+    dh = forms.cartan_differential(md.homotopy_h(f, max_nodes=max_nodes),
+                                   step=step)
+    return hd(phi, pt, *vs) + dh(phi, pt, *vs)
+
+
 def _suite_extended(config):
     mcfg = config.moduli()
     N = mcfg.N
+    n = config.sample_count
+    d = mcfg.algebra_dim
     tasks = []
     # forms composed with the chart logarithm carry third derivatives two
     # orders larger than the level-set forms, so their difference stencils
     # get a tighter step to keep truncation under the tolerance
     chart_step = 0.1 * config.fd_step
     for r in config.r_list:
-        ext = md.extended_generator(config.moduli(), "f", r,
-                                    max_nodes=config.quad_nodes)
-        dk = forms.cartan_differential(ext, step=chart_step)
-        ident = f"extended.f-closed.r{r}"
-        rng = _rng_for(config, ident)
-        arities = dk.arities
-        pts = md.sample_chart_points(mcfg, rng, config.sample_count)
-        samples = []
-        for i in range(config.sample_count):
-            phi = lc.random_algebra(N, rng)
-            pt = pts[i]
-            p = arities[i % len(arities)]
-            vs = _tangents(mcfg.shape, rng, p)
-            samples.append(
-                lambda dk=dk, phi=phi, pt=pt, vs=vs: abs(dk(phi, pt, *vs)))
-        tasks.append(IdentityTask(
-            ident, f"d_K extended-f_{r} = 0 in the chart",
-            config.tol_fd, samples))
+        dk = forms.cartan_differential(
+            md.extended_generator(mcfg, "f", r, max_nodes=config.quad_nodes),
+            step=chart_step)
+        tasks.append(_identity(
+            config, f"extended.f-closed.r{r}",
+            f"d_K extended-f_{r} = 0 in the chart", config.tol_fd,
+            _chart_draws(mcfg, dk.arities, n), dk))
 
-        ident = f"extended.b-closed.r{r}"
-        rng = _rng_for(config, ident)
         dks = [
             forms.cartan_differential(
                 md.extended_generator(mcfg, "b", r, j=j), step=config.fd_step)
             for j in range(1, mcfg.num_generators + 1)
         ]
-        arities = dks[0].arities
-        samples = []
-        for i in range(config.sample_count):
-            dkb = dks[i % len(dks)]
-            phi = lc.random_algebra(N, rng)
-            pt = forms.random_point(mcfg.shape, rng)
-            p = arities[i % len(arities)]
-            vs = _tangents(mcfg.shape, rng, p)
-            samples.append(
-                lambda dkb=dkb, phi=phi, pt=pt, vs=vs: abs(dkb(phi, pt, *vs)))
-        tasks.append(IdentityTask(
-            ident, f"d_K extended-b_{r}^j = 0 in the chart",
-            config.tol_fd, samples))
 
-        ident = f"extended.restriction.r{r}"
-        rng = _rng_for(config, ident)
+        def b_draws(rng):
+            arities = dks[0].arities
+            for i in range(n):
+                dkb = dks[i % len(dks)]
+                phi = lc.random_algebra(N, rng)
+                pt = forms.random_point(mcfg.shape, rng)
+                vs = _tangents(mcfg.shape, rng, arities[i % len(arities)])
+                yield [(dkb, phi, pt, *vs)]
+
+        tasks.append(_identity(
+            config, f"extended.b-closed.r{r}",
+            f"d_K extended-b_{r}^j = 0 in the chart", config.tol_fd,
+            b_draws, _call))
+
         pairs = [("a", None), ("f", None)]
         pairs += [("b", j) for j in (1, mcfg.num_generators)]
         fields = [
@@ -545,71 +518,52 @@ def _suite_extended(config):
              md.generator_form(mcfg, kind, r, j=j))
             for kind, j in pairs
         ]
-        n_y = min(config.sample_count, 10)
-        ys = md.sample_Y(mcfg, rng, n_y)
-        samples = []
-        for y in ys:
-            frames = {}
-            for extf, base in fields:
-                for p in base.arities:
-                    frames.setdefault(p, _tangents(mcfg.shape, rng, p))
-            phi = lc.random_algebra(N, rng)
-            def fn(fields=fields, y=y, phi=phi, frames=frames):
-                worst = 0.0
-                for extf, base in fields:
+
+        def restriction_draws(rng):
+            for y in md.sample_Y(mcfg, rng, min(n, 10)):
+                frames = {}
+                for _, base in fields:
                     for p in base.arities:
-                        want = base(phi, y, *frames[p])
-                        got = extf(phi, y, *frames[p])
-                        worst = max(worst, _rel(got - want, want))
-                return worst
-            samples.append(fn)
-        tasks.append(IdentityTask(
-            ident, "extended generators restrict to the level-set "
-            "generators at Lambda = 0", config.tol_quad, samples))
+                        frames.setdefault(p, _tangents(mcfg.shape, rng, p))
+                phi = lc.random_algebra(N, rng)
+                yield [(ext, base, phi, y, *frames[p])
+                       for ext, base in fields for p in base.arities]
 
-        ident = f"extended.crosspath.r{r}"
-        rng = _rng_for(config, ident)
+        tasks.append(_identity(
+            config, f"extended.restriction.r{r}",
+            "extended generators restrict to the level-set generators at "
+            "Lambda = 0", config.tol_quad, restriction_draws,
+            lambda ext, base, *args: ext(*args),
+            lambda ext, base, *args: base(*args)))
+
         pipe = md.generator_form(mcfg, "f", r)
-        direct = md.generator_form_direct_f(mcfg, r)
-        samples = []
-        for _ in range(config.sample_count):
-            phi = lc.random_algebra(N, rng)
-            pt = forms.random_point(mcfg.shape, rng)
-            frames = [(p, _tangents(mcfg.shape, rng, p)) for p in pipe.arities]
-            def fn(pipe=pipe, direct=direct, phi=phi, pt=pt, frames=frames):
-                worst = 0.0
-                for _, vs in frames:
-                    want = pipe(phi, pt, *vs)
-                    worst = max(worst, _rel(direct(phi, pt, *vs) - want, want))
-                return worst
-            samples.append(fn)
-        tasks.append(IdentityTask(
-            ident, "slant pipeline equals the fused word-map double sum "
-            f"for f_{r}", config.tol_quad, samples))
+        tasks.append(_identity(
+            config, f"extended.crosspath.r{r}",
+            f"slant pipeline equals the fused word-map double sum for f_{r}",
+            config.tol_quad, _equivariant_draws(N, mcfg.shape, pipe.arities, n),
+            md.generator_form_direct_f(mcfg, r), pipe))
 
-        ident = f"extended.transgression.r{r}"
-        rng = _rng_for(config, ident)
         Q = lc.chern_polynomial(N, r)
-        sig = md.sigma_Q(mcfg, Q, max_nodes=config.quad_nodes)
-        dks = forms.cartan_differential(sig, step=config.fd_step)
-        rhs = forms.pullback_equivariant(
-            md.exp_beta_map(mcfg),
-            sp.bott_shulman_equivariant(1, Q), ("adjoint",))
-        d = mcfg.algebra_dim
-        arities = dks.arities
-        samples = []
-        for i in range(min(config.sample_count, 10)):
-            phi = lc.random_algebra(N, rng)
-            pt = forms.Point((rng.standard_normal(d) * 0.7,))
-            p = arities[i % len(arities)]
-            vs = [forms.Tangent((rng.standard_normal(d),)) for _ in range(p)]
-            def fn(dks=dks, rhs=rhs, phi=phi, pt=pt, vs=vs):
-                want = rhs(phi, pt, *vs)
-                return _rel(dks(phi, pt, *vs) - want, want)
-            samples.append(fn)
-        tasks.append(IdentityTask(
-            ident, f"d_K sigma_{r} equals the beta-exp pullback of the "
-            "level-1 form", config.tol_fd, samples))
+        dks_sigma = forms.cartan_differential(
+            md.sigma_Q(mcfg, Q, max_nodes=config.quad_nodes),
+            step=config.fd_step)
+
+        def transgression_draws(rng):
+            arities = dks_sigma.arities
+            for i in range(min(n, 10)):
+                phi = lc.random_algebra(N, rng)
+                pt = forms.Point((rng.standard_normal(d) * 0.7,))
+                vs = [forms.Tangent((rng.standard_normal(d),))
+                      for _ in range(arities[i % len(arities)])]
+                yield [(phi, pt, *vs)]
+
+        tasks.append(_identity(
+            config, f"extended.transgression.r{r}",
+            f"d_K sigma_{r} equals the beta-exp pullback of the level-1 form",
+            config.tol_fd, transgression_draws, dks_sigma,
+            forms.pullback_equivariant(
+                md.exp_beta_map(mcfg), sp.bott_shulman_equivariant(1, Q),
+                ("adjoint",))))
 
         ident = f"extended.growth-probe.r{r}"
         def probe(r=r, ident=ident):
@@ -620,7 +574,7 @@ def _suite_extended(config):
             for row in sups.values():
                 if not np.all(np.isfinite(row)):
                     raise NumericalBreakdown(
-                        "growth probe produced non-finite values")
+                        f"{ident}: sweep produced non-finite values")
             return max(s for p, s in slopes.items() if p > 0)
         tasks.append(IdentityTask(
             ident, "form-part coefficients of the radial primitive stay "
@@ -628,48 +582,23 @@ def _suite_extended(config):
             "exactly linear and excluded (reported)",
             1.0, [probe], report_only=True))
 
-    ident = "extended.homotopy-identity"
-    rng = _rng_for(config, ident)
-    d = lc.algebra_dim(N)
     shape = (forms.VectorFactor(d),)
-    samples = []
-    for _ in range(config.sample_count):
-        a1, b1, c1, a2 = (rng.standard_normal(d) for _ in range(4))
-        M = rng.standard_normal((d, d))
-        x0 = lc.random_algebra(N, rng)
-        phi = lc.random_algebra(N, rng)
-        pt = forms.Point((rng.standard_normal(d) * 0.6,))
-        ws = [forms.Tangent((rng.standard_normal(d),)) for _ in range(2)]
 
-        def fn(a1=a1, b1=b1, c1=c1, a2=a2, M=M, x0=x0, phi=phi, pt=pt, ws=ws):
-            def comp1(phi2, pt2, w):
-                lam = pt2[0]
-                scale = 1.0 + lc.inner(phi2, x0)
-                return scale * (1.0 + a1 @ lam + (b1 @ lam) ** 2) * (c1 @ w[0])
+    def homotopy_draws(rng):
+        for _ in range(n):
+            f = _polynomial_field(
+                shape, *(rng.standard_normal(d) for _ in range(4)),
+                rng.standard_normal((d, d)), lc.random_algebra(N, rng))
+            phi = lc.random_algebra(N, rng)
+            pt = forms.Point((rng.standard_normal(d) * 0.6,))
+            ws = [forms.Tangent((rng.standard_normal(d),)) for _ in range(2)]
+            yield [(f, phi, pt, *ws[:p]) for p in (0, 1, 2)]
 
-            def comp2(phi2, pt2, u, v):
-                lam = pt2[0]
-                return (1.0 + a2 @ lam) * (u[0] @ M @ v[0] - v[0] @ M @ u[0])
-
-            f = forms.EquivariantFormField(
-                shape, ("adjoint",), {1: comp1, 2: comp2})
-            hd = md.homotopy_h(
-                forms.cartan_differential(f, step=config.fd_step),
-                max_nodes=config.quad_nodes)
-            dh = forms.cartan_differential(
-                md.homotopy_h(f, max_nodes=config.quad_nodes),
-                step=config.fd_step)
-            worst = 0.0
-            for p in (0, 1, 2):
-                vs = ws[:p]
-                got = hd(phi, pt, *vs) + dh(phi, pt, *vs)
-                want = f(phi, pt, *vs)
-                worst = max(worst, _rel(got - want, want))
-            return worst
-
-        samples.append(fn)
-    tasks.append(IdentityTask(
-        ident, "h d_K + d_K h = 1 on polynomial forms", config.tol_fd, samples))
+    tasks.append(_identity(
+        config, "extended.homotopy-identity",
+        "h d_K + d_K h = 1 on polynomial forms", config.tol_fd, homotopy_draws,
+        partial(_homotopy_sum, step=config.fd_step,
+                max_nodes=config.quad_nodes), _call))
     return tasks
 
 
@@ -678,44 +607,31 @@ def _suite_extended(config):
 
 def _suite_moment(config):
     mcfg = config.moduli()
-    tasks = []
-
+    n = config.sample_count
     chart_step = 0.1 * config.fd_step
-
-    ident = "moment.omega-tilde-closed"
-    rng = _rng_for(config, ident)
     ot = md.omega_tilde(mcfg, max_nodes=config.quad_nodes)
-    dot = forms.exterior_derivative(ot, step=chart_step)
-    pts = md.sample_chart_points(mcfg, rng, config.sample_count)
-    samples = []
-    for pt in pts:
-        vs = _tangents(mcfg.shape, rng, 3)
-        samples.append(lambda pt=pt, vs=vs: abs(dot(pt, *vs)))
-    tasks.append(IdentityTask(
-        ident, "d omega-tilde = 0 in the chart", config.tol_fd, samples))
-
-    ident = "moment.omega-bar-closed"
-    rng = _rng_for(config, ident)
     ob = md.omega_bar(mcfg, max_nodes=config.quad_nodes)
     dkb = forms.cartan_differential(ob, step=chart_step)
-    arities = dkb.arities
-    pts = md.sample_chart_points(mcfg, rng, config.sample_count)
-    samples = []
-    for i in range(config.sample_count):
-        phi = lc.random_algebra(mcfg.N, rng)
-        pt = pts[i]
-        p = arities[i % len(arities)]
-        vs = _tangents(mcfg.shape, rng, p)
-        samples.append(lambda phi=phi, pt=pt, vs=vs: abs(dkb(phi, pt, *vs)))
-    tasks.append(IdentityTask(
-        ident, "d_K omega-bar = 0", config.tol_fd, samples))
+
+    def omega_tilde_draws(rng):
+        for pt in md.sample_chart_points(mcfg, rng, n):
+            yield [(pt, *_tangents(mcfg.shape, rng, 3))]
+
+    tasks = [
+        _identity(
+            config, "moment.omega-tilde-closed",
+            "d omega-tilde = 0 in the chart", config.tol_fd, omega_tilde_draws,
+            forms.exterior_derivative(ot, step=chart_step)),
+        _identity(
+            config, "moment.omega-bar-closed", "d_K omega-bar = 0",
+            config.tol_fd, _chart_draws(mcfg, dkb.arities, n), dkb),
+    ]
 
     conventions = ("d_K = d - iota_{phi#}, phi# = d/dt exp(t phi).x "
                    "left-trivialised, <X,Y> = -tr XY, relator = beta exp(Lambda)")
-    n_m = min(config.sample_count, 10)
     ident = "moment.linear-part"
     rng = _rng_for(config, ident)
-    pts = md.sample_chart_points(mcfg, rng, n_m)
+    pts = md.sample_chart_points(mcfg, rng, min(n, 10))
     def linear_part(pt):
         coeffs, lam = md.moment_linear_coefficients(mcfg, ob, pt)
         scale = max(1.0, float(np.linalg.norm(lam)))
@@ -726,24 +642,24 @@ def _suite_moment(config):
         "reads -2 Lambda under phi# = d/dt exp(-t phi).x)", 1e-8,
         [lambda pt=pt: linear_part(pt) for pt in pts]))
 
-    ident = "moment.linear-part-measured"
-    rng = _rng_for(config, ident)
     chart = md.chart_map(mcfg)
     actions = ("conjugation",) * mcfg.num_generators
-    def moment_equation(pt, phi, v):
-        lhs = 2.0 * lc.inner(lc.from_coords(chart.push(pt, v)[0], mcfg.N), phi)
-        rhs = ot(pt, forms.generating_field(mcfg.shape, actions, phi, pt), v)
-        return _rel(lhs - rhs, rhs)
-    samples = []
-    for pt in pts:
-        phi = lc.random_algebra(mcfg.N, rng)
-        v = forms.random_tangent(mcfg.shape, rng)
-        samples.append(lambda pt=pt, phi=phi, v=v: moment_equation(pt, phi, v))
-    tasks.append(IdentityTask(
-        ident,
+
+    def measured_draws(rng):
+        # the linear part's chart points, each with a fresh phi and tangent
+        for pt in pts:
+            phi = lc.random_algebra(mcfg.N, rng)
+            yield [(pt, phi, forms.random_tangent(mcfg.shape, rng))]
+
+    tasks.append(_identity(
+        config, "moment.linear-part-measured",
         "d<2 Lambda, phi>(v) = omega-tilde(phi#, v), the moment-map equation "
         f"that fixes the sign of the linear part ({conventions})", 1e-8,
-        samples))
+        measured_draws,
+        lambda pt, phi, v: 2.0 * lc.inner(
+            lc.from_coords(chart.push(pt, v)[0], mcfg.N), phi),
+        lambda pt, phi, v: ot(
+            pt, forms.generating_field(mcfg.shape, actions, phi, pt), v)))
     return tasks
 
 

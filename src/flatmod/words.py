@@ -160,9 +160,6 @@ class Chain1:
                 out[w] = out.get(w, 0) + ca * cb
         return Chain1(out.items())
 
-    def left_mul(self, word):
-        return Chain1([(word * w, c) for w, c in self.terms.items()])
-
     def __eq__(self, other):
         return isinstance(other, Chain1) and self.terms == other.terms
 
@@ -196,9 +193,6 @@ class Chain2:
         for p, c in other.terms.items():
             merged[p] = merged.get(p, 0) + c
         return Chain2(merged.items())
-
-    def scaled(self, k):
-        return Chain2([(p, k * c) for p, c in self.terms.items()])
 
     def __eq__(self, other):
         return isinstance(other, Chain2) and self.terms == other.terms

@@ -6,7 +6,9 @@ pass/fail line per criterion. The moment-map linear-part criterion is stated
 in the code's own sign conventions (see the README's "Sign conventions").
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -244,3 +246,25 @@ def test_criterion_9_deterministic_reports():
     first.pop("timings")
     second.pop("timings")
     assert first == second
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_records.json"
+
+
+def test_records_match_golden_file():
+    """The default run at 2 samples (all 29 records, every suite) reproduces
+    tests/data/golden_records.json exactly, apart from `timings`.
+
+    A refactor must leave every residual where it was. A change that moves
+    a residual on purpose regenerates the file with
+
+        python -c "import json; from flatmod import suites as s; \\
+        d = s.run_suites(s.RunConfig(sample_count=2)).to_dict(); \\
+        d.pop('timings'); print(json.dumps(d, indent=2, sort_keys=True))" \\
+        > tests/data/golden_records.json
+
+    and says in CHANGES.md which residuals moved and why.
+    """
+    report = suites.run_suites(suites.RunConfig(sample_count=2)).to_dict()
+    report.pop("timings")
+    assert json.loads(json.dumps(report)) == json.loads(GOLDEN.read_text())

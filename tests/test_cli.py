@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from flatmod import cli
+from flatmod import forms
 from flatmod import liecore as lc
+from flatmod import moduli as md
 from flatmod import suites as su
 
 
@@ -277,3 +279,65 @@ def test_non_finite_residual_is_a_numeric_failure(monkeypatch, capsys):
     assert code == 3
     assert "fake.nan-second sample 1" in err
     assert out == ""
+
+
+def test_nan_in_one_call_of_a_sample_is_a_numeric_failure(monkeypatch):
+    # max() over a sample's calls would drop the NaN of the last arity
+    real = forms.cartan_differential
+
+    def top_arity_nan(ef, step=forms.DEFAULT_FD_STEP):
+        dk = real(ef, step=step)
+        comps = dict(dk.components)
+        comps[max(comps)] = lambda *args: np.nan
+        return forms.EquivariantFormField(
+            dk.shape, dk.actions, comps, phi_degree=dk.phi_degree)
+
+    monkeypatch.setattr(su.forms, "cartan_differential", top_arity_nan)
+    config = su.RunConfig(N=2, r_list=(2,), sample_count=2,
+                          suites=("equivariant-cocycle",))
+    with pytest.raises(su.NumericalBreakdown,
+                       match=r"equivariant\.level1-closed\.r2 sample 0"):
+        su.run_suites(config)
+
+
+def test_growth_probe_nan_is_a_numeric_failure(monkeypatch):
+    real = md.sigma_Q
+
+    def nan_sigma(*args, **kwargs):
+        sig = real(*args, **kwargs)
+        return forms.EquivariantFormField(
+            sig.shape, sig.actions,
+            {p: (lambda *a: np.nan) for p in sig.arities})
+
+    monkeypatch.setattr(md, "sigma_Q", nan_sigma)
+    config = su.RunConfig(sample_count=1, suites=("extended",))
+    probe, = [t for t in su._suite_extended(config)
+              if t.identity_id == "extended.growth-probe.r2"]
+    with pytest.raises(su.NumericalBreakdown,
+                       match=r"growth-probe\.r2: sweep"):
+        probe.samples[0]()
+
+
+def test_r_flag_overrides_config_file(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"r_list": [2], "seed": 5}))
+    args = cli._build_parser().parse_args(
+        ["verify", "--config", str(path), "--r", "1", "--seed", "7"])
+    config = cli._load_config(args)
+    assert config.r_list == (1,)
+    assert config.seed == 7
+    args = cli._build_parser().parse_args(["verify", "--config", str(path)])
+    assert cli._load_config(args).r_list == (2,)
+
+
+def test_eval_sample_zero_gives_no_evaluations(capsys):
+    for form in ("f_2", "sigma_Q"):
+        code, out, _ = run_cli(["eval", "--form", form, "--sample", "0"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["evaluations"] == []
+        code, out, _ = run_cli(["eval", "--form", form], capsys)
+        assert code == 0
+        evaluations = json.loads(out)["evaluations"]
+        assert evaluations
+        assert {e["point_index"] for e in evaluations} == {0}
