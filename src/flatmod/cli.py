@@ -56,8 +56,9 @@ def _build_parser():
         p.add_argument("--tol-quad", type=float, dest="tol_quad",
                        help="tolerance on quadrature paths (default 1e-9)")
         p.add_argument("--quad-nodes", type=int, dest="quad_nodes",
-                       help="node cap for the radial quadrature "
-                       "(default 256)")
+                       help="node cap for the radial quadrature, which "
+                       "runs for polynomial degrees other than 2 and the "
+                       "homotopy identity (default 256)")
         p.add_argument("--out", help="write JSON output to this file")
 
     verify = sub.add_parser("verify", help="run identity suites")
@@ -137,7 +138,7 @@ def _resolve_form(form_id, config):
     if form_id == "omega":
         return ("plain", md.goldman_form(mcfg))
     if form_id == "omega_tilde":
-        return ("plain", md.omega_tilde(mcfg, max_nodes=config.quad_nodes))
+        return ("plain", md.omega_tilde(mcfg))
     if form_id == "sigma_Q":
         Q = lc.chern_polynomial(mcfg.N, config.r_list[0])
         return ("algebra", md.sigma_Q(mcfg, Q, max_nodes=config.quad_nodes))

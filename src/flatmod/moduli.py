@@ -7,13 +7,14 @@ chart h -> (h, log(beta^-1 relator(h))), so all calculus happens on K^(2g).
 
 Generator forms pair word chains with the fiber-integrated equivariant forms
 of the simplicial module; the homotopy operator contracts pullbacks along
-beta*exp radially in Lam.
+beta*exp radially in Lam, in closed form for degree-2 polynomials.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -428,9 +429,13 @@ def goldman_form(config):
 # ---------------------------------------------------------------------------
 # radial homotopy on the algebra factor
 
+@lru_cache(maxsize=None)
 def _gauss_legendre_01(n):
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def homotopy_h(field, rtol=1e-11, max_nodes=256):
@@ -478,11 +483,89 @@ def homotopy_h(field, rtol=1e-11, max_nodes=256):
     )
 
 
+# Taylor coefficients 2 (-1)^(n-1) / (2n+1)! of the radial kernel in theta^2
+_KERNEL_SERIES = tuple(
+    2.0 * (-1) ** (n - 1) / math.factorial(2 * n + 1) for n in range(8, 0, -1))
+
+
+def _radial_kernel(theta):
+    """k(theta) = 2 (1 - sin(theta)/theta) / theta^2, the radial integral of
+    t^2 T(i t theta) T(-i t theta) = 2 (1 - cos(t theta)) / theta^2 over [0, 1].
+
+    1 - sin(theta)/theta loses about eps / theta^2 of its relative accuracy
+    to cancellation, so below |theta| = 1 the Taylor series
+    1/3 - theta^2/60 + ... runs instead, up to theta^14 (its truncation
+    there is below 1e-16).
+    """
+    theta = np.abs(theta)
+    x = theta * theta
+    series = np.zeros_like(x)
+    for c in _KERNEL_SERIES:
+        series = series * x + c
+    safe = np.maximum(theta, 1.0)
+    direct = 2.0 * (1.0 - np.sin(safe) / safe) / (safe * safe)
+    return np.where(theta < 1.0, series, direct)
+
+
+def _scalar_gram(N, Q):
+    """The c with Q = c <.,.> on su(N).
+
+    A bilinear form is fixed by its Gram matrix on the orthonormal basis, so
+    Q = c <.,.> exactly when that matrix is c I; anything else raises
+    ValueError rather than feed the closed form a non-invariant Q.
+    """
+    basis = lc.algebra_basis(N)
+    d = len(basis)
+    rows = np.stack([
+        np.repeat(basis, d, axis=0), np.tile(basis, (d, 1, 1))], axis=1)
+    gram = Q.eval_batch(rows).reshape(d, d)
+    c = gram[0, 0]
+    if np.max(np.abs(gram - c * np.eye(d))) > 1e-12 * abs(c):
+        raise ValueError(
+            f"{Q.name or 'polynomial'} is not a multiple of <.,.> on su({N}): "
+            "its Gram matrix is not scalar")
+    return c
+
+
+def _sigma_degree_two(config, Q):
+    """Closed-form radial primitive for Q = c <.,.>.
+
+    The level-1 form is c(-lambda - Theta), and beta exp pushes the radial
+    tangent at t Lam forward to Lam itself. So the arity-0 part is
+    -2c <phi, Lam>. In the eigenframe Lam = U diag(mu) U^H, with
+    z_ij = mu_i - mu_j = i theta_ij, A = U^H u U and B = U^H v U, the
+    arity-2 part is c sum_ij z_ij A_ij B_ji k(theta_ij).
+    """
+    N = config.N
+    c = _scalar_gram(N, Q)
+
+    def comp0(phi, pt):
+        return -2.0 * c * lc.inner(phi, lc.from_coords(pt[0], N))
+
+    def comp2(phi, pt, u, v):
+        frame, z = lc._ad_eigenframe(lc.from_coords(pt[0], N))
+        a = frame.conj().T @ lc.from_coords(u[0], N) @ frame
+        b = frame.conj().T @ lc.from_coords(v[0], N) @ frame
+        return c * np.sum(z * a * b.T * _radial_kernel(z.imag))
+
+    return forms.EquivariantFormField(
+        (forms.VectorFactor(config.algebra_dim),), ("adjoint",),
+        {0: comp0, 2: comp2})
+
+
 def sigma_Q(config, Q, max_nodes=256):
-    """Radial primitive of the level-1 form pulled back along beta * exp."""
-    phi1 = sp.bott_shulman_equivariant(1, Q)
-    pulled = forms.pullback_equivariant(exp_beta_map(config), phi1, ("adjoint",))
-    out = homotopy_h(pulled, max_nodes=max_nodes)
+    """Radial primitive of the level-1 form pulled back along beta * exp.
+
+    Degree 2 has a closed form; every other degree integrates the pulled-back
+    form radially with homotopy_h, doubling nodes up to max_nodes.
+    """
+    if Q.degree == 2:
+        out = _sigma_degree_two(config, Q)
+    else:
+        phi1 = sp.bott_shulman_equivariant(1, Q)
+        pulled = forms.pullback_equivariant(
+            exp_beta_map(config), phi1, ("adjoint",))
+        out = homotopy_h(pulled, max_nodes=max_nodes)
     out.name = f"sigma[{Q.name}]"
     return out
 
@@ -530,12 +613,12 @@ def stokes_sides(config, Q):
 # ---------------------------------------------------------------------------
 # the symplectic example forms
 
-def omega_tilde(config, max_nodes=256):
+def omega_tilde(config):
     """2-form on the chart: the arity-2 part of omega-bar at phi = 0, that
     is goldman minus the chart pullback of the radial primitive of the
     inner-product polynomial. For Q = <.,.> this part does not depend on
     phi."""
-    ob = omega_bar(config, max_nodes=max_nodes)
+    ob = omega_bar(config)
     zero = np.zeros((config.N, config.N), dtype=complex)
 
     def fn(pt, u, v):
@@ -544,12 +627,10 @@ def omega_tilde(config, max_nodes=256):
     return forms.FormField(config.shape, 2, fn, name="omega-tilde")
 
 
-def omega_bar(config, max_nodes=256):
+def omega_bar(config):
     """The equivariant extension of omega-tilde: the extended 'f' generator
     for the plain inner product."""
-    return extended_generator(
-        config, "f", 2, Q=lc.inner_polynomial(config.N), max_nodes=max_nodes
-    )
+    return extended_generator(config, "f", 2, Q=lc.inner_polynomial(config.N))
 
 
 def moment_linear_coefficients(config, ob, pt):

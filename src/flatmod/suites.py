@@ -609,8 +609,8 @@ def _suite_moment(config):
     mcfg = config.moduli()
     n = config.sample_count
     chart_step = 0.1 * config.fd_step
-    ot = md.omega_tilde(mcfg, max_nodes=config.quad_nodes)
-    ob = md.omega_bar(mcfg, max_nodes=config.quad_nodes)
+    ot = md.omega_tilde(mcfg)
+    ob = md.omega_bar(mcfg)
     dkb = forms.cartan_differential(ob, step=chart_step)
 
     def omega_tilde_draws(rng):

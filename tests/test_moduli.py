@@ -223,6 +223,99 @@ def test_sigma_vanishes_at_origin():
     assert abs(sig(phi, origin, *ws)) <= 1e-13
 
 
+def _homotopy_spy(monkeypatch):
+    calls = []
+    homotopy_h = md.homotopy_h
+
+    def spy(field, rtol=1e-11, max_nodes=256):
+        calls.append(field.name)
+        return homotopy_h(field, rtol=rtol, max_nodes=max_nodes)
+
+    monkeypatch.setattr(md, "homotopy_h", spy)
+    return calls
+
+
+def _sigma_oracle(cfg, Q):
+    """Radial quadrature of the level-1 form pulled back along beta * exp."""
+    return md.homotopy_h(fo.pullback_equivariant(
+        md.exp_beta_map(cfg), sp.bott_shulman_equivariant(1, Q),
+        ("adjoint",)))
+
+
+def _lam_coords(N, thetas, seed):
+    """Coordinates of U diag(i x) U^H for a random U in SU(N), where x is
+    traceless with consecutive gaps thetas."""
+    x = np.concatenate([[0.0], np.cumsum(thetas)])
+    x -= x.mean()
+    u = lc.random_group(N, seed)
+    return lc.to_coords((u * 1j * x) @ u.conj().T, N)
+
+
+def _assert_sigma_matches_oracle(sig, oracle, N, lam, rng):
+    d = len(lam)
+    pt = fo.Point((lam,))
+    phi = lc.random_algebra(N, rng)
+    u, v = (fo.Tangent((rng.standard_normal(d),)) for _ in range(2))
+    for args in ((), (u, v)):
+        want = oracle(phi, pt, *args)
+        assert abs(sig(phi, pt, *args) - want) <= 1e-12 * abs(want)
+
+
+def test_sigma_closed_form_matches_quadrature_oracle():
+    rng = lc.as_rng(71)
+    for N in (2, 3):
+        for beta in (0, 1):
+            cfg = md.ModuliConfig(N=N, beta_index=beta)
+            d = cfg.algebra_dim
+            for Q in (lc.inner_polynomial(N), lc.chern_polynomial(N, 2)):
+                sig = md.sigma_Q(cfg, Q)
+                assert sig.arities == [0, 2] and sig.phi_degree is None
+                oracle = _sigma_oracle(cfg, Q)
+                for radius in (0.7, 3.0, 10 * np.pi):
+                    lam = rng.standard_normal(d)
+                    lam *= radius / np.linalg.norm(lam)
+                    _assert_sigma_matches_oracle(sig, oracle, N, lam, rng)
+
+
+def test_sigma_closed_form_small_eigenvalue_gaps():
+    # Lam = 0, a repeated eigenvalue, and gaps on both sides of 1e-4 and of
+    # the series cut at |theta| = 1, alone and next to a large gap
+    rng = lc.as_rng(72)
+    cases = [(2, np.zeros(3)), (3, np.zeros(8))]
+    for thetas in [(1.1e-4,), (0.9e-4,), (0.99,), (1.01,), (0.0, 1.5),
+                   (0.9e-4, 1.5), (1.1e-4, 1.5), (0.99, 2.0), (1.01, 2.0)]:
+        N = len(thetas) + 1
+        cases.append((N, _lam_coords(N, thetas, rng)))
+    for N, lam in cases:
+        cfg = md.ModuliConfig(N=N, beta_index=0)
+        Q = lc.inner_polynomial(N)
+        _assert_sigma_matches_oracle(
+            md.sigma_Q(cfg, Q), _sigma_oracle(cfg, Q), N, lam, rng)
+
+
+def test_sigma_degree_three_still_uses_quadrature(monkeypatch):
+    calls = _homotopy_spy(monkeypatch)
+    md.sigma_Q(CFG3, lc.chern_polynomial(3, 2))
+    assert calls == []
+    md.sigma_Q(CFG3, lc.chern_polynomial(3, 3))
+    assert len(calls) == 1
+
+
+def test_sigma_rejects_a_degree_two_polynomial_that_is_not_invariant():
+    # Q(X, Y) = x^T W y on the coordinates: its Gram matrix is W, not c I
+    basis = lc.algebra_basis(2)
+    W = np.diag([1.0, 2.0, 3.0])
+
+    def batch(stack):
+        x = -np.einsum("aij,bji->ba", basis, stack[:, 0]).real
+        y = -np.einsum("aij,bji->ba", basis, stack[:, 1]).real
+        return np.einsum("ba,ac,bc->b", x, W, y).astype(complex)
+
+    Q = lc.InvariantPolynomial(2, 2, batch, name="weighted")
+    with pytest.raises(ValueError, match="Gram matrix"):
+        md.sigma_Q(CFG, Q)
+
+
 def test_generator_a_is_the_constant_polynomial():
     Q = lc.chern_polynomial(2, 2)
     a = md.generator_form(CFG, "a", 2)
@@ -396,23 +489,13 @@ def test_moment_linear_part_measures_plus_two_lambda():
     assert np.linalg.norm(coeffs - (-2.0) * lam) > 1e-2
 
 
-def test_moment_linear_part_honours_quad_nodes(monkeypatch):
-    caps = []
-    homotopy_h = md.homotopy_h
-
-    def spy(field, rtol=1e-11, max_nodes=256):
-        caps.append(max_nodes)
-        return homotopy_h(field, rtol=rtol, max_nodes=max_nodes)
-
-    monkeypatch.setattr(md, "homotopy_h", spy)
-    config = su.RunConfig(quad_nodes=64, sample_count=1, suites=("moment",))
-    (task,) = [t for t in su._suite_moment(config)
-               if t.identity_id == "moment.linear-part"]
-    built = len(caps)
-    residuals = [fn() for fn in task.samples]
-    assert len(caps) == built
-    assert set(caps) == {64}
-    assert max(residuals) <= task.tolerance
+def test_moment_suite_builds_no_radial_quadrature(monkeypatch):
+    # omega-bar and omega-tilde use Q = <.,.>, whose sigma is closed-form
+    calls = _homotopy_spy(monkeypatch)
+    config = su.RunConfig(quad_nodes=8, sample_count=1, suites=("moment",))
+    report = su.run_suites(config)
+    assert calls == []
+    assert report.records and all(r.passed for r in report.records)
 
 
 def test_symplectic_rank_certificate():
