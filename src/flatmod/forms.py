@@ -8,6 +8,13 @@ finite-difference formula, so no charts are ever introduced.
 
 Equivariant forms (Cartan model) carry one evaluator per tangent arity,
 because the Cartan differential d - iota mixes arities p+1 and p-1.
+
+A tangent's parts may share leading batch dimensions, and the tangents of
+one call must broadcast against each other. Word-map pushforwards, the fiber
+integrals, pullbacks and linear combinations carry such a batch through, and
+a form then returns an ndarray of the broadcast batch shape instead of a
+complex number. The point and phi never carry a batch; the closed-form
+anchors and the FD derivative take plain tangents only.
 """
 
 from __future__ import annotations
@@ -161,6 +168,13 @@ def random_tangent(shape, seed, unit=True):
 # ---------------------------------------------------------------------------
 # fields
 
+def _value(val):
+    """A form's value: complex, or the ndarray a batch of tangents gives."""
+    if isinstance(val, np.ndarray) and val.ndim:
+        return val
+    return complex(val)
+
+
 class FormField:
     """Alternating multilinear evaluator of fixed arity on a product shape."""
 
@@ -178,7 +192,7 @@ class FormField:
                 f"form {self.name or ''} of arity {self.arity} "
                 f"got {len(tangents)} tangents"
             )
-        return complex(self.fn(pt, *tangents))
+        return _value(self.fn(pt, *tangents))
 
     def __repr__(self):
         return f"FormField({self.name or 'anon'}, arity={self.arity})"
@@ -209,7 +223,7 @@ class EquivariantFormField:
         fn = self.components.get(len(tangents))
         if fn is None:
             return 0j
-        return complex(fn(phi, pt, *tangents))
+        return _value(fn(phi, pt, *tangents))
 
     def __repr__(self):
         return f"EquivariantFormField({self.name or 'anon'}, arities={self.arities})"

@@ -241,18 +241,20 @@ def algebra_dim(n):
 
 
 def to_coords(x, n=None):
-    """Real coordinates of an algebra element in the orthonormal basis."""
+    """Real coordinates of an algebra element in the orthonormal basis; a
+    stack of elements gives a stack of coordinate rows."""
     x = np.asarray(x)
     if n is None:
-        n = x.shape[0]
+        n = x.shape[-1]
     basis = algebra_basis(n)
     # <E_a, x> = -tr(E_a x)
-    return -np.einsum("aij,ji->a", basis, x).real
+    return -np.einsum("aij,...ji->...a", basis, x).real
 
 
 def from_coords(v, n):
+    """Algebra element of a coordinate row; a stack of rows gives a stack."""
     basis = algebra_basis(n)
-    return np.einsum("a,aij->ij", np.asarray(v, dtype=float), basis)
+    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=float), basis)
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,12 @@ def epsilon_R(config):
 
 
 def tangent_from_coords(config, row):
-    """Coordinate row in R^(2g dim k) -> Tangent on K^(2g)."""
+    """Coordinate row in R^(2g dim k) -> Tangent on K^(2g); a stack of rows
+    gives one Tangent whose parts carry the stack as a batch axis."""
     d = config.algebra_dim
+    row = np.asarray(row)
     parts = [
-        lc.from_coords(np.asarray(row[i * d:(i + 1) * d]), config.N)
+        lc.from_coords(row[..., i * d:(i + 1) * d], config.N)
         for i in range(config.num_generators)
     ]
     return forms.Tangent(tuple(parts))
@@ -115,11 +117,6 @@ def tangent_from_coords(config, row):
 
 def tangent_to_coords(config, v):
     return np.concatenate([lc.to_coords(x, config.N) for x in v.parts])
-
-
-def _basis_tangents(config):
-    dim = config.num_generators * config.algebra_dim
-    return [tangent_from_coords(config, row) for row in np.eye(dim)]
 
 
 def relator_residual(config, pt):
@@ -134,14 +131,13 @@ def is_relator_point(config, pt, tol=1e-8):
 
 
 def relator_jacobian(config, pt):
-    """Real Jacobian of the residual coordinates; columns index the tangent basis."""
-    eps = epsilon_R(config)
+    """Real Jacobian of the residual coordinates; columns index the tangent
+    basis, which goes through one pushforward as a batch of tangents."""
     rho = relator_residual(config, pt)
-    cols = []
-    for v in _basis_tangents(config):
-        w = eps.push(pt.parts, v.parts)[0]
-        cols.append(lc.to_coords(lc.dlog_left(rho, w), config.N))
-    return np.stack(cols, axis=1)
+    basis = tangent_from_coords(
+        config, np.eye(config.num_generators * config.algebra_dim))
+    w = epsilon_R(config).push(pt.parts, basis.parts)[0]
+    return lc.to_coords(lc.dlog_left(rho, w), config.N).T
 
 
 # ---------------------------------------------------------------------------

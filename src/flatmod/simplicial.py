@@ -257,6 +257,11 @@ def _component_evaluator(n, Q, m):
     The value on tangents v_1..v_p is C(r,m) (r-m)! s(n) times the quadrature
     over the simplex of the signed-matching expansion of
     Q(F,..,F,mu,..,mu) contracted with (v_1..v_p, e_1-e_0, .., e_n-e_0).
+
+    Tangents may carry leading batch dimensions that broadcast against each
+    other; the value is then an ndarray of the broadcast batch shape, each
+    entry the value on the corresponding tangents. Without a batch it is a
+    complex number.
     """
     r, N = Q.degree, Q.n
     p = 2 * (r - m) - n
@@ -269,23 +274,32 @@ def _component_evaluator(n, Q, m):
 
     def fn(phi, pt, *vs):
         gs = pt.parts
-        Xi = [np.stack(v.parts) for v in vs]                # p x (n+1, N, N)
-        S = [np.einsum("mi,iuv->muv", nodes, x) for x in Xi]
+        Xi = [np.stack(v.parts, axis=-3) for v in vs]       # p x (..., n+1, N, N)
+        shapes = {x.shape[:-3] for x in Xi} or {()}
+        batch = (shapes.pop() if len(shapes) == 1
+                 else np.broadcast_shapes(*shapes))
+        full = batch + (M, N, N)
+        S = [np.einsum("mi,...iuv->...muv", nodes, x) for x in Xi]
         mu = None
         if m:
             ad = np.stack([lc.adjoint(g.conj().T, phi) for g in gs])
             mu = -np.einsum("mi,iuv->muv", nodes, ad)
+            if batch:
+                mu = np.broadcast_to(mu, full)
         cache = {}
 
         def F(a, b):
             if (a, b) not in cache:
                 if b < p:
                     comm = np.matmul(Xi[a], Xi[b]) - np.matmul(Xi[b], Xi[a])
-                    val = -np.einsum("mi,iuv->muv", nodes, comm)
+                    val = -np.einsum("mi,...iuv->...muv", nodes, comm)
                     val += np.matmul(S[a], S[b]) - np.matmul(S[b], S[a])
+                    if batch:
+                        val = np.broadcast_to(val, full)
                 elif a < p:
                     i = b - p + 1
-                    val = np.broadcast_to(Xi[a][0] - Xi[a][i], (M, N, N))
+                    edge = Xi[a][..., 0, :, :] - Xi[a][..., i, :, :]
+                    val = np.broadcast_to(edge[..., None, :, :], full)
                 else:
                     val = None
                 cache[(a, b)] = val
@@ -296,13 +310,15 @@ def _component_evaluator(n, Q, m):
             args = [F(a, b) for a, b in pairs]
             if any(x is None for x in args):
                 continue
-            batches.append(np.stack(args + [mu] * m, axis=1))
+            batches.append(np.stack(args + [mu] * m, axis=len(batch) + 1))
             signs.append(sgn)
         if not batches:
-            return 0.0
-        vals = Q.eval_batch(np.concatenate(batches, axis=0))
-        vals = vals.reshape(len(signs), M)
-        return coeff * complex(np.asarray(signs) @ (vals @ weights))
+            return np.zeros(batch) if batch else 0.0
+        rows = np.concatenate(batches, axis=len(batch))
+        vals = Q.eval_batch(rows.reshape(-1, r, N, N))
+        vals = vals.reshape(batch + (len(signs), M))
+        total = (vals @ weights) @ np.asarray(signs)
+        return coeff * (total if batch else complex(total))
 
     return p, fn
 

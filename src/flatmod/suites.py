@@ -409,13 +409,13 @@ def _suite_rank(config):
         if i not in cache:
             y = points[i]
             frame = md.reduced_frame(mcfg, y)
-            rows = [md.tangent_from_coords(mcfg, r) for r in frame.kernel]
-            k = len(rows)
-            vals = np.zeros((k, k), dtype=complex)
-            for a in range(k):
-                for b in range(a + 1, k):
-                    vals[a, b] = om(y, rows[a], rows[b])
-                    vals[b, a] = om(y, rows[b], rows[a])
+            rows = md.tangent_from_coords(mcfg, frame.kernel)
+            # one call on the k x k grid of kernel rows: (k, 1) against
+            # (1, k); omega(u_a, u_b) and omega(u_b, u_a) stay separate
+            # evaluations, so skew still tests antisymmetry
+            vals = om(y, forms.Tangent(tuple(x[:, None] for x in rows.parts)),
+                      forms.Tangent(tuple(x[None, :] for x in rows.parts)))
+            np.fill_diagonal(vals, 0.0)
             skew = float(np.abs(vals + vals.T).max())
             s = np.linalg.svd(0.5 * (vals - vals.T).real, compute_uv=False)
             # the quotient rows lie in the span of the orthonormal kernel

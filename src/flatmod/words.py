@@ -278,10 +278,12 @@ def _push_word(word, mats, tangents):
 
     Letter x_j contributes xi_j, letter x_j^-1 contributes -Ad(A_j) xi_j;
     each contribution is conjugated back through the suffix that follows it.
+    Tangents with leading batch dimensions (one shape for all of them) push
+    through the same matrix products, which broadcast over the batch.
     """
     n = mats[0].shape[0]
     suffix = np.eye(n, dtype=complex)
-    total = np.zeros((n, n), dtype=complex)
+    total = np.zeros(tangents[0].shape, dtype=complex)
     for l in reversed(word.letters):
         m = mats[abs(l) - 1]
         xi = tangents[abs(l) - 1]

@@ -57,7 +57,7 @@ def n3_run():
 @pytest.fixture(scope="module")
 def fox_run():
     return _run(suites.RunConfig(
-        sample_count=20, suites=("fox-symbolic",), jobs=1))
+        sample_count=20, suites=("fox-symbolic",)))
 
 
 def test_criterion_1_closed_form_anchors(anchors_run):

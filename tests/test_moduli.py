@@ -528,27 +528,81 @@ def test_symplectic_rank_certificate():
 @pytest.mark.parametrize("count", [1, 2])
 def test_rank_certificate_evaluates_omega_on_the_kernel_frame_only(
         monkeypatch, count):
+    # one omega call per point, on the (k, 1) x (1, k) grid of kernel rows;
+    # each chain term pushes the whole frame once, so the pushforwards per
+    # point (4 per chain term, 4g terms, plus one for the relator Jacobian)
+    # do not grow with k
     calls = []
+    pushes = []
     goldman_form = md.goldman_form
+    push = wd.WordMap.push
 
     def counting(mcfg):
         om = goldman_form(mcfg)
 
         def fn(pt, u, v):
-            calls.append(1)
+            calls.append((u[0].shape, v[0].shape))
             return om(pt, u, v)
 
         return fo.FormField(om.shape, 2, fn, name="goldman")
 
+    def counting_push(self, mats, tangents):
+        pushes.append(1)
+        return push(self, mats, tangents)
+
     monkeypatch.setattr(md, "goldman_form", counting)
-    config = su.RunConfig(sample_count=count, suites=("rank",))
-    for task in su._suite_rank(config):
-        assert len(task.samples) == count
-        for fn in task.samples:
-            fn()
-    k = (2 * CFG.genus - 1) * CFG.algebra_dim
-    assert k * (k - 1) == 72
-    assert len(calls) == count * k * (k - 1)
+    for genus in (2, 3):
+        mcfg = md.ModuliConfig(genus=genus)
+        config = su.RunConfig(genus=genus, sample_count=count, suites=("rank",))
+        tasks = su._suite_rank(config)
+        calls.clear()
+        monkeypatch.setattr(wd.WordMap, "push", counting_push)
+        pushes.clear()
+        for task in tasks:
+            assert len(task.samples) == count
+            for fn in task.samples:
+                fn()
+        monkeypatch.setattr(wd.WordMap, "push", push)
+        k = (2 * genus - 1) * mcfg.algebra_dim
+        assert calls == [((k, 1, 2, 2), (1, k, 2, 2))] * count
+        assert len(pushes) == count * (16 * genus + 1)
+
+
+@pytest.mark.parametrize("N, genus, beta", [(2, 2, 1), (2, 3, 1), (3, 2, 1)])
+def test_omega_grid_matches_scalar_loop(N, genus, beta):
+    mcfg = md.ModuliConfig(N=N, genus=genus, beta_index=beta)
+    om = md.goldman_form(mcfg)
+    y = md.sample_Y(mcfg, 17, 1)[0]
+    kernel = md.reduced_frame(mcfg, y).kernel
+    rows = [md.tangent_from_coords(mcfg, r) for r in kernel]
+    want = np.array([[om(y, u, v) for v in rows] for u in rows])
+    stack = md.tangent_from_coords(mcfg, kernel)
+    grid = om(y, fo.Tangent(tuple(x[:, None] for x in stack.parts)),
+              fo.Tangent(tuple(x[None, :] for x in stack.parts)))
+    assert grid.shape == (len(rows), len(rows))
+    assert np.abs(grid - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _jacobian_by_columns(mcfg, pt):
+    """The relator Jacobian one basis tangent at a time."""
+    eps = md.epsilon_R(mcfg)
+    rho = md.relator_residual(mcfg, pt)
+    cols = []
+    for row in np.eye(mcfg.num_generators * mcfg.algebra_dim):
+        v = md.tangent_from_coords(mcfg, row)
+        w = eps.push(pt.parts, v.parts)[0]
+        cols.append(lc.to_coords(lc.dlog_left(rho, w), mcfg.N))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("N, genus, beta", [(2, 2, 1), (2, 3, 1), (3, 2, 0)])
+def test_batched_relator_jacobian_matches_column_loop(N, genus, beta):
+    mcfg = md.ModuliConfig(N=N, genus=genus, beta_index=beta)
+    for pt in md.sample_Y(mcfg, 19, 2):
+        want = _jacobian_by_columns(mcfg, pt)
+        got = md.relator_jacobian(mcfg, pt)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_rank_quotient_condition_matches_direct_quotient_block():

@@ -328,3 +328,67 @@ def test_equivariant_cocycle_level_one_to_two():
     vs3 = [forms.random_tangent(lhs.shape, 173 + i) for i in range(3)]
     assert abs(lhs(phi, pt, v1) - rhs(phi, pt, v1)) < 1e-6
     assert abs(lhs(phi, pt, *vs3) - rhs(phi, pt, *vs3)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batch axis on the tangents
+
+def _stacked(tangents, axis=0):
+    """One Tangent whose parts stack the tangents' parts along a new axis."""
+    return forms.Tangent(tuple(
+        np.stack(parts, axis=axis) for parts in zip(*(t.parts for t in tangents))))
+
+
+@pytest.mark.parametrize("N, r", [(2, 2), (3, 2), (3, 3)])
+def test_batched_fiber_integral_matches_scalar_calls(N, r):
+    # every level and every arity with a tangent, moment components (m > 0)
+    # included: a batch of B frames gives the B scalar values, and a (B, 1)
+    # first slot against (1, B) other slots gives the B x B grid
+    Q = lc.chern_polynomial(N, r)
+    rng = lc.as_rng(300 + 10 * N + r)
+    B = 3
+    checked = []
+    for n in range(1, 2 * r + 1):
+        ef = sp.bott_shulman_total_equivariant(n, Q)
+        phi = lc.random_algebra(N, rng)
+        pt = forms.random_point(ef.shape, rng)
+        for p in ef.arities:
+            if p == 0:
+                continue
+            frames = [[forms.random_tangent(ef.shape, rng) for _ in range(p)]
+                      for _ in range(B)]
+            want = np.array([ef(phi, pt, *vs) for vs in frames])
+            got = ef(phi, pt, *(_stacked(slot) for slot in zip(*frames)))
+            assert got.shape == (B,)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            if p >= 2:
+                firsts = _stacked([vs[0] for vs in frames], axis=0)
+                firsts = forms.Tangent(tuple(x[:, None] for x in firsts.parts))
+                rest = [_stacked(slot) for slot in zip(*(vs[1:] for vs in frames))]
+                rest = [forms.Tangent(tuple(x[None] for x in t.parts)) for t in rest]
+                grid = ef(phi, pt, firsts, *rest)
+                want = np.array([[ef(phi, pt, a[0], *b[1:]) for b in frames]
+                                 for a in frames])
+                assert grid.shape == (B, B)
+                assert np.abs(grid - want).max() <= 1e-14 * np.abs(want).max()
+            checked.append((n, p))
+    moment = [(n, p) for n, p in checked if p < 2 * r - n]
+    assert moment, "no component with a moment slot was checked"
+
+
+def test_unbatched_values_are_complex_and_batches_must_broadcast():
+    N = 2
+    Q = lc.chern_polynomial(N, 2)
+    plain = sp.bott_shulman(2, Q)
+    ef = sp.bott_shulman_equivariant(2, Q)
+    phi = lc.random_algebra(N, 320)
+    pt = forms.random_point(plain.shape, 321)
+    u = forms.random_tangent(plain.shape, 322)
+    v = forms.random_tangent(plain.shape, 323)
+    assert type(plain(pt, u, v)) is complex
+    assert type(ef(phi, pt, u, v)) is complex
+    assert type(ef(phi, pt)) is complex
+    with pytest.raises(ValueError):
+        plain(pt, _stacked([u, u]), _stacked([v, v, v]))
+    with pytest.raises(ValueError):
+        ef(phi, pt, _stacked([u, u]), _stacked([v, v, v]))
