@@ -286,11 +286,8 @@ def _cmd_sample(args):
         for _ in range(args.count):
             h = forms.random_point(mcfg.shape, rng)
             x = md.lift_to_X(mcfg, h)
-            entries.append({
-                "h": md.point_to_json(x.h),
-                "lam": lc.matrix_to_json(x.lam),
-                "residual": md.x_point_residual(mcfg, x),
-            })
+            entries.append({**md.x_point_to_json(x),
+                            "residual": md.x_point_residual(mcfg, x)})
         payload = {"space": "X", "count": len(entries), "failures": 0,
                    "points": entries}
     _emit(payload, args.out)

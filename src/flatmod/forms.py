@@ -80,13 +80,13 @@ class Tangent:
         return len(self.parts)
 
 
-def point(shape, *parts, validate=True):
+def point(shape, *parts):
     if len(parts) != len(shape):
         raise ValueError("wrong number of point components")
     fixed = []
     for fac, p in zip(shape, parts):
         if isinstance(fac, GroupFactor):
-            p = lc.check_group(p) if validate else np.asarray(p, dtype=complex)
+            p = lc.check_group(p)
             if p.shape != (fac.n, fac.n):
                 raise ValueError("group component has wrong size")
         elif isinstance(fac, VectorFactor):
@@ -97,7 +97,7 @@ def point(shape, *parts, validate=True):
             p = np.asarray(p, dtype=float)
             if p.shape != (fac.n + 1,):
                 raise ValueError("simplex component has wrong length")
-            if validate and abs(p.sum() - 1.0) > 1e-12:
+            if abs(p.sum() - 1.0) > 1e-12:
                 raise ValueError("barycentric coordinates must sum to 1")
         else:
             raise TypeError(f"unknown factor {fac!r}")
@@ -105,28 +105,13 @@ def point(shape, *parts, validate=True):
     return Point(tuple(fixed))
 
 
-def tangent(shape, *parts, validate=True):
-    if len(parts) != len(shape):
-        raise ValueError("wrong number of tangent components")
-    fixed = []
-    for fac, v in zip(shape, parts):
-        if isinstance(fac, GroupFactor):
-            v = lc.check_algebra(v) if validate else np.asarray(v, dtype=complex)
-        elif isinstance(fac, VectorFactor):
-            v = np.asarray(v, dtype=float)
-        else:
-            v = np.asarray(v, dtype=float)
-            if validate and abs(v.sum()) > 1e-12:
-                raise ValueError("simplex tangent must sum to 0")
-        fixed.append(v)
-    return Tangent(tuple(fixed))
-
-
 def add_tangents(u, v, a=1.0, b=1.0):
     return Tangent(tuple(a * x + b * y for x, y in zip(u.parts, v.parts)))
 
 
-def random_point(shape, seed, simplex_margin=0.05):
+def random_point(shape, seed):
+    """Haar group factors, Gaussian vectors and Dirichlet(2) simplex points
+    at least 0.05 from every face."""
     rng = lc.as_rng(seed)
     parts = []
     for fac in shape:
@@ -136,30 +121,27 @@ def random_point(shape, seed, simplex_margin=0.05):
             parts.append(rng.standard_normal(fac.dim))
         else:
             t = rng.dirichlet(np.full(fac.n + 1, 2.0))
-            while t.min() < simplex_margin:
+            while t.min() < 0.05:
                 t = rng.dirichlet(np.full(fac.n + 1, 2.0))
             parts.append(t)
     return Point(tuple(parts))
 
 
-def random_tangent(shape, seed, unit=True):
+def random_tangent(shape, seed):
+    """A Gaussian tangent, each part scaled to unit norm."""
     rng = lc.as_rng(seed)
     parts = []
     for fac in shape:
         if isinstance(fac, GroupFactor):
             x = lc.random_algebra(fac.n, rng)
-            if unit:
-                x = x / math.sqrt(lc.inner(x, x))
-            parts.append(x)
+            parts.append(x / math.sqrt(lc.inner(x, x)))
         elif isinstance(fac, VectorFactor):
             v = rng.standard_normal(fac.dim)
-            if unit:
-                v = v / np.linalg.norm(v)
-            parts.append(v)
+            parts.append(v / np.linalg.norm(v))
         else:
             tau = rng.standard_normal(fac.n + 1)
             tau -= tau.mean()
-            if unit and np.linalg.norm(tau) > 0:
+            if np.linalg.norm(tau) > 0:
                 tau = tau / np.linalg.norm(tau)
             parts.append(tau)
     return Tangent(tuple(parts))
@@ -301,50 +283,24 @@ def wedge(f, g):
 # ---------------------------------------------------------------------------
 # maps between shapes
 
-class SmoothMap:
-    """A map of product shapes carrying an exact tangent pushforward."""
+class CallableMap:
+    """A map of product shapes given by at(pt) -> (image, push), where
+    push(v) is the exact pushforward of a tangent v at pt.
 
-    domain = ()
-    codomain = ()
+    Pullbacks call at once per evaluation, so whatever the map computes per
+    point is shared by every tangent it pushes.
+    """
 
-    def apply(self, pt):
-        raise NotImplementedError
-
-    def push(self, pt, v):
-        raise NotImplementedError
-
-
-class ComposedMap(SmoothMap):
-    """outer after inner."""
-
-    def __init__(self, outer, inner):
-        if inner.codomain != outer.domain:
-            raise ValueError("shape mismatch in composition")
-        self.outer = outer
-        self.inner = inner
-        self.domain = inner.domain
-        self.codomain = outer.codomain
-
-    def apply(self, pt):
-        return self.outer.apply(self.inner.apply(pt))
-
-    def push(self, pt, v):
-        mid = self.inner.apply(pt)
-        return self.outer.push(mid, self.inner.push(pt, v))
-
-
-class CallableMap(SmoothMap):
-    def __init__(self, domain, codomain, apply_fn, push_fn):
+    def __init__(self, domain, codomain, at):
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
-        self._apply = apply_fn
-        self._push = push_fn
+        self.at = at
 
     def apply(self, pt):
-        return self._apply(pt)
+        return self.at(pt)[0]
 
     def push(self, pt, v):
-        return self._push(pt, v)
+        return self.at(pt)[1](v)
 
 
 def pullback(m, f):
@@ -352,7 +308,8 @@ def pullback(m, f):
         raise ValueError("form shape does not match map codomain")
 
     def fn(pt, *vs):
-        return f(m.apply(pt), *(m.push(pt, v) for v in vs))
+        image, push = m.at(pt)
+        return f(image, *map(push, vs))
 
     return FormField(m.domain, f.arity, fn, name=f"{f.name}*")
 
@@ -369,7 +326,8 @@ def pullback_equivariant(m, ef, actions):
     for p, fn in ef.components.items():
         def make(fn):
             def g(phi, pt, *vs):
-                return fn(phi, m.apply(pt), *(m.push(pt, v) for v in vs))
+                image, push = m.at(pt)
+                return fn(phi, image, *map(push, vs))
             return g
         comps[p] = make(fn)
     return EquivariantFormField(
@@ -378,18 +336,7 @@ def pullback_equivariant(m, ef, actions):
 
 
 # ---------------------------------------------------------------------------
-# interior product and generating fields
-
-def interior_product(field_fn, f):
-    """Contract the first slot of f with the vector field point -> Tangent."""
-    if f.arity == 0:
-        raise ValueError("cannot contract a 0-form")
-
-    def fn(pt, *vs):
-        return f(pt, field_fn(pt), *vs)
-
-    return FormField(f.shape, f.arity - 1, fn, name=f"i({f.name})")
-
+# generating fields
 
 def generating_field(shape, actions, phi, pt):
     """Left-trivialized infinitesimal action of phi at pt.
@@ -522,7 +469,7 @@ def cartan_differential(ef, step=DEFAULT_FD_STEP):
 # ---------------------------------------------------------------------------
 # diagnostics used by the test suite
 
-def alternation_residual(f, pt, vs, seed=0):
+def alternation_residual(f, pt, vs):
     """Max |f(..u,v..) + f(..v,u..)| over adjacent transpositions."""
     worst = 0.0
     vs = list(vs)

@@ -10,7 +10,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,13 +36,14 @@ def as_rng(seed):
 # ---------------------------------------------------------------------------
 # validation helpers (boundary checks; inner loops work on raw ndarrays)
 
-def check_algebra(mat, tol=ALGEBRA_TOL):
+def check_algebra(mat):
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("algebra element must be a square matrix")
-    if np.linalg.norm(mat + mat.conj().T) > tol * max(1.0, np.linalg.norm(mat)):
+    scale = ALGEBRA_TOL * max(1.0, np.linalg.norm(mat))
+    if np.linalg.norm(mat + mat.conj().T) > scale:
         raise ValueError("matrix is not anti-Hermitian")
-    if abs(np.trace(mat)) > tol * max(1.0, np.linalg.norm(mat)):
+    if abs(np.trace(mat)) > scale:
         raise ValueError("matrix is not traceless")
     return mat
 
@@ -58,34 +58,6 @@ def check_group(mat, tol=GROUP_TOL):
     if abs(np.linalg.det(mat) - 1.0) > tol:
         raise ValueError("matrix is not unimodular")
     return mat
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Anti-Hermitian traceless matrix, validated on construction."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", check_algebra(self.mat))
-
-    @property
-    def n(self):
-        return self.mat.shape[0]
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Special unitary matrix, validated on construction."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", check_group(self.mat))
-
-    @property
-    def n(self):
-        return self.mat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -131,7 +103,7 @@ def exp_alg(x):
     return (u * np.exp(-1j * w)) @ u.conj().T
 
 
-def log_group(g, branch_tol=BRANCH_TOL):
+def log_group(g):
     """Traceless anti-Hermitian logarithm of a special unitary matrix.
 
     Eigenphases are taken in (-pi, pi]; when their sum winds (2 pi m with
@@ -148,7 +120,7 @@ def log_group(g, branch_tol=BRANCH_TOL):
     if offdiag > 1e-8:
         raise ValueError("matrix is not normal enough for a unitary logarithm")
     phases = np.angle(d)  # in (-pi, pi]
-    if np.min(np.pi - np.abs(phases)) < branch_tol:
+    if np.min(np.pi - np.abs(phases)) < BRANCH_TOL:
         raise BranchCutError("eigenvalue phase at the principal branch cut")
     m = int(round(phases.sum() / (2 * np.pi)))
     if m > 0:
@@ -417,10 +389,3 @@ def matrix_from_json(data):
         [[complex(re, im) for re, im in row] for row in data], dtype=complex
     )
 
-
-def dumps_matrix(mat):
-    return json.dumps(matrix_to_json(mat))
-
-
-def loads_matrix(text):
-    return matrix_from_json(json.loads(text))

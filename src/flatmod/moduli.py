@@ -36,6 +36,10 @@ class QuadratureError(RuntimeError):
     """Radial quadrature failed to converge under node doubling."""
 
 
+# residual norm at which a point counts as on the relator level set
+LEVEL_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class ModuliConfig:
     N: int = 2
@@ -100,7 +104,8 @@ class ReducedTangentFrame:
 
 def epsilon_R(config):
     """The relator evaluation K^(2g) -> K as a word map."""
-    return wd.evaluation_map([wd.surface_relator(config.genus)], config.num_generators)
+    return wd.WordMap.from_words(
+        [wd.surface_relator(config.genus)], config.num_generators)
 
 
 def tangent_from_coords(config, row):
@@ -131,13 +136,11 @@ def is_relator_point(config, pt, tol=1e-8):
 
 
 def relator_jacobian(config, pt):
-    """Real Jacobian of the residual coordinates; columns index the tangent
-    basis, which goes through one pushforward as a batch of tangents."""
-    rho = relator_residual(config, pt)
+    """Real Jacobian of the chart coordinates; columns index the tangent
+    basis, which goes through one chart pushforward as a batch of tangents."""
     basis = tangent_from_coords(
         config, np.eye(config.num_generators * config.algebra_dim))
-    w = epsilon_R(config).push(pt.parts, basis.parts)[0]
-    return lc.to_coords(lc.dlog_left(rho, w), config.N).T
+    return chart_map(config).at(pt)[1](basis)[0].T
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +176,14 @@ def seed_point(config):
     return forms.Point((clock, shift) + rest)
 
 
-def project_to_level(config, pt, tol=1e-10, max_iter=60):
-    """Damped Gauss-Newton projection onto the relator level set."""
+def project_to_level(config, pt):
+    """Damped Gauss-Newton projection onto the relator level set, to a
+    residual of LEVEL_TOL within 60 steps."""
     current = pt
     res = relator_residual(config, current)
     norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if norm <= tol:
+    for _ in range(60):
+        if norm <= LEVEL_TOL:
             return current
         J = relator_jacobian(config, current)
         step_coords = -np.linalg.lstsq(J, lc.to_coords(res, config.N), rcond=None)[0]
@@ -189,20 +193,20 @@ def project_to_level(config, pt, tol=1e-10, max_iter=60):
             cand = forms.flow(config.shape, current, cand_tan, 1.0)
             cand_res = relator_residual(config, cand)
             cand_norm = float(np.linalg.norm(cand_res))
-            if cand_norm < norm * (1 - 1e-4) or cand_norm <= tol:
+            if cand_norm < norm * (1 - 1e-4) or cand_norm <= LEVEL_TOL:
                 current, res, norm = cand, cand_res, cand_norm
                 break
             lam *= 0.5
         else:
             raise ConvergenceError("line search stalled in the level projection")
-    if norm <= tol:
+    if norm <= LEVEL_TOL:
         return current
     raise ConvergenceError("level projection did not converge")
 
 
-def sample_Y(config, seed, count, perturbation=0.25, tol=1e-10, stats=None):
+def sample_Y(config, seed, count, perturbation=0.25, stats=None):
     """Perturb the shipped seed and project back; all outputs satisfy the
-    relator constraint to tol.
+    relator constraint to LEVEL_TOL.
 
     When stats is a dict it receives the attempt and failure counts.
     """
@@ -222,7 +226,7 @@ def sample_Y(config, seed, count, perturbation=0.25, tol=1e-10, stats=None):
             for g in base.parts
         )
         try:
-            out.append(project_to_level(config, forms.Point(parts), tol=tol))
+            out.append(project_to_level(config, forms.Point(parts)))
         except (ConvergenceError, lc.BranchCutError):
             failures += 1
             continue
@@ -242,16 +246,16 @@ def exp_beta_map(config):
     cod = forms.group_power(config.N, 1)
     beta_mat = config.beta.matrix()
 
-    def apply(pt):
+    def at(pt):
         lam = lc.from_coords(np.asarray(pt[0]), config.N)
-        return forms.Point((beta_mat @ lc.exp_alg(lam),))
 
-    def push(pt, v):
-        lam = lc.from_coords(np.asarray(pt[0]), config.N)
-        w = lc.from_coords(np.asarray(v[0]), config.N)
-        return forms.Tangent((lc.dexp_left(lam, w),))
+        def push(v):
+            w = lc.from_coords(np.asarray(v[0]), config.N)
+            return forms.Tangent((lc.dexp_left(lam, w),))
 
-    return forms.CallableMap(dom, cod, apply, push)
+        return forms.Point((beta_mat @ lc.exp_alg(lam),)), push
+
+    return forms.CallableMap(dom, cod, at)
 
 
 def chart_map(config):
@@ -261,15 +265,16 @@ def chart_map(config):
     cod = (forms.VectorFactor(d),)
     eps = epsilon_R(config)
 
-    def apply(pt):
-        return forms.Point((lc.to_coords(relator_residual(config, pt), config.N),))
-
-    def push(pt, v):
+    def at(pt):
         rho = relator_residual(config, pt)
-        w = eps.push(pt.parts, v.parts)[0]
-        return forms.Tangent((lc.to_coords(lc.dlog_left(rho, w), config.N),))
 
-    return forms.CallableMap(dom, cod, apply, push)
+        def push(v):
+            w = eps.push(pt.parts, v.parts)[0]
+            return forms.Tangent((lc.to_coords(lc.dlog_left(rho, w), config.N),))
+
+        return forms.Point((lc.to_coords(rho, config.N),)), push
+
+    return forms.CallableMap(dom, cod, at)
 
 
 def lift_to_X(config, pt):
@@ -314,21 +319,22 @@ def x_point_residual(config, x):
 # ---------------------------------------------------------------------------
 # reduced tangent frames
 
-def _orthonormal_rows(rows, rel_tol=1e-8):
+def _orthonormal_rows(rows):
     if len(rows) == 0:
         return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
     u, s, vt = np.linalg.svd(np.asarray(rows), full_matrices=False)
-    keep = s > rel_tol * s[0] if s.size and s[0] > 0 else []
+    keep = s > 1e-8 * s[0] if s.size and s[0] > 0 else []
     return vt[keep]
 
 
-def reduced_frame(config, pt, rank_gap=1e-6):
+def reduced_frame(config, pt):
     """Split tangent coordinates into constraint kernel, conjugation orbit,
-    and their quotient complement."""
+    and their quotient complement; a constraint rank gap below 1e-6 raises
+    NonGenericPointError."""
     J = relator_jacobian(config, pt)
     u, s, vt = np.linalg.svd(J)
     d = config.algebra_dim
-    if s[d - 1] <= rank_gap * s[0]:
+    if s[d - 1] <= 1e-6 * s[0]:
         raise NonGenericPointError("constraint rank drops at this point")
     kernel = vt[d:]
     orbit_rows = []
@@ -373,23 +379,17 @@ def generator_form(config, kind, r, j=None, Q=None):
     Q = _resolve_polynomial(config, r, Q)
     ng = config.num_generators
     if kind == "a":
-        out = _constant_polynomial_form(config, Q)
-        out.built_from = ("constant", Q.name)
-        return out
+        return _constant_polynomial_form(config, Q)
     if kind == "b":
         if j is None or not 1 <= j <= ng:
             raise ValueError("kind 'b' needs a generator index 1 <= j <= 2g")
         chain = wd.Chain1.of(wd.Word.generator(j))
         field = sp.bott_shulman_equivariant(1, Q)
-        out = wd.slant_form_equivariant(chain, field, ng, config.N)
-        out.built_from = ("wordmap-slant", chain)
-        return out
+        return wd.slant_form_equivariant(chain, field, ng, config.N)
     if kind == "f":
         chain = wd.fundamental_class(config.genus)
         field = sp.bott_shulman_equivariant(2, Q)
-        out = wd.slant_form_equivariant(chain, field, ng, config.N)
-        out.built_from = ("wordmap-slant", chain)
-        return out
+        return wd.slant_form_equivariant(chain, field, ng, config.N)
     raise ValueError("kind must be one of 'a', 'b', 'f'")
 
 
@@ -584,10 +584,8 @@ def extended_generator(config, kind, r, j=None, Q=None, max_nodes=256):
     correction = forms.pullback_equivariant(
         chart, sigma, ("conjugation",) * config.num_generators
     )
-    out = forms.linear_combination(
+    return forms.linear_combination(
         [(1, base), (-1, correction)], name=f"f-ext[{Q.name}]")
-    out.built_from = getattr(base, "built_from", None)
-    return out
 
 
 def stokes_sides(config, Q):
@@ -645,8 +643,9 @@ def moment_linear_coefficients(config, ob, pt):
 # ---------------------------------------------------------------------------
 # boundedness probe for the radial primitive's coefficients
 
-def sigma_coefficient_sweep(config, Q, radii, directions=3, seed=0, max_nodes=256):
-    """Coefficient magnitudes of sigma over spheres of growing radius.
+def sigma_coefficient_sweep(config, Q, radii, seed=0, max_nodes=256):
+    """Coefficient magnitudes of sigma over spheres of growing radius, along
+    two random directions.
 
     Returns (radii, sups, slopes) with one row of sups and one log-log
     growth exponent per arity, the slope fitted over the outer half of the
@@ -657,7 +656,7 @@ def sigma_coefficient_sweep(config, Q, radii, directions=3, seed=0, max_nodes=25
     sig = sigma_Q(config, Q, max_nodes=max_nodes)
     d = config.algebra_dim
     dirs = []
-    for _ in range(directions):
+    for _ in range(2):
         v = rng.standard_normal(d)
         dirs.append(v / np.linalg.norm(v))
     tangents = [forms.Tangent((np.eye(d)[a],)) for a in range(d)]
@@ -704,7 +703,3 @@ def point_from_json(data):
 
 def x_point_to_json(x):
     return {"h": point_to_json(x.h), "lam": lc.matrix_to_json(x.lam)}
-
-
-def x_point_from_json(data):
-    return XPoint(point_from_json(data["h"]), lc.matrix_from_json(data["lam"]))

@@ -570,7 +570,7 @@ def _suite_extended(config):
             radii = np.linspace(0.5, 10 * np.pi, 8)
             _, sups, slopes = md.sigma_coefficient_sweep(
                 config.moduli(), lc.chern_polynomial(N, r), radii,
-                directions=2, seed=config.seed, max_nodes=config.quad_nodes)
+                seed=config.seed, max_nodes=config.quad_nodes)
             for row in sups.values():
                 if not np.all(np.isfinite(row)):
                     raise NumericalBreakdown(

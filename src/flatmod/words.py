@@ -336,22 +336,14 @@ class WordMap:
         )
 
     def geometry(self, n):
-        """The same map as a SmoothMap on SU(n) factors."""
-        dom = forms.group_power(n, self.arity)
-        cod = forms.group_power(n, len(self.components))
+        """The same map as a forms.CallableMap on SU(n) factors."""
+        def at(pt):
+            return (forms.Point(self.evaluate(pt.parts)),
+                    lambda v: forms.Tangent(self.push(pt.parts, v.parts)))
 
-        def apply(pt):
-            return forms.Point(self.evaluate(pt.parts))
-
-        def push(pt, v):
-            return forms.Tangent(self.push(pt.parts, v.parts))
-
-        return forms.CallableMap(dom, cod, apply, push)
-
-
-def evaluation_map(words, num_generators):
-    """Map sending a representation (by its generator images) to word values."""
-    return WordMap.from_words(list(words), num_generators)
+        return forms.CallableMap(
+            forms.group_power(n, self.arity),
+            forms.group_power(n, len(self.components)), at)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +370,7 @@ def slant_form(chain, form, num_generators, n):
     """
     return forms.linear_combination(
         [(c, forms.pullback(
-            evaluation_map(words, num_generators).geometry(n), form))
+            WordMap.from_words(words, num_generators).geometry(n), form))
          for words, c in _chain_items(chain, form, n)],
         name=f"slant({form.name})",
     )
@@ -389,7 +381,7 @@ def slant_form_equivariant(chain, eform, num_generators, n):
     actions = ("conjugation",) * num_generators
     return forms.linear_combination(
         [(c, forms.pullback_equivariant(
-            evaluation_map(words, num_generators).geometry(n), eform, actions))
+            WordMap.from_words(words, num_generators).geometry(n), eform, actions))
          for words, c in _chain_items(chain, eform, n)],
         name=f"slant({eform.name})",
     )

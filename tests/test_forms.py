@@ -21,8 +21,6 @@ def test_point_validation():
         forms.point(shape, g, [0.7, 0.7])
     with pytest.raises(ValueError):
         forms.point(shape, np.eye(3), [0.5, 0.5])
-    with pytest.raises(ValueError):
-        forms.tangent(shape, lc.random_algebra(2, 1), [0.3, 0.3])
 
 
 def test_flow_stays_on_shape():
@@ -116,14 +114,12 @@ def multiplication_map(n):
     dom = forms.group_power(n, 2)
     cod = forms.group_power(n, 1)
 
-    def apply(pt):
-        return forms.Point((pt[0] @ pt[1],))
-
-    def push(pt, v):
+    def at(pt):
         h = pt[1]
-        return forms.Tangent((lc.adjoint(h.conj().T, v[0]) + v[1],))
+        return forms.Point((pt[0] @ h,)), lambda v: forms.Tangent(
+            (lc.adjoint(h.conj().T, v[0]) + v[1],))
 
-    return forms.CallableMap(dom, cod, apply, push)
+    return forms.CallableMap(dom, cod, at)
 
 
 def test_pullback_commutes_with_d():
@@ -139,47 +135,6 @@ def test_pullback_commutes_with_d():
     u = forms.random_tangent(m.domain, 62)
     v = forms.random_tangent(m.domain, 63)
     assert abs(lhs(pt, u, v) - rhs(pt, u, v)) < 1e-6
-
-
-def test_composed_map_chain_rule():
-    m = multiplication_map(2)
-    # iota(g) = (g, g) with diagonal pushforward
-    diag = forms.CallableMap(
-        SU2, m.domain,
-        lambda pt: forms.Point((pt[0], pt[0])),
-        lambda pt, v: forms.Tangent((v[0], v[0])),
-    )
-    sq = forms.ComposedMap(m, diag)  # g -> g^2
-    g = lc.random_group(2, 70)
-    xi = lc.random_algebra(2, 71)
-    pt = forms.Point((g,))
-    got = sq.push(pt, forms.Tangent((xi,)))[0]
-    expect = lc.adjoint(g.conj().T, xi) + xi
-    assert np.max(np.abs(got - expect)) < 1e-12
-    # finite-difference cross-check of the composite pushforward
-    s = 1e-6
-    plus = sq.apply(forms.flow(SU2, pt, forms.Tangent((xi,)), s))[0]
-    minus = sq.apply(forms.flow(SU2, pt, forms.Tangent((xi,)), -s))[0]
-    fd = (plus - minus) / (2 * s)
-    analytic = (g @ g) @ got
-    assert np.max(np.abs(fd - analytic)) < 1e-6
-
-
-def test_interior_product():
-    A = lc.random_algebra(2, 80)
-    B = lc.random_algebra(2, 81)
-    a, b = mc_form(A), mc_form(B)
-    w = forms.wedge(a, b)
-    X = lc.random_algebra(2, 82)
-    contracted = forms.interior_product(
-        lambda pt: forms.Tangent((X,)), w
-    )
-    pt = forms.random_point(SU2, 83)
-    v = forms.random_tangent(SU2, 84)
-    expect = a(pt, forms.Tangent((X,))) * b(pt, v) - b(
-        pt, forms.Tangent((X,))
-    ) * a(pt, v)
-    assert abs(contracted(pt, v) - expect) < 1e-12
 
 
 def test_generating_field_values():
@@ -286,14 +241,13 @@ def test_simplex_margin_guard():
 
 def test_pullback_equivariant_keeps_components():
     th = theta_form()
-    sq = forms.ComposedMap(
-        multiplication_map(2),
-        forms.CallableMap(
-            SU2, forms.group_power(2, 2),
-            lambda pt: forms.Point((pt[0], pt[0])),
-            lambda pt, v: forms.Tangent((v[0], v[0])),
-        ),
-    )
+
+    def at(pt):  # g -> g^2
+        g = pt[0]
+        return forms.Point((g @ g,)), lambda v: forms.Tangent(
+            (lc.adjoint(g.conj().T, v[0]) + v[0],))
+
+    sq = forms.CallableMap(SU2, SU2, at)
     pulled = forms.pullback_equivariant(sq, th, ("conjugation",))
     phi = lc.random_algebra(2, 140)
     pt = forms.random_point(SU2, 141)

@@ -166,7 +166,7 @@ SIGMA_X = np.array([[0, 1j], [1j, 0]])
 
 def test_word_evaluation():
     mats = (SIGMA_Z, SIGMA_X, np.eye(2, dtype=complex), np.eye(2, dtype=complex))
-    m = wd.evaluation_map([wd.surface_relator(2)], 4)
+    m = wd.WordMap.from_words([wd.surface_relator(2)], 4)
     (val,) = m.evaluate(mats)
     # direct product oracle
     inv = lambda a: a.conj().T
@@ -222,7 +222,7 @@ def test_pushforward_matches_finite_differences(n):
 
 def test_evaluation_map_conjugation_equivariance():
     w = wd.random_word(4, 11, 23)
-    m = wd.evaluation_map([w], 4)
+    m = wd.WordMap.from_words([w], 4)
     mats = tuple(lc.random_group(2, 30 + i) for i in range(4))
     k = lc.random_group(2, 40)
     conj = tuple(k @ g @ k.conj().T for g in mats)
