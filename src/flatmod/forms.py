@@ -10,11 +10,19 @@ Equivariant forms (Cartan model) carry one evaluator per tangent arity,
 because the Cartan differential d - iota mixes arities p+1 and p-1.
 
 A tangent's parts may share leading batch dimensions, and the tangents of
-one call must broadcast against each other. Word-map pushforwards, the fiber
-integrals, pullbacks and linear combinations carry such a batch through, and
-a form then returns an ndarray of the broadcast batch shape instead of a
-complex number. The point and phi never carry a batch; the closed-form
-anchors and the FD derivative take plain tangents only.
+one call must broadcast against each other. Word-map images and
+pushforwards, the fiber integrals, the forms built on liecore's inner,
+adjoint and bracket (the closed-form anchors), pullbacks and linear
+combinations carry such a batch through, and a form then returns an ndarray
+of the broadcast batch shape instead of a complex number. Those forms take a
+point batch as well, broadcasting against the tangents'. Chart-pulled forms
+take a plain point, phi never carries a batch, and the FD derivative takes
+plain tangents only.
+
+A pullback pushes the tangents of one evaluation with one push per distinct
+tangent shape. A chain sum of one form f, sum c m^* f, is pullback_sum: the
+terms' images and pushed tangents reach f as one call, stacked on a leading
+batch axis. linear_combination sums different forms, one call each.
 """
 
 from __future__ import annotations
@@ -303,13 +311,31 @@ class CallableMap:
         return self.at(pt)[1](v)
 
 
+def _push_all(push, vs):
+    """Push the tangents of one evaluation: tangents whose parts share their
+    shapes go through push as one stack on a new leading axis."""
+    groups = {}
+    for i, v in enumerate(vs):
+        groups.setdefault(tuple(x.shape for x in v.parts), []).append(i)
+    out = [None] * len(vs)
+    for idx in groups.values():
+        if len(idx) == 1:
+            out[idx[0]] = push(vs[idx[0]])
+            continue
+        stacked = push(Tangent(tuple(
+            np.stack(parts) for parts in zip(*(vs[i].parts for i in idx)))))
+        for k, i in enumerate(idx):
+            out[i] = Tangent(tuple(x[k] for x in stacked.parts))
+    return out
+
+
 def pullback(m, f):
     if f.shape != m.codomain:
         raise ValueError("form shape does not match map codomain")
 
     def fn(pt, *vs):
         image, push = m.at(pt)
-        return f(image, *map(push, vs))
+        return f(image, *_push_all(push, vs))
 
     return FormField(m.domain, f.arity, fn, name=f"{f.name}*")
 
@@ -327,12 +353,98 @@ def pullback_equivariant(m, ef, actions):
         def make(fn):
             def g(phi, pt, *vs):
                 image, push = m.at(pt)
-                return fn(phi, image, *map(push, vs))
+                return fn(phi, image, *_push_all(push, vs))
             return g
         comps[p] = make(fn)
     return EquivariantFormField(
         m.domain, actions, comps, phi_degree=ef.phi_degree, name=f"{ef.name}*"
     )
+
+
+def _sum_terms(terms, shape):
+    """The coefficients and maps of (coefficient, map) pairs into shape."""
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a pullback sum needs at least one term")
+    maps = [m for _, m in terms]
+    if any(m.codomain != shape for m in maps):
+        raise ValueError("form shape does not match map codomain")
+    if any(m.domain != maps[0].domain for m in maps):
+        raise ValueError("pullback sum of maps on different domains")
+    return np.array([c for c, _ in terms]), maps
+
+
+def _core_ndim(fac):
+    return 2 if isinstance(fac, GroupFactor) else 1
+
+
+def _term_stack(maps, shape, pt, vs):
+    """Images of pt and pushed tangents of every map, stacked on a new
+    leading term axis.
+
+    Below that axis every part is padded with unit axes to the batch rank
+    of the call, so the term axis lines up when the point and the tangents
+    broadcast against each other.
+    """
+    images, pushed = [], []
+    for m in maps:
+        image, push = m.at(pt)
+        images.append(image.parts)
+        pushed.append([v.parts for v in _push_all(push, vs)])
+    groups = [images] + [[t[j] for t in pushed] for j in range(len(vs))]
+    rank = max((x.ndim - _core_ndim(fac) for group in groups
+                for parts in group for fac, x in zip(shape, parts)), default=0)
+
+    def stack(group):
+        out = []
+        for i, fac in enumerate(shape):
+            x = np.stack(np.broadcast_arrays(*(parts[i] for parts in group)))
+            pad = rank - (x.ndim - 1 - _core_ndim(fac))
+            out.append(x.reshape(x.shape[:1] + (1,) * pad + x.shape[1:]))
+        return tuple(out)
+
+    return Point(stack(images)), [Tangent(stack(g)) for g in groups[1:]]
+
+
+def _contract(coeffs, val):
+    """Sum a value over its leading term axis with the coefficients; a form
+    that reads neither point nor tangents returns no term axis."""
+    val = np.asarray(val)
+    if val.ndim == 0:
+        return coeffs.sum() * val
+    return np.tensordot(coeffs, val, axes=1)
+
+
+def pullback_sum(terms, f, name=""):
+    """The field sum c m^* f over (c, m) pairs, as one call of f.
+
+    Each map's at runs once per evaluation; the images and pushed tangents
+    of all terms go to f stacked on a leading batch axis, and f's value is
+    contracted with the coefficients. f must accept a point batch.
+    """
+    coeffs, maps = _sum_terms(terms, f.shape)
+
+    def fn(pt, *vs):
+        image, pushed = _term_stack(maps, f.shape, pt, vs)
+        return _contract(coeffs, f(image, *pushed))
+
+    return FormField(maps[0].domain, f.arity, fn, name=name)
+
+
+def pullback_sum_equivariant(terms, ef, actions, name=""):
+    """Equivariant pullback_sum: phi passes through, and each map must
+    intertwine the declared domain actions with ef's."""
+    coeffs, maps = _sum_terms(terms, ef.shape)
+    comps = {}
+    for p, fn in ef.components.items():
+        def make(fn):
+            def g(phi, pt, *vs):
+                image, pushed = _term_stack(maps, ef.shape, pt, vs)
+                return _contract(coeffs, fn(phi, image, *pushed))
+            return g
+        comps[p] = make(fn)
+    return EquivariantFormField(
+        maps[0].domain, actions, comps, phi_degree=ef.phi_degree, name=name)
 
 
 # ---------------------------------------------------------------------------

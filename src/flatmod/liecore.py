@@ -78,22 +78,27 @@ class CentralElement:
 # basic operations
 
 def bracket(x, y):
-    """Matrix commutator [x, y] = xy - yx."""
-    if x.shape != y.shape:
+    """Matrix commutator [x, y] = xy - yx; stacks broadcast."""
+    if x.shape[-2:] != y.shape[-2:]:
         raise ValueError("dimension mismatch in bracket")
     return x @ y - y @ x
 
 
 def inner(x, y):
-    """Invariant inner product <x, y> = -tr(xy); real for algebra elements."""
-    if x.shape != y.shape:
+    """Invariant inner product <x, y> = -tr(xy); real for algebra elements.
+
+    A float for two matrices; stacks broadcast to an ndarray of their batch.
+    """
+    if x.shape[-2:] != y.shape[-2:]:
         raise ValueError("dimension mismatch in inner product")
-    return float(-np.trace(x @ y).real)
+    val = -np.trace(x @ y, axis1=-2, axis2=-1).real
+    return float(val) if val.ndim == 0 else val
 
 
 def adjoint(g, x):
-    """Adjoint action g x g^{-1} (g unitary, so the inverse is g^H)."""
-    return g @ x @ g.conj().T
+    """Adjoint action g x g^{-1} (g unitary, so the inverse is g^H); stacks
+    of g and x broadcast."""
+    return g @ x @ g.conj().mT
 
 
 def exp_alg(x):

@@ -135,12 +135,18 @@ def is_relator_point(config, pt, tol=1e-8):
     return float(np.linalg.norm(val - config.beta.matrix())) <= tol
 
 
-def relator_jacobian(config, pt):
-    """Real Jacobian of the chart coordinates; columns index the tangent
-    basis, which goes through one chart pushforward as a batch of tangents."""
+def _chart_jacobian(config, push):
+    """Real Jacobian of the chart coordinates from the chart's pushforward
+    at a point; columns index the tangent basis, which goes through push as
+    one batch of tangents."""
     basis = tangent_from_coords(
         config, np.eye(config.num_generators * config.algebra_dim))
-    return chart_map(config).at(pt)[1](basis)[0].T
+    return push(basis)[0].T
+
+
+def relator_jacobian(config, pt):
+    """Real Jacobian of the chart coordinates at pt."""
+    return _chart_jacobian(config, chart_map(config).at(pt)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +184,29 @@ def seed_point(config):
 
 def project_to_level(config, pt):
     """Damped Gauss-Newton projection onto the relator level set, to a
-    residual of LEVEL_TOL within 60 steps."""
+    residual of LEVEL_TOL within 60 steps.
+
+    One chart evaluation per point gives its residual and, once the point
+    is accepted, the Jacobian of the next step.
+    """
+    chart = chart_map(config)
     current = pt
-    res = relator_residual(config, current)
+    image, push = chart.at(current)
+    res = image[0]
     norm = float(np.linalg.norm(res))
     for _ in range(60):
         if norm <= LEVEL_TOL:
             return current
-        J = relator_jacobian(config, current)
-        step_coords = -np.linalg.lstsq(J, lc.to_coords(res, config.N), rcond=None)[0]
+        J = _chart_jacobian(config, push)
+        step_coords = -np.linalg.lstsq(J, res, rcond=None)[0]
         lam = 1.0
         for _ in range(10):
             cand_tan = tangent_from_coords(config, lam * step_coords)
             cand = forms.flow(config.shape, current, cand_tan, 1.0)
-            cand_res = relator_residual(config, cand)
-            cand_norm = float(np.linalg.norm(cand_res))
+            image, cand_push = chart.at(cand)
+            cand_norm = float(np.linalg.norm(image[0]))
             if cand_norm < norm * (1 - 1e-4) or cand_norm <= LEVEL_TOL:
-                current, res, norm = cand, cand_res, cand_norm
+                current, res, norm, push = cand, image[0], cand_norm, cand_push
                 break
             lam *= 0.5
         else:

@@ -19,6 +19,10 @@ from . import forms
 from . import liecore as lc
 from .words import Word, WordMap
 
+# the most polynomial rows one fiber-integral evaluation hands to
+# InvariantPolynomial.eval_batch at once; larger batches go in blocks
+ROW_CAP = 2 ** 13
+
 # ---------------------------------------------------------------------------
 # face and degeneracy structure in word form
 
@@ -95,26 +99,24 @@ def _delta_faces(field_shape, group_size):
     return m + 1, group_size
 
 
+def _delta_terms(target, N):
+    return [((-1) ** (i + 1), face_map(target, i).geometry(N))
+            for i in range(target + 1)]
+
+
 def simplicial_delta(field, group_size=None):
-    """Alternating sum of face pullbacks, offset so level one starts at minus."""
+    """Alternating sum of face pullbacks, offset so level one starts at minus;
+    one call of field per evaluation."""
     target, N = _delta_faces(field.shape, group_size)
-    return forms.linear_combination(
-        [((-1) ** (i + 1),
-          forms.pullback(face_map(target, i).geometry(N), field))
-         for i in range(target + 1)],
-        name=f"delta({field.name})",
-    )
+    return forms.pullback_sum(
+        _delta_terms(target, N), field, name=f"delta({field.name})")
 
 
 def simplicial_delta_equivariant(field, group_size=None):
     target, N = _delta_faces(field.shape, group_size)
-    actions = ("conjugation",) * target
-    return forms.linear_combination(
-        [((-1) ** (i + 1), forms.pullback_equivariant(
-            face_map(target, i).geometry(N), field, actions))
-         for i in range(target + 1)],
-        name=f"delta({field.name})",
-    )
+    return forms.pullback_sum_equivariant(
+        _delta_terms(target, N), field, ("conjugation",) * target,
+        name=f"delta({field.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +260,34 @@ def _component_evaluator(n, Q, m):
     over the simplex of the signed-matching expansion of
     Q(F,..,F,mu,..,mu) contracted with (v_1..v_p, e_1-e_0, .., e_n-e_0).
 
-    Tangents may carry leading batch dimensions that broadcast against each
-    other; the value is then an ndarray of the broadcast batch shape, each
-    entry the value on the corresponding tangents. Without a batch it is a
-    complex number.
+    The point and the tangents may carry leading batch dimensions that
+    broadcast against each other; the value is then an ndarray of the
+    broadcast batch shape, each entry the value at the corresponding point
+    and tangents. Without a batch it is a complex number. Large batches are
+    evaluated in blocks, so no polynomial call gets more than ROW_CAP rows.
     """
     r, N = Q.degree, Q.n
     p = 2 * (r - m) - n
     if p < 0:
         raise ValueError("component arity is negative")
     nodes, weights = simplex_rule(n, 2 * r)
-    matchings = signed_pairings(p + n)
+    # a pair of two simplex slots has no curvature term, so its matchings
+    # drop out
+    kept = [(pairs, sgn) for pairs, sgn in signed_pairings(p + n)
+            if all(a < p for a, _ in pairs)]
+    matchings = [pairs for pairs, _ in kept]
+    signs = np.array([sgn for _, sgn in kept], dtype=float)
     coeff = math.comb(r, m) * math.factorial(r - m) * _fiber_sign(n)
     M = len(weights)
+    per_entry = len(matchings) * M
 
-    def fn(phi, pt, *vs):
-        gs = pt.parts
-        Xi = [np.stack(v.parts, axis=-3) for v in vs]       # p x (..., n+1, N, N)
-        shapes = {x.shape[:-3] for x in Xi} or {()}
-        batch = (shapes.pop() if len(shapes) == 1
-                 else np.broadcast_shapes(*shapes))
-        full = batch + (M, N, N)
+    def block(phi, Xi, G, batch):
+        """The quadrature sums at one block of batch entries."""
         S = [np.einsum("mi,...iuv->...muv", nodes, x) for x in Xi]
         mu = None
         if m:
-            ad = np.stack([lc.adjoint(g.conj().T, phi) for g in gs])
-            mu = -np.einsum("mi,iuv->muv", nodes, ad)
-            if batch:
-                mu = np.broadcast_to(mu, full)
+            ad = lc.adjoint(G.conj().mT, phi)
+            mu = -np.einsum("mi,...iuv->...muv", nodes, ad)
         cache = {}
 
         def F(a, b):
@@ -294,30 +296,48 @@ def _component_evaluator(n, Q, m):
                     comm = np.matmul(Xi[a], Xi[b]) - np.matmul(Xi[b], Xi[a])
                     val = -np.einsum("mi,...iuv->...muv", nodes, comm)
                     val += np.matmul(S[a], S[b]) - np.matmul(S[b], S[a])
-                    if batch:
-                        val = np.broadcast_to(val, full)
-                elif a < p:
+                else:
                     i = b - p + 1
                     edge = Xi[a][..., 0, :, :] - Xi[a][..., i, :, :]
-                    val = np.broadcast_to(edge[..., None, :, :], full)
-                else:
-                    val = None
+                    val = edge[..., None, :, :]
                 cache[(a, b)] = val
             return cache[(a, b)]
 
-        batches, signs = [], []
-        for pairs, sgn in matchings:
-            args = [F(a, b) for a, b in pairs]
-            if any(x is None for x in args):
-                continue
-            batches.append(np.stack(args + [mu] * m, axis=len(batch) + 1))
-            signs.append(sgn)
-        if not batches:
+        # every slot broadcasts into its place in one array of rows
+        rows = np.empty(batch + (len(matchings), M, r, N, N), dtype=complex)
+        for s, pairs in enumerate(matchings):
+            for j, slot in enumerate([F(a, b) for a, b in pairs] + [mu] * m):
+                rows[..., s, :, j, :, :] = slot
+        rows = rows.reshape(-1, r, N, N)
+        vals = np.concatenate([Q.eval_batch(rows[i:i + ROW_CAP])
+                               for i in range(0, len(rows), ROW_CAP)])
+        vals = vals.reshape(batch + (len(matchings), M))
+        return (vals @ weights) @ signs
+
+    def fn(phi, pt, *vs):
+        Xi = [np.stack(v.parts, axis=-3) for v in vs]       # p x (..., n+1, N, N)
+        G = np.stack(np.broadcast_arrays(*pt.parts), axis=-3) if m else None
+        batch = np.broadcast_shapes(
+            *(x.shape[:-3] for x in Xi), *(g.shape[:-2] for g in pt.parts))
+        if not matchings:
             return np.zeros(batch) if batch else 0.0
-        rows = np.concatenate(batches, axis=len(batch))
-        vals = Q.eval_batch(rows.reshape(-1, r, N, N))
-        vals = vals.reshape(batch + (len(signs), M))
-        total = (vals @ weights) @ np.asarray(signs)
+        size = math.prod(batch)
+        step = max(1, ROW_CAP // per_entry)
+        if size <= step:
+            total = block(phi, Xi, G, batch)
+        else:
+            # flat blocks of the batch; fancy indexing copies only the block
+            Xi = [np.broadcast_to(x, batch + x.shape[-3:]) for x in Xi]
+            if m:
+                G = np.broadcast_to(G, batch + G.shape[-3:])
+            parts = []
+            for start in range(0, size, step):
+                idx = np.unravel_index(
+                    np.arange(start, min(start + step, size)), batch)
+                parts.append(block(
+                    phi, [x[idx] for x in Xi], G[idx] if m else None,
+                    (len(idx[0]),)))
+            total = np.concatenate(parts).reshape(batch)
         return coeff * (total if batch else complex(total))
 
     return p, fn

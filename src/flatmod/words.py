@@ -265,11 +265,12 @@ def random_word(num_generators, length, seed):
 # evaluation maps K^m -> K^k and their exact pushforwards
 
 def _eval_word(word, mats):
-    n = mats[0].shape[0]
-    g = np.eye(n, dtype=complex)
+    """The word's value; group arguments with leading batch dimensions give
+    a stack (the identity word stays one matrix)."""
+    g = np.eye(mats[0].shape[-1], dtype=complex)
     for l in word.letters:
         m = mats[abs(l) - 1]
-        g = g @ (m if l > 0 else m.conj().T)
+        g = g @ (m if l > 0 else m.conj().mT)
     return g
 
 
@@ -278,18 +279,18 @@ def _push_word(word, mats, tangents):
 
     Letter x_j contributes xi_j, letter x_j^-1 contributes -Ad(A_j) xi_j;
     each contribution is conjugated back through the suffix that follows it.
-    Tangents with leading batch dimensions (one shape for all of them) push
-    through the same matrix products, which broadcast over the batch.
+    Group arguments and tangents may carry leading batch dimensions that
+    broadcast against each other; the matrix products broadcast over them.
     """
-    n = mats[0].shape[0]
-    suffix = np.eye(n, dtype=complex)
-    total = np.zeros(tangents[0].shape, dtype=complex)
+    suffix = np.eye(mats[0].shape[-1], dtype=complex)
+    total = np.zeros(np.broadcast_shapes(
+        *(m.shape for m in mats), *(x.shape for x in tangents)), dtype=complex)
     for l in reversed(word.letters):
         m = mats[abs(l) - 1]
         xi = tangents[abs(l) - 1]
         d = xi if l > 0 else -lc.adjoint(m, xi)
-        total += lc.adjoint(suffix.conj().T, d)
-        suffix = (m if l > 0 else m.conj().T) @ suffix
+        total += lc.adjoint(suffix.conj().mT, d)
+        suffix = (m if l > 0 else m.conj().mT) @ suffix
     return total
 
 
@@ -349,39 +350,34 @@ class WordMap:
 # ---------------------------------------------------------------------------
 # slant products against word chains
 
-def _chain_items(chain, form, n):
-    """(words, coefficient) pairs of a Chain1 or Chain2, after checking that
-    the form lives on K^(words per term)."""
+def _chain_maps(chain, form, num_generators, n):
+    """(coefficient, evaluation map) pairs of a Chain1 or Chain2, after
+    checking that the form lives on K^(words per term)."""
     if isinstance(chain, Chain1):
         items = [((w,), c) for w, c in chain.terms.items()]
     else:
         items = [((a, b), c) for (a, b), c in chain.terms.items()]
     if form.shape != forms.group_power(n, len(items[0][0]) if items else 1):
         raise ValueError("form shape does not match the chain's word count")
-    return items
+    return [(c, WordMap.from_words(words, num_generators).geometry(n))
+            for words, c in items]
 
 
 def slant_form(chain, form, num_generators, n):
     """Pair a word chain with a form on a group power.
 
     A Chain1 pairs with a form on K^1, a Chain2 with a form on K^2; the result
-    lives on K^num_generators, pulled back along each term's evaluation map
-    and summed with the chain coefficients.
+    lives on K^num_generators: the sum over the chain's terms of the form
+    pulled back along each term's evaluation map, times the term's
+    coefficient, evaluated as one call of the form.
     """
-    return forms.linear_combination(
-        [(c, forms.pullback(
-            WordMap.from_words(words, num_generators).geometry(n), form))
-         for words, c in _chain_items(chain, form, n)],
-        name=f"slant({form.name})",
-    )
+    return forms.pullback_sum(
+        _chain_maps(chain, form, num_generators, n), form,
+        name=f"slant({form.name})")
 
 
 def slant_form_equivariant(chain, eform, num_generators, n):
     """Equivariant version of slant_form; conjugation acts on every factor."""
-    actions = ("conjugation",) * num_generators
-    return forms.linear_combination(
-        [(c, forms.pullback_equivariant(
-            WordMap.from_words(words, num_generators).geometry(n), eform, actions))
-         for words, c in _chain_items(chain, eform, n)],
-        name=f"slant({eform.name})",
-    )
+    return forms.pullback_sum_equivariant(
+        _chain_maps(chain, eform, num_generators, n), eform,
+        ("conjugation",) * num_generators, name=f"slant({eform.name})")

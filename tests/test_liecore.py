@@ -55,6 +55,25 @@ def test_inner_hand_value():
     assert lc.inner(np.zeros((2, 2)), x) == 0.0
 
 
+def test_inner_and_adjoint_on_stacks_match_pairs():
+    # two matrices keep the plain formulas bit for bit; stacks broadcast
+    rng = lc.as_rng(12)
+    xs = np.stack([lc.random_algebra(3, rng) for _ in range(4)])
+    gs = np.stack([lc.random_group(3, rng) for _ in range(4)])
+    y = lc.random_algebra(3, rng)
+    for x, g in zip(xs, gs):
+        assert lc.inner(x, y) == float(-np.trace(x @ y).real)
+        assert np.array_equal(lc.adjoint(g, x), g @ x @ g.conj().T)
+    got = lc.inner(xs[:, None], xs[None])
+    assert got.shape == (4, 4)
+    want = np.array([[lc.inner(a, b) for b in xs] for a in xs])
+    assert np.abs(got - want).max() <= 1e-14
+    conj = lc.adjoint(gs, y)
+    assert conj.shape == (4, 3, 3)
+    for g, c in zip(gs, conj):
+        assert np.abs(c - lc.adjoint(g, y)).max() <= 1e-14
+
+
 def test_inner_ad_invariance_and_total_antisymmetry():
     rng = np.random.default_rng(2)
     for n in (2, 3):

@@ -530,8 +530,9 @@ def test_rank_certificate_evaluates_omega_on_the_kernel_frame_only(
         monkeypatch, count):
     # one omega call per point, on the (k, 1) x (1, k) grid of kernel rows;
     # each chain term pushes the whole frame once, so the pushforwards per
-    # point (4 per chain term, 4g terms, plus one for the relator Jacobian)
-    # do not grow with k
+    # point do not grow with k: 2 per chain term (4g terms), 2 for the
+    # section, which takes all terms as one point batch, and one for the
+    # relator Jacobian
     calls = []
     pushes = []
     goldman_form = md.goldman_form
@@ -565,7 +566,7 @@ def test_rank_certificate_evaluates_omega_on_the_kernel_frame_only(
         monkeypatch.setattr(wd.WordMap, "push", push)
         k = (2 * genus - 1) * mcfg.algebra_dim
         assert calls == [((k, 1, 2, 2), (1, k, 2, 2))] * count
-        assert len(pushes) == count * (16 * genus + 1)
+        assert len(pushes) == count * (8 * genus + 3)
 
 
 @pytest.mark.parametrize("N, genus, beta", [(2, 2, 1), (2, 3, 1), (3, 2, 1)])
@@ -623,6 +624,52 @@ def test_chart_residual_computed_once_per_evaluation(monkeypatch):
     monkeypatch.setattr(md, "relator_residual", spy)
     ob(phi, pt, u, v)
     assert len(calls) == 1
+
+
+def test_level_projection_evaluates_the_chart_once_per_point(monkeypatch):
+    # the residual of each point (start, line-search candidate) comes from
+    # one chart evaluation, which also serves the next step's Jacobian, so
+    # no point's residual is computed twice
+    residual = md.relator_residual
+    seen = []
+
+    def spy(config, p):
+        seen.append(b"".join(g.tobytes() for g in p.parts))
+        return residual(config, p)
+
+    monkeypatch.setattr(md, "relator_residual", spy)
+    md.sample_Y(md.ModuliConfig(), 3, 5)
+    assert seen and len(set(seen)) == len(seen)
+
+
+def test_goldman_form_makes_one_fiber_call_per_evaluation(monkeypatch):
+    # the 4g terms of the fundamental class reach the level-2 fiber integral
+    # as one point batch
+    total = sp.bott_shulman_total_equivariant
+    calls = []
+
+    def counted(n, Q):
+        field = total(n, Q)
+
+        def wrap(fn):
+            def inner(*args):
+                calls.append(n)
+                return fn(*args)
+            return inner
+
+        field.components = {p: wrap(fn) for p, fn in field.components.items()}
+        return field
+
+    monkeypatch.setattr(sp, "bott_shulman_total_equivariant", counted)
+    for genus in (2, 3):
+        mcfg = md.ModuliConfig(genus=genus)
+        om = md.goldman_form(mcfg)
+        rng = lc.as_rng(90 + genus)
+        pt = fo.random_point(mcfg.shape, rng)
+        u, v = (fo.random_tangent(mcfg.shape, rng) for _ in range(2))
+        calls.clear()
+        om(pt, u, v)
+        assert calls == [2]
 
 
 def test_rank_quotient_condition_matches_direct_quotient_block():

@@ -86,7 +86,8 @@ def test_delta_squared_vanishes():
     A = lc.random_algebra(2, 2)
     f = forms.FormField(
         forms.group_power(2, 1), 1,
-        lambda pt, v: np.trace(pt[0] @ A).real * lc.inner(A, v[0]),
+        lambda pt, v: np.trace(pt[0] @ A, axis1=-2, axis2=-1).real
+        * lc.inner(A, v[0]),
     )
     dd = sp.simplicial_delta(sp.simplicial_delta(f))
     pt = forms.random_point(dd.shape, 3)
@@ -374,6 +375,132 @@ def test_batched_fiber_integral_matches_scalar_calls(N, r):
             checked.append((n, p))
     moment = [(n, p) for n, p in checked if p < 2 * r - n]
     assert moment, "no component with a moment slot was checked"
+
+
+def _stacked_point(points):
+    """One Point whose parts stack the points' parts on a new leading axis."""
+    return forms.Point(tuple(
+        np.stack(parts) for parts in zip(*(q.parts for q in points))))
+
+
+@pytest.mark.parametrize("N, r", [(2, 2), (3, 2), (3, 3)])
+def test_fiber_integral_on_a_point_batch_matches_per_point_calls(N, r):
+    # every level and every arity, arity 0 included: B points stacked as a
+    # (B, 1) point batch against (B, K) tangents give the B x K values of
+    # the per-point calls
+    Q = lc.chern_polynomial(N, r)
+    rng = lc.as_rng(400 + 10 * N + r)
+    B, K = 3, 2
+    checked = []
+    for n in range(1, 2 * r + 1):
+        ef = sp.bott_shulman_total_equivariant(n, Q)
+        phi = lc.random_algebra(N, rng)
+        points = [forms.random_point(ef.shape, rng) for _ in range(B)]
+        stack = _stacked_point(points)
+        stack = forms.Point(tuple(x[:, None] for x in stack.parts))
+        for p in ef.arities:
+            frames = [[[forms.random_tangent(ef.shape, rng) for _ in range(p)]
+                       for _ in range(K)] for _ in range(B)]
+            want = np.array([[ef(phi, points[b], *frames[b][k])
+                              for k in range(K)] for b in range(B)])
+            slots = [_stacked([_stacked([frames[b][k][j] for k in range(K)])
+                               for b in range(B)]) for j in range(p)]
+            got = ef(phi, stack, *slots)
+            assert got.shape == ((B, 1) if p == 0 else (B, K))
+            got = np.broadcast_to(got, (B, K))
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= 1e-14 * scale
+            checked.append((n, p))
+    assert len(checked) == sum(
+        len(sp.bott_shulman_total_equivariant(n, Q).arities)
+        for n in range(1, 2 * r + 1))
+
+
+def test_blocked_fiber_integral_matches_one_block(monkeypatch):
+    # a row cap far below one call's rows forces blocks of the batch (and of
+    # one entry's rows); the values match the unblocked call, on a point
+    # batch with moment components, and no polynomial call exceeds the cap
+    N, r = 3, 3
+    Q = lc.chern_polynomial(N, r)
+    rng = lc.as_rng(430)
+    sizes = []
+    eval_batch = lc.InvariantPolynomial.eval_batch
+
+    def spy(self, stack):
+        sizes.append(len(stack))
+        return eval_batch(self, stack)
+
+    for n in (1, 2, 3):
+        ef = sp.bott_shulman_total_equivariant(n, Q)
+        phi = lc.random_algebra(N, rng)
+        stack = _stacked_point(
+            [forms.random_point(ef.shape, rng) for _ in range(4)])
+        stack = forms.Point(tuple(x[:, None] for x in stack.parts))
+        # below arity n every matching pairs two simplex slots: no rows
+        for p in (p for p in ef.arities if p >= n):
+            slots = [_stacked([_stacked([forms.random_tangent(ef.shape, rng)
+                                         for _ in range(3)]) for _ in range(4)])
+                     for _ in range(p)]
+            want = ef(phi, stack, *slots)
+            monkeypatch.setattr(sp, "ROW_CAP", 40)
+            monkeypatch.setattr(lc.InvariantPolynomial, "eval_batch", spy)
+            sizes.clear()
+            got = ef(phi, stack, *slots)
+            monkeypatch.undo()
+            assert len(sizes) > 1 and max(sizes) <= 40
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def _oracle_sum(terms, f):
+    """The sum c m^* f as separate pullbacks, one call of f per term."""
+    if isinstance(f, forms.EquivariantFormField):
+        actions = ("conjugation",) * len(terms[0][1].domain)
+        return forms.linear_combination(
+            [(c, forms.pullback_equivariant(m, f, actions)) for c, m in terms])
+    return forms.linear_combination(
+        [(c, forms.pullback(m, f)) for c, m in terms])
+
+
+@pytest.mark.parametrize("equivariant", [False, True])
+def test_pullback_sum_matches_separate_pullbacks(equivariant):
+    # the slant pairing with the fundamental class and delta, each one call
+    # of the form, against the linear combination of one pullback per term
+    N, genus = 2, 2
+    Q = lc.chern_polynomial(N, 2)
+    level = sp.bott_shulman_equivariant if equivariant else sp.bott_shulman
+    chain = wd.fundamental_class(genus)
+    slant_terms = [
+        (c, wd.WordMap.from_words([a, b], 2 * genus).geometry(N))
+        for (a, b), c in chain.terms.items()]
+    delta_terms = [((-1) ** (i + 1), sp.face_map(3, i).geometry(N))
+                   for i in range(4)]
+    if equivariant:
+        def summed(terms, f):
+            return forms.pullback_sum_equivariant(
+                terms, f, ("conjugation",) * len(terms[0][1].domain))
+        slant = wd.slant_form_equivariant(chain, level(2, Q), 2 * genus, N)
+        delta = sp.simplicial_delta_equivariant(level(2, Q))
+    else:
+        summed = forms.pullback_sum
+        slant = wd.slant_form(chain, level(2, Q), 2 * genus, N)
+        delta = sp.simplicial_delta(level(2, Q))
+    rng = lc.as_rng(440 + equivariant)
+    for got, want in (
+            (summed(slant_terms, level(2, Q)),
+             _oracle_sum(slant_terms, level(2, Q))),
+            (slant, _oracle_sum(slant_terms, level(2, Q))),
+            (summed(delta_terms, level(2, Q)),
+             _oracle_sum(delta_terms, level(2, Q))),
+            (delta, _oracle_sum(delta_terms, level(2, Q)))):
+        pt = forms.random_point(got.shape, rng)
+        phi = lc.random_algebra(N, rng)
+        for p in (got.arities if equivariant else [got.arity]):
+            vs = [forms.random_tangent(got.shape, rng) for _ in range(p)]
+            args = (phi, pt, *vs) if equivariant else (pt, *vs)
+            a, b = got(*args), want(*args)
+            assert type(a) is complex
+            assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
 
 
 def test_unbatched_values_are_complex_and_batches_must_broadcast():

@@ -287,7 +287,7 @@ def test_slant_form_chain2_linearity():
 
     def fn(pt, u, v):
         return lc.inner(u[0], lc.adjoint(pt[1], v[1])) + np.trace(
-            pt[0] @ B).real * lc.inner(u[1], v[0])
+            pt[0] @ B, axis1=-2, axis2=-1).real * lc.inner(u[1], v[0])
 
     beta = forms.FormField(K2, 2, fn)
     a, b = wd.parse_word("x1"), wd.parse_word("x2 x1")
