@@ -20,9 +20,12 @@ take a plain point, phi never carries a batch, and the FD derivative takes
 plain tangents only.
 
 A pullback pushes the tangents of one evaluation with one push per distinct
-tangent shape. A chain sum of one form f, sum c m^* f, is pullback_sum: the
-terms' images and pushed tangents reach f as one call, stacked on a leading
-batch axis. linear_combination sums different forms, one call each.
+tangent shape. A plain form is at_phi of an equivariant one: the component of
+one arity at a fixed phi (the top components of the fiber integrals never
+read phi). So the one chain sum, sum c m^* f of a single form f, is
+pullback_sum_equivariant: the terms' images and pushed tangents reach f as
+one call, stacked on a leading batch axis. linear_combination sums different
+equivariant forms, one call each.
 """
 
 from __future__ import annotations
@@ -220,12 +223,12 @@ class EquivariantFormField:
 
 
 def linear_combination(terms, name=""):
-    """The field sum c f over (c, f) pairs, each f evaluated through its own
-    __call__.
+    """The equivariant field sum c f over (c, f) pairs, each f evaluated
+    through its own __call__.
 
-    All fields share one shape, and plain fields one arity. Equivariant
-    fields sum arity by arity, a missing arity counting as zero; the result
-    takes its actions and phi degree from the first term.
+    All fields share one shape and sum arity by arity, a missing arity
+    counting as zero; the result takes its actions and phi degree from the
+    first term.
     """
     terms = list(terms)
     if not terms:
@@ -233,22 +236,31 @@ def linear_combination(terms, name=""):
     first = terms[0][1]
     if any(f.shape != first.shape for _, f in terms):
         raise ValueError("linear combination of forms on different shapes")
-    if isinstance(first, EquivariantFormField):
-        def efn(phi, pt, *vs):
-            return sum(c * f(phi, pt, *vs) for c, f in terms)
 
-        arities = sorted({p for _, f in terms for p in f.components})
-        return EquivariantFormField(
-            first.shape, first.actions, dict.fromkeys(arities, efn),
-            phi_degree=first.phi_degree, name=name,
-        )
-    if any(f.arity != first.arity for _, f in terms):
-        raise ValueError("linear combination of forms of different arities")
+    def efn(phi, pt, *vs):
+        return sum(c * f(phi, pt, *vs) for c, f in terms)
+
+    arities = sorted({p for _, f in terms for p in f.components})
+    return EquivariantFormField(
+        first.shape, first.actions, dict.fromkeys(arities, efn),
+        phi_degree=first.phi_degree, name=name,
+    )
+
+
+def at_phi(ef, phi, arity, name=""):
+    """The plain form of one arity of ef at a fixed phi.
+
+    The component is looked up at each call, so a wrapper put into
+    ef.components after this view is built stays in its path.
+    """
+    if arity not in ef.components:
+        raise ValueError(
+            f"form {ef.name or ''} has no component of arity {arity}")
 
     def fn(pt, *vs):
-        return sum(c * f(pt, *vs) for c, f in terms)
+        return ef.components[arity](phi, pt, *vs)
 
-    return FormField(first.shape, first.arity, fn, name=name)
+    return FormField(ef.shape, arity, fn, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +373,6 @@ def pullback_equivariant(m, ef, actions):
     )
 
 
-def _sum_terms(terms, shape):
-    """The coefficients and maps of (coefficient, map) pairs into shape."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("a pullback sum needs at least one term")
-    maps = [m for _, m in terms]
-    if any(m.codomain != shape for m in maps):
-        raise ValueError("form shape does not match map codomain")
-    if any(m.domain != maps[0].domain for m in maps):
-        raise ValueError("pullback sum of maps on different domains")
-    return np.array([c for c, _ in terms]), maps
-
-
 def _core_ndim(fac):
     return 2 if isinstance(fac, GroupFactor) else 1
 
@@ -415,26 +414,23 @@ def _contract(coeffs, val):
     return np.tensordot(coeffs, val, axes=1)
 
 
-def pullback_sum(terms, f, name=""):
-    """The field sum c m^* f over (c, m) pairs, as one call of f.
+def pullback_sum_equivariant(terms, ef, actions, name=""):
+    """The field sum c m^* ef over (c, m) pairs, as one call of ef.
 
     Each map's at runs once per evaluation; the images and pushed tangents
-    of all terms go to f stacked on a leading batch axis, and f's value is
-    contracted with the coefficients. f must accept a point batch.
+    of all terms go to ef stacked on a leading batch axis, and ef's value is
+    contracted with the coefficients. ef must accept a point batch. phi
+    passes through, and each map must intertwine the declared domain
+    actions with ef's.
     """
-    coeffs, maps = _sum_terms(terms, f.shape)
-
-    def fn(pt, *vs):
-        image, pushed = _term_stack(maps, f.shape, pt, vs)
-        return _contract(coeffs, f(image, *pushed))
-
-    return FormField(maps[0].domain, f.arity, fn, name=name)
-
-
-def pullback_sum_equivariant(terms, ef, actions, name=""):
-    """Equivariant pullback_sum: phi passes through, and each map must
-    intertwine the declared domain actions with ef's."""
-    coeffs, maps = _sum_terms(terms, ef.shape)
+    terms = list(terms)
+    if not terms:
+        raise ValueError("a pullback sum needs at least one term")
+    coeffs, maps = np.array([c for c, _ in terms]), [m for _, m in terms]
+    if any(m.codomain != ef.shape for m in maps):
+        raise ValueError("form shape does not match map codomain")
+    if any(m.domain != maps[0].domain for m in maps):
+        raise ValueError("pullback sum of maps on different domains")
     comps = {}
     for p, fn in ef.components.items():
         def make(fn):
@@ -558,13 +554,9 @@ def cartan_differential(ef, step=DEFAULT_FD_STEP):
         def make(q):
             def fn(phi, pt, *vs):
                 val = 0j
-                lower = ef.components.get(q - 1)
-                if lower is not None:
-                    frozen = FormField(
-                        ef.shape, q - 1,
-                        lambda pt2, *vs2: lower(phi, pt2, *vs2),
-                    )
-                    val += exterior_derivative(frozen, step)(pt, *vs)
+                if q - 1 in ef.components:
+                    val += exterior_derivative(
+                        at_phi(ef, phi, q - 1), step)(pt, *vs)
                 upper = ef.components.get(q + 1)
                 if upper is not None:
                     gen = generating_field(ef.shape, ef.actions, phi, pt)

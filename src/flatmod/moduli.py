@@ -427,15 +427,15 @@ def goldman_form(config):
     of the plain inner product, at phi = 0."""
     ef = generator_form(config, "f", 2, Q=lc.inner_polynomial(config.N))
     zero = np.zeros((config.N, config.N), dtype=complex)
-
-    def fn(pt, u, v):
-        return ef(zero, pt, u, v)
-
-    return forms.FormField(config.shape, 2, fn, name="goldman")
+    return forms.at_phi(ef, zero, 2, name="goldman")
 
 
 # ---------------------------------------------------------------------------
 # radial homotopy on the algebra factor
+
+# how closely two radial quadrature passes agree, relative above magnitude 1
+RADIAL_RTOL = 1e-11
+
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_01(n):
@@ -446,11 +446,12 @@ def _gauss_legendre_01(n):
     return nodes, weights
 
 
-def homotopy_h(field, rtol=1e-11, max_nodes=256):
+def homotopy_h(field, max_nodes=256):
     """Radial contraction: components of arity p >= 1 drop to p - 1.
 
     (h f)(phi) at Lam on (w_1..w_{p-1}) integrates t^(p-1) f(phi) at t Lam
-    on (Lam, w_1..w_{p-1}); node counts double until the value settles.
+    on (Lam, w_1..w_{p-1}); node counts double from 8 until two passes
+    agree to RADIAL_RTOL, so max_nodes below 16 never settles.
     """
     if len(field.shape) != 1 or not isinstance(field.shape[0], forms.VectorFactor):
         raise ValueError("the homotopy acts on forms over a single vector factor")
@@ -477,7 +478,7 @@ def homotopy_h(field, rtol=1e-11, max_nodes=256):
                 n = 16
                 while n <= max_nodes:
                     cur = quad(n)
-                    if abs(cur - prev) <= max(rtol, rtol * abs(cur)):
+                    if abs(cur - prev) <= RADIAL_RTOL * max(1.0, abs(cur)):
                         return cur
                     prev, n = cur, 2 * n
                 raise QuadratureError("radial quadrature did not settle")
@@ -624,13 +625,8 @@ def omega_tilde(config):
     is goldman minus the chart pullback of the radial primitive of the
     inner-product polynomial. For Q = <.,.> this part does not depend on
     phi."""
-    ob = omega_bar(config)
     zero = np.zeros((config.N, config.N), dtype=complex)
-
-    def fn(pt, u, v):
-        return ob(zero, pt, u, v)
-
-    return forms.FormField(config.shape, 2, fn, name="omega-tilde")
+    return forms.at_phi(omega_bar(config), zero, 2, name="omega-tilde")
 
 
 def omega_bar(config):

@@ -90,33 +90,14 @@ def principal_projection(n):
     return WordMap.from_words(words, n + 1)
 
 
-def _delta_faces(field_shape, group_size):
-    m = len(field_shape)
-    if m and isinstance(field_shape[0], forms.GroupFactor):
-        group_size = field_shape[0].n
-    if group_size is None:
-        raise ValueError("group size needed for forms on the empty product")
-    return m + 1, group_size
-
-
-def _delta_terms(target, N):
-    return [((-1) ** (i + 1), face_map(target, i).geometry(N))
-            for i in range(target + 1)]
-
-
-def simplicial_delta(field, group_size=None):
+def simplicial_delta_equivariant(field):
     """Alternating sum of face pullbacks, offset so level one starts at minus;
     one call of field per evaluation."""
-    target, N = _delta_faces(field.shape, group_size)
-    return forms.pullback_sum(
-        _delta_terms(target, N), field, name=f"delta({field.name})")
-
-
-def simplicial_delta_equivariant(field, group_size=None):
-    target, N = _delta_faces(field.shape, group_size)
+    target, N = len(field.shape) + 1, field.shape[0].n
+    terms = [((-1) ** (i + 1), face_map(target, i).geometry(N))
+             for i in range(target + 1)]
     return forms.pullback_sum_equivariant(
-        _delta_terms(target, N), field, ("conjugation",) * target,
-        name=f"delta({field.name})")
+        terms, field, ("conjugation",) * target, name=f"delta({field.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -343,25 +324,17 @@ def _component_evaluator(n, Q, m):
     return p, fn
 
 
-def _check_level(n, Q):
-    if n < 1 or n > 2 * Q.degree:
-        raise ValueError("level must satisfy 1 <= n <= 2 deg(Q)")
-
-
 def bott_shulman_total(n, Q):
-    """The level-n fiber integral as a form on K^(n+1), before the section."""
-    _check_level(n, Q)
-    p, fn = _component_evaluator(n, Q, 0)
-    shape = forms.group_power(Q.n, n + 1)
-    return forms.FormField(
-        shape, p, lambda pt, *vs: fn(None, pt, *vs),
-        name=f"Phi{n}[{Q.name}]/X",
-    )
+    """The level-n fiber integral as a form on K^(n+1), before the section:
+    the top component of the equivariant one, which never reads phi."""
+    return forms.at_phi(bott_shulman_total_equivariant(n, Q), None,
+                        2 * Q.degree - n, name=f"Phi{n}[{Q.name}]/X")
 
 
 def bott_shulman_total_equivariant(n, Q):
     """All moment-map components of the level-n fiber integral on K^(n+1)."""
-    _check_level(n, Q)
+    if n < 1 or n > 2 * Q.degree:
+        raise ValueError("level must satisfy 1 <= n <= 2 deg(Q)")
     comps = {}
     for m in range(Q.degree + 1):
         if 2 * (Q.degree - m) - n < 0:
@@ -375,12 +348,10 @@ def bott_shulman_total_equivariant(n, Q):
 
 
 def bott_shulman(n, Q):
-    """Characteristic form on K^n: the fiber integral pulled along the section."""
-    total = bott_shulman_total(n, Q)
-    geo = section_map(n).geometry(Q.n)
-    out = forms.pullback(geo, total)
-    out.name = f"Phi{n}[{Q.name}]"
-    return out
+    """Characteristic form on K^n: the fiber integral pulled along the
+    section, as the phi-free top component of the equivariant one."""
+    return forms.at_phi(bott_shulman_equivariant(n, Q), None,
+                        2 * Q.degree - n, name=f"Phi{n}[{Q.name}]")
 
 
 def bott_shulman_equivariant(n, Q):

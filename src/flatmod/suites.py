@@ -64,6 +64,9 @@ class RunConfig:
         ):
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.quad_nodes < 16:
+            # the radial quadrature compares an 8-node pass with a 16-node one
+            raise ValueError("quad_nodes must be at least 16")
         if self.jobs != 1:
             raise ValueError("jobs must be 1: samples run on the calling thread")
         for s in self.suites:
@@ -204,8 +207,10 @@ def _suite_cocycle(config):
     for r in config.r_list:
         Q = lc.chern_polynomial(config.N, r)
         phi1 = sp.bott_shulman(1, Q)
-        delta1 = sp.simplicial_delta(phi1)
-        top = sp.simplicial_delta(sp.bott_shulman(r, Q))
+        delta1 = forms.at_phi(sp.simplicial_delta_equivariant(
+            sp.bott_shulman_equivariant(1, Q)), None, 2 * r - 1)
+        top = forms.at_phi(sp.simplicial_delta_equivariant(
+            sp.bott_shulman_equivariant(r, Q)), None, r)
         higher = [sp.bott_shulman(k, Q) for k in range(r + 1, 2 * r + 1)]
 
         def vanishing_draws(rng):

@@ -350,34 +350,22 @@ class WordMap:
 # ---------------------------------------------------------------------------
 # slant products against word chains
 
-def _chain_maps(chain, form, num_generators, n):
-    """(coefficient, evaluation map) pairs of a Chain1 or Chain2, after
-    checking that the form lives on K^(words per term)."""
+def slant_form_equivariant(chain, eform, num_generators, n):
+    """Pair a word chain with an equivariant form on a group power.
+
+    A Chain1 pairs with a form on K^1, a Chain2 with a form on K^2; the result
+    lives on K^num_generators, with conjugation on every factor: the sum over
+    the chain's terms of the form pulled back along each term's evaluation
+    map, times the term's coefficient, evaluated as one call of the form.
+    """
     if isinstance(chain, Chain1):
         items = [((w,), c) for w, c in chain.terms.items()]
     else:
         items = [((a, b), c) for (a, b), c in chain.terms.items()]
-    if form.shape != forms.group_power(n, len(items[0][0]) if items else 1):
+    if eform.shape != forms.group_power(n, len(items[0][0]) if items else 1):
         raise ValueError("form shape does not match the chain's word count")
-    return [(c, WordMap.from_words(words, num_generators).geometry(n))
-            for words, c in items]
-
-
-def slant_form(chain, form, num_generators, n):
-    """Pair a word chain with a form on a group power.
-
-    A Chain1 pairs with a form on K^1, a Chain2 with a form on K^2; the result
-    lives on K^num_generators: the sum over the chain's terms of the form
-    pulled back along each term's evaluation map, times the term's
-    coefficient, evaluated as one call of the form.
-    """
-    return forms.pullback_sum(
-        _chain_maps(chain, form, num_generators, n), form,
-        name=f"slant({form.name})")
-
-
-def slant_form_equivariant(chain, eform, num_generators, n):
-    """Equivariant version of slant_form; conjugation acts on every factor."""
+    terms = [(c, WordMap.from_words(words, num_generators).geometry(n))
+             for words, c in items]
     return forms.pullback_sum_equivariant(
-        _chain_maps(chain, eform, num_generators, n), eform,
-        ("conjugation",) * num_generators, name=f"slant({eform.name})")
+        terms, eform, ("conjugation",) * num_generators,
+        name=f"slant({eform.name})")

@@ -99,6 +99,19 @@ def test_verify_rejects_malformed_config(tmp_path, capsys):
     assert "flux" in err
 
 
+def test_quad_nodes_below_sixteen_are_rejected(capsys):
+    # the radial quadrature's first comparison needs 16 nodes, so a lower
+    # cap could only end in "radial quadrature did not settle"
+    for nodes in ("8", "15"):
+        code, out, err = run_cli(
+            ["verify", "--suite", "extended", "--samples", "1",
+             "--quad-nodes", nodes], capsys)
+        assert code == 2
+        assert "quad_nodes must be at least 16" in err
+        assert out == ""
+    assert su.RunConfig(quad_nodes=16).quad_nodes == 16
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "no-such-suite"])

@@ -263,9 +263,6 @@ def test_linear_combination_rejects_mixed_shapes_and_arities():
         (forms.GroupFactor(3),), 1, lambda pt, v: lc.inner(v[0], v[0]))
     with pytest.raises(ValueError, match="shapes"):
         forms.linear_combination([(1, mc_form(A)), (1, on_su3)])
-    two_form = forms.wedge(mc_form(A), mc_form(A))
-    with pytest.raises(ValueError, match="arities"):
-        forms.linear_combination([(1, mc_form(A)), (-1, two_form)])
 
 
 def test_linear_combination_sums_equivariant_arities():

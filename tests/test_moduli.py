@@ -227,9 +227,9 @@ def _homotopy_spy(monkeypatch):
     calls = []
     homotopy_h = md.homotopy_h
 
-    def spy(field, rtol=1e-11, max_nodes=256):
+    def spy(field, max_nodes=256):
         calls.append(field.name)
-        return homotopy_h(field, rtol=rtol, max_nodes=max_nodes)
+        return homotopy_h(field, max_nodes=max_nodes)
 
     monkeypatch.setattr(md, "homotopy_h", spy)
     return calls
@@ -354,7 +354,8 @@ def test_generator_b_matches_closed_level_one():
 
 def test_goldman_matches_closed_level_two():
     om = md.goldman_form(CFG)
-    closed = wd.slant_form(wd.fundamental_class(2), sp.omega_form(2), 4, 2)
+    closed = fo.at_phi(wd.slant_form_equivariant(
+        wd.fundamental_class(2), sp.phi2_inner_closed(2), 4, 2), None, 2)
     rng = lc.as_rng(21)
     for _ in range(3):
         pt = fo.random_point(CFG.shape, rng)
@@ -492,7 +493,7 @@ def test_moment_linear_part_measures_plus_two_lambda():
 def test_moment_suite_builds_no_radial_quadrature(monkeypatch):
     # omega-bar and omega-tilde use Q = <.,.>, whose sigma is closed-form
     calls = _homotopy_spy(monkeypatch)
-    config = su.RunConfig(quad_nodes=8, sample_count=1, suites=("moment",))
+    config = su.RunConfig(quad_nodes=16, sample_count=1, suites=("moment",))
     report = su.run_suites(config)
     assert calls == []
     assert report.records and all(r.passed for r in report.records)

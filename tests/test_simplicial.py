@@ -75,21 +75,15 @@ def test_section_intertwines_faces():
 # ---------------------------------------------------------------------------
 # delta
 
-def test_delta_kills_level_zero():
-    c = forms.FormField((), 0, lambda pt: 3.25, name="const")
-    delta_c = sp.simplicial_delta(c, group_size=2)
-    pt = forms.random_point(delta_c.shape, 1)
-    assert abs(delta_c(pt)) == 0.0
-
-
 def test_delta_squared_vanishes():
     A = lc.random_algebra(2, 2)
-    f = forms.FormField(
-        forms.group_power(2, 1), 1,
-        lambda pt, v: np.trace(pt[0] @ A, axis1=-2, axis2=-1).real
-        * lc.inner(A, v[0]),
+    f = forms.EquivariantFormField(
+        forms.group_power(2, 1), ("conjugation",),
+        {1: lambda phi, pt, v: np.trace(pt[0] @ A, axis1=-2, axis2=-1).real
+         * lc.inner(A, v[0])},
     )
-    dd = sp.simplicial_delta(sp.simplicial_delta(f))
+    dd = forms.at_phi(sp.simplicial_delta_equivariant(
+        sp.simplicial_delta_equivariant(f)), None, 1)
     pt = forms.random_point(dd.shape, 3)
     v = forms.random_tangent(dd.shape, 4)
     assert abs(dd(pt, v)) < 1e-12
@@ -295,7 +289,8 @@ def test_cocycle_level_one_to_two():
     # delta Phi_1 = +d Phi_2 for the quadratic polynomial
     N = 2
     Q = lc.inner_polynomial(N)
-    lhs = sp.simplicial_delta(sp.bott_shulman(1, Q))
+    lhs = forms.at_phi(sp.simplicial_delta_equivariant(
+        sp.bott_shulman_equivariant(1, Q)), None, 3)
     rhs = forms.exterior_derivative(sp.bott_shulman(2, Q), step=1e-4)
     for seed in range(2):
         pt = forms.random_point(lhs.shape, 140 + seed)
@@ -308,7 +303,8 @@ def test_cocycle_level_two_to_three():
     # fiber orientation against levels one and two
     N = 3
     Q = lc.chern_polynomial(N, 3)
-    lhs = sp.simplicial_delta(sp.bott_shulman(2, Q))
+    lhs = forms.at_phi(sp.simplicial_delta_equivariant(
+        sp.bott_shulman_equivariant(2, Q)), None, 4)
     rhs = forms.exterior_derivative(sp.bott_shulman(3, Q), step=1e-4)
     pt = forms.random_point(lhs.shape, 160)
     vs = [forms.random_tangent(lhs.shape, 161 + i) for i in range(4)]
@@ -454,37 +450,31 @@ def test_blocked_fiber_integral_matches_one_block(monkeypatch):
 
 def _oracle_sum(terms, f):
     """The sum c m^* f as separate pullbacks, one call of f per term."""
-    if isinstance(f, forms.EquivariantFormField):
-        actions = ("conjugation",) * len(terms[0][1].domain)
-        return forms.linear_combination(
-            [(c, forms.pullback_equivariant(m, f, actions)) for c, m in terms])
+    actions = ("conjugation",) * len(terms[0][1].domain)
     return forms.linear_combination(
-        [(c, forms.pullback(m, f)) for c, m in terms])
+        [(c, forms.pullback_equivariant(m, f, actions)) for c, m in terms])
 
 
-@pytest.mark.parametrize("equivariant", [False, True])
+@pytest.mark.parametrize("equivariant", [True])
 def test_pullback_sum_matches_separate_pullbacks(equivariant):
     # the slant pairing with the fundamental class and delta, each one call
     # of the form, against the linear combination of one pullback per term
     N, genus = 2, 2
     Q = lc.chern_polynomial(N, 2)
-    level = sp.bott_shulman_equivariant if equivariant else sp.bott_shulman
+    level = sp.bott_shulman_equivariant
     chain = wd.fundamental_class(genus)
     slant_terms = [
         (c, wd.WordMap.from_words([a, b], 2 * genus).geometry(N))
         for (a, b), c in chain.terms.items()]
     delta_terms = [((-1) ** (i + 1), sp.face_map(3, i).geometry(N))
                    for i in range(4)]
-    if equivariant:
-        def summed(terms, f):
-            return forms.pullback_sum_equivariant(
-                terms, f, ("conjugation",) * len(terms[0][1].domain))
-        slant = wd.slant_form_equivariant(chain, level(2, Q), 2 * genus, N)
-        delta = sp.simplicial_delta_equivariant(level(2, Q))
-    else:
-        summed = forms.pullback_sum
-        slant = wd.slant_form(chain, level(2, Q), 2 * genus, N)
-        delta = sp.simplicial_delta(level(2, Q))
+
+    def summed(terms, f):
+        return forms.pullback_sum_equivariant(
+            terms, f, ("conjugation",) * len(terms[0][1].domain))
+
+    slant = wd.slant_form_equivariant(chain, level(2, Q), 2 * genus, N)
+    delta = sp.simplicial_delta_equivariant(level(2, Q))
     rng = lc.as_rng(440 + equivariant)
     for got, want in (
             (summed(slant_terms, level(2, Q)),
@@ -495,12 +485,37 @@ def test_pullback_sum_matches_separate_pullbacks(equivariant):
             (delta, _oracle_sum(delta_terms, level(2, Q)))):
         pt = forms.random_point(got.shape, rng)
         phi = lc.random_algebra(N, rng)
-        for p in (got.arities if equivariant else [got.arity]):
+        for p in got.arities:
             vs = [forms.random_tangent(got.shape, rng) for _ in range(p)]
-            args = (phi, pt, *vs) if equivariant else (pt, *vs)
-            a, b = got(*args), want(*args)
+            a, b = got(phi, pt, *vs), want(phi, pt, *vs)
             assert type(a) is complex
             assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+
+def test_plain_forms_are_phi_free_top_components():
+    # every plain form is the top component of its equivariant form, which
+    # never reads phi, so the two agree exactly at any phi
+    rng = lc.as_rng(460)
+    for Q in (lc.inner_polynomial(2), lc.chern_polynomial(3, 3)):
+        for n in range(1, 2 * Q.degree + 1):
+            plain = sp.bott_shulman(n, Q)
+            ef = sp.bott_shulman_equivariant(n, Q)
+            assert plain.arity == 2 * Q.degree - n
+            assert plain.shape == ef.shape
+            phi = lc.random_algebra(Q.n, rng)
+            pt = forms.random_point(plain.shape, rng)
+            vs = [forms.random_tangent(plain.shape, rng)
+                  for _ in range(plain.arity)]
+            assert plain(pt, *vs) == ef(phi, pt, *vs)
+    th = sp.theta_pairing_field(2)
+    phi = lc.random_algebra(2, rng)
+    view = forms.at_phi(th, phi, 1, name="theta-pair(phi)")
+    assert view.arity == 1 and view.shape == th.shape
+    pt = forms.random_point(th.shape, rng)
+    v = forms.random_tangent(th.shape, rng)
+    assert view(pt, v) == th(phi, pt, v)
+    with pytest.raises(ValueError, match="arity 2"):
+        forms.at_phi(th, phi, 2)
 
 
 def test_unbatched_values_are_complex_and_batches_must_broadcast():

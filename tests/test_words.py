@@ -271,9 +271,11 @@ def test_geometry_adapter():
 def test_slant_form_single_word():
     A = lc.random_algebra(2, 80)
     K1 = forms.group_power(2, 1)
-    alpha = forms.FormField(K1, 1, lambda pt, v: lc.inner(A, v[0]))
+    alpha = forms.EquivariantFormField(
+        K1, ("conjugation",), {1: lambda phi, pt, v: lc.inner(A, v[0])})
     chain = Chain1.of(wd.parse_word("x1 x2"))
-    paired = wd.slant_form(chain, alpha, num_generators=2, n=2)
+    paired = forms.at_phi(
+        wd.slant_form_equivariant(chain, alpha, num_generators=2, n=2), None, 1)
     pt = forms.random_point(paired.shape, 81)
     v = forms.random_tangent(paired.shape, 82)
     mmap = wd.WordMap.from_words([wd.parse_word("x1 x2")], 2)
@@ -285,19 +287,25 @@ def test_slant_form_chain2_linearity():
     K2 = forms.group_power(2, 2)
     B = lc.random_algebra(2, 90)
 
-    def fn(pt, u, v):
+    def fn(phi, pt, u, v):
         return lc.inner(u[0], lc.adjoint(pt[1], v[1])) + np.trace(
             pt[0] @ B, axis1=-2, axis2=-1).real * lc.inner(u[1], v[0])
 
-    beta = forms.FormField(K2, 2, fn)
+    beta = forms.EquivariantFormField(
+        K2, ("conjugation", "conjugation"), {2: fn})
+
+    def slant(chain, *args):
+        return forms.at_phi(wd.slant_form_equivariant(chain, beta, *args),
+                            None, 2)
+
     a, b = wd.parse_word("x1"), wd.parse_word("x2 x1")
     ch = Chain2([((a, b), 2), ((b, a), -1)])
-    paired = wd.slant_form(ch, beta, num_generators=2, n=2)
+    paired = slant(ch, 2, 2)
     pt = forms.random_point(paired.shape, 91)
     u = forms.random_tangent(paired.shape, 92)
     v = forms.random_tangent(paired.shape, 93)
-    single_ab = wd.slant_form(Chain2([((a, b), 1)]), beta, 2, 2)
-    single_ba = wd.slant_form(Chain2([((b, a), 1)]), beta, 2, 2)
+    single_ab = slant(Chain2([((a, b), 1)]), 2, 2)
+    single_ba = slant(Chain2([((b, a), 1)]), 2, 2)
     expect = 2 * single_ab(pt, u, v) - single_ba(pt, u, v)
     assert abs(paired(pt, u, v) - expect) < 1e-12
 
