@@ -14,10 +14,11 @@ one call must broadcast against each other. Word-map images and
 pushforwards, the fiber integrals, the forms built on liecore's inner,
 adjoint and bracket (the closed-form anchors), pullbacks and linear
 combinations carry such a batch through, and a form then returns an ndarray
-of the broadcast batch shape instead of a complex number. Those forms take a
-point batch as well, broadcasting against the tangents'. Chart-pulled forms
-take a plain point, phi never carries a batch, and the FD derivative takes
-plain tangents only.
+of the broadcast batch shape instead of a complex number. Those forms, the
+chart-pulled ones included, take a point batch as well, broadcasting against
+the tangents'; phi never carries a batch. The FD derivative evaluates its
+whole stencil as one such batch, so it calls its operand once per
+evaluation.
 
 A pullback pushes the tangents of one evaluation with one push per distinct
 tangent shape. A plain form is at_phi of an equivariant one: the component of
@@ -377,20 +378,16 @@ def _core_ndim(fac):
     return 2 if isinstance(fac, GroupFactor) else 1
 
 
-def _term_stack(maps, shape, pt, vs):
-    """Images of pt and pushed tangents of every map, stacked on a new
-    leading term axis.
+def _stack_calls(shape, points, frames):
+    """Several calls of one form as one: the point parts and the tangent
+    tuples of each call, stacked on a new leading axis.
 
     Below that axis every part is padded with unit axes to the batch rank
-    of the call, so the term axis lines up when the point and the tangents
+    of the calls, so the new axis lines up when points and tangents
     broadcast against each other.
     """
-    images, pushed = [], []
-    for m in maps:
-        image, push = m.at(pt)
-        images.append(image.parts)
-        pushed.append([v.parts for v in _push_all(push, vs)])
-    groups = [images] + [[t[j] for t in pushed] for j in range(len(vs))]
+    groups = [points] + [[f[j].parts for f in frames]
+                         for j in range(len(frames[0]))]
     rank = max((x.ndim - _core_ndim(fac) for group in groups
                 for parts in group for fac, x in zip(shape, parts)), default=0)
 
@@ -402,7 +399,18 @@ def _term_stack(maps, shape, pt, vs):
             out.append(x.reshape(x.shape[:1] + (1,) * pad + x.shape[1:]))
         return tuple(out)
 
-    return Point(stack(images)), [Tangent(stack(g)) for g in groups[1:]]
+    return Point(stack(points)), [Tangent(stack(g)) for g in groups[1:]]
+
+
+def _term_stack(maps, shape, pt, vs):
+    """Images of pt and pushed tangents of every map, stacked on a new
+    leading term axis."""
+    images, pushed = [], []
+    for m in maps:
+        image, push = m.at(pt)
+        images.append(image.parts)
+        pushed.append(_push_all(push, vs))
+    return _stack_calls(shape, images, pushed)
 
 
 def _contract(coeffs, val):
@@ -462,11 +470,9 @@ def generating_field(shape, actions, phi, pt):
             else:
                 parts.append(np.zeros(fac.n + 1))
         elif act == "conjugation":
-            gi = p.conj().T
-            parts.append(gi @ phi @ p - phi)
+            parts.append(p.conj().mT @ phi @ p - phi)
         elif act == "left":
-            gi = p.conj().T
-            parts.append(gi @ phi @ p)
+            parts.append(p.conj().mT @ phi @ p)
         elif act == "adjoint":
             n = int(round(math.sqrt(fac.dim + 1)))
             lam = lc.from_coords(p, n)
@@ -480,13 +486,19 @@ def generating_field(shape, actions, phi, pt):
 # exterior derivative (invariant-frame finite differences)
 
 def flow(shape, pt, v, s):
-    """Move pt along v for time s: g exp(s xi) on groups, straight lines else."""
+    """Move pt along v for time s: g exp(s xi) on groups, straight lines else.
+
+    A vector of times gives the moved points on a new leading axis, ahead
+    of the batch dimensions of pt and v.
+    """
+    s = np.asarray(s, dtype=float)
     parts = []
     for fac, p, x in zip(shape, pt.parts, v.parts):
+        sx = s.reshape(s.shape + (1,) * x.ndim) * x
         if isinstance(fac, GroupFactor):
-            parts.append(p @ lc.exp_alg(s * x))
+            parts.append(p @ lc.exp_alg(sx))
         else:
-            parts.append(p + s * x)
+            parts.append(p + sx)
     return Point(tuple(parts))
 
 
@@ -521,22 +533,34 @@ def exterior_derivative(f, step=DEFAULT_FD_STEP):
     df(v_0..v_p) = sum_i (-1)^i D_{v_i} f(..no v_i..)
                  + sum_{i<j} (-1)^{i+j} f([v_i,v_j]_frame, ..no v_i, v_j..),
     directional derivatives by central differences along the factor flows.
+    The 2(p+1) flowed points and the C(p+1, 2) bracket terms reach f as one
+    call, stacked on a leading batch axis, so f must accept a point batch;
+    a value without that axis (f reads neither point nor tangents) stands
+    for every term.
     """
     p = f.arity
+    pairs = list(combinations(range(p + 1), 2))
 
     def fn(pt, *vs):
         _check_margin(f.shape, pt, step)
+        points, frames = [], []
+        for i in range(p + 1):
+            moved = flow(f.shape, pt, vs[i], (step, -step))
+            points += [tuple(x[k] for x in moved.parts) for k in range(2)]
+            frames += [vs[:i] + vs[i + 1:]] * 2
+        for i, j in pairs:
+            points.append(pt.parts)
+            frames.append((frame_bracket(f.shape, vs[i], vs[j]),) + tuple(
+                vs[k] for k in range(p + 1) if k not in (i, j)))
+        image, tangents = _stack_calls(f.shape, points, frames)
+        val = np.asarray(f(image, *tangents))
+        if val.ndim == 0:
+            val = np.broadcast_to(val, (len(points),))
         total = 0j
         for i in range(p + 1):
-            rest = vs[:i] + vs[i + 1:]
-            plus = f(flow(f.shape, pt, vs[i], step), *rest)
-            minus = f(flow(f.shape, pt, vs[i], -step), *rest)
-            total += (-1) ** i * (plus - minus) / (2 * step)
-        for i in range(p + 1):
-            for j in range(i + 1, p + 1):
-                br = frame_bracket(f.shape, vs[i], vs[j])
-                rest = tuple(vs[k] for k in range(p + 1) if k not in (i, j))
-                total += (-1) ** (i + j) * f(pt, br, *rest)
+            total += (-1) ** i * (val[2 * i] - val[2 * i + 1]) / (2 * step)
+        for k, (i, j) in enumerate(pairs):
+            total += (-1) ** (i + j) * val[2 * (p + 1) + k]
         return total
 
     return FormField(f.shape, p + 1, fn, name=f"d({f.name})")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur
 
 ALGEBRA_TOL = 1e-12
 GROUP_TOL = 1e-10
@@ -102,43 +101,55 @@ def adjoint(g, x):
 
 
 def exp_alg(x):
-    """Exponential of an anti-Hermitian matrix via the spectral decomposition."""
+    """Exponential of an anti-Hermitian matrix via the spectral decomposition;
+    a stack gives the stack of exponentials."""
     w, u = np.linalg.eigh(1j * np.asarray(x))
     # eigenvalues of x are -i w
-    return (u * np.exp(-1j * w)) @ u.conj().T
+    return (u * np.exp(-1j * w)[..., None, :]) @ u.conj().mT
 
 
 def log_group(g):
-    """Traceless anti-Hermitian logarithm of a special unitary matrix.
+    """Traceless anti-Hermitian logarithm of a special unitary matrix, or of
+    each matrix of a stack.
+
+    The eigenframe comes from a Hermitian eigenproblem. g is turned by a
+    phase that puts the widest gap between its eigenphases at -1, so I + g
+    is invertible, and eigh of the Cayley transform i(I - g)(I + g)^-1
+    (eigenvalues tan(theta/2)) gives an eigenframe Z of g; the phases are
+    read off the Rayleigh quotients z^H g z of the unturned g. A matrix
+    whose Z^H g Z is not diagonal to 1e-8 raises ValueError.
 
     Eigenphases are taken in (-pi, pi]; when their sum winds (2 pi m with
     m != 0, possible because each phase is reduced independently) the m
     largest phases are shifted down by 2 pi (or the |m| smallest up), which
     restores exact tracelessness without changing exp of the result.
-    Raises BranchCutError when an eigenphase sits at the cut.
+    Raises BranchCutError when an eigenphase of any matrix sits at the cut.
     """
     g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    t, z = schur(g, output="complex")
-    d = np.diag(t)
-    offdiag = np.linalg.norm(t - np.diag(d))
-    if offdiag > 1e-8:
+    n = g.shape[-1]
+    eye = np.eye(n)
+    ang = np.sort(np.angle(np.linalg.eigvals(g)), axis=-1)
+    gaps = np.concatenate([ang[..., 1:], ang[..., :1] + 2 * np.pi], axis=-1) - ang
+    widest = np.arange(n) == np.argmax(gaps, axis=-1)[..., None]
+    mid = np.sum(widest * (ang + 0.5 * gaps), axis=-1)
+    turned = g * -np.exp(-1j * mid)[..., None, None]
+    cayley = 1j * np.linalg.solve(eye + turned, eye - turned)
+    z = np.linalg.eigh(cayley + cayley.conj().mT)[1]
+    t = z.conj().mT @ g @ z
+    d = np.diagonal(t, axis1=-2, axis2=-1)
+    if np.max(np.linalg.norm(t - d[..., None] * eye, axis=(-2, -1))) > 1e-8:
         raise ValueError("matrix is not normal enough for a unitary logarithm")
     phases = np.angle(d)  # in (-pi, pi]
     if np.min(np.pi - np.abs(phases)) < BRANCH_TOL:
         raise BranchCutError("eigenvalue phase at the principal branch cut")
-    m = int(round(phases.sum() / (2 * np.pi)))
-    if m > 0:
-        idx = np.argsort(phases)[::-1][:m]
-        phases = phases.copy()
-        phases[idx] -= 2 * np.pi
-    elif m < 0:
-        idx = np.argsort(phases)[: -m]
-        phases = phases.copy()
-        phases[idx] += 2 * np.pi
-    lam = (z * (1j * phases)) @ z.conj().T
-    lam = 0.5 * (lam - lam.conj().T)
-    lam -= (np.trace(lam) / n) * np.eye(n)
+    m = np.rint(phases.sum(axis=-1) / (2 * np.pi))[..., None]
+    if np.any(m):
+        rank = np.argsort(np.argsort(phases, axis=-1), axis=-1)
+        phases = (phases - 2 * np.pi * (rank >= n - m)
+                  + 2 * np.pi * (rank < -m))
+    lam = (z * (1j * phases)[..., None, :]) @ z.conj().mT
+    lam = 0.5 * (lam - lam.conj().mT)
+    lam -= (np.trace(lam, axis1=-2, axis2=-1)[..., None, None] / n) * eye
     return lam
 
 
@@ -156,7 +167,7 @@ def _dexp_factor(z):
 def _ad_eigenframe(lam):
     w, u = np.linalg.eigh(1j * np.asarray(lam))
     mu = -1j * w  # eigenvalues of lam
-    z = mu[:, None] - mu[None, :]  # ad_lam eigenvalues in this frame
+    z = mu[..., :, None] - mu[..., None, :]  # ad_lam eigenvalues in this frame
     return u, z
 
 
@@ -164,21 +175,24 @@ def dexp_left(lam, w):
     """Left-trivialized differential of exp at lam applied to w.
 
     exp(lam)^{-1} d/ds exp(lam + s w)|_0 equals T(ad_lam) w with
-    T(z) = (1 - exp(-z))/z, computed entrywise in the ad-eigenframe.
+    T(z) = (1 - exp(-z))/z, computed entrywise in the ad-eigenframe. Stacks
+    of lam and w broadcast.
     """
     u, z = _ad_eigenframe(lam)
-    wt = u.conj().T @ w @ u
-    return u @ (wt * _dexp_factor(z)) @ u.conj().T
+    wt = u.conj().mT @ w @ u
+    return u @ (wt * _dexp_factor(z)) @ u.conj().mT
 
 
 def dlog_left(lam, w):
-    """Inverse of dexp_left at lam (solves dexp_left(lam, x) = w)."""
+    """Inverse of dexp_left at lam (solves dexp_left(lam, x) = w); stacks
+    broadcast, and BranchCutError is raised if any lam of a stack is
+    singular."""
     u, z = _ad_eigenframe(lam)
     f = _dexp_factor(z)
     if np.min(np.abs(f)) < 1e-8:
         raise BranchCutError("dexp is singular here (ad eigenvalue near 2 pi i k)")
-    wt = u.conj().T @ w @ u
-    return u @ (wt / f) @ u.conj().T
+    wt = u.conj().mT @ w @ u
+    return u @ (wt / f) @ u.conj().mT
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,12 @@ def homotopy_h(field, max_nodes=256):
     (h f)(phi) at Lam on (w_1..w_{p-1}) integrates t^(p-1) f(phi) at t Lam
     on (Lam, w_1..w_{p-1}); node counts double from 8 until two passes
     agree to RADIAL_RTOL, so max_nodes below 16 never settles.
+
+    A point batch settles entry by entry: each entry keeps the pass at
+    which its own two passes agree, and later passes run on the entries
+    still open only, so every entry gets the nodes and the value of a call
+    at its point alone. QuadratureError is raised if any entry is still
+    open at max_nodes.
     """
     if len(field.shape) != 1 or not isinstance(field.shape[0], forms.VectorFactor):
         raise ValueError("the homotopy acts on forms over a single vector factor")
@@ -463,24 +469,36 @@ def homotopy_h(field, max_nodes=256):
         def make(p, fn):
             def out(phi, pt, *ws):
                 lam = np.asarray(pt[0], dtype=float)
-                radial = forms.Tangent((lam,))
+                batch = np.broadcast_shapes(
+                    lam.shape[:-1], *(w[0].shape[:-1] for w in ws))
+                rows = [np.broadcast_to(x, batch + x.shape[-1:]).reshape(
+                    -1, x.shape[-1]) for x in (lam, *(w[0] for w in ws))]
 
-                def quad(n):
+                def quad(n, idx):
+                    # a plain call stays plain down to the integrand
+                    x, *rest = (r[idx] if batch else r[0] for r in rows)
+                    radial = forms.Tangent((x,))
+                    rest = [forms.Tangent((r,)) for r in rest]
                     ts, wts = _gauss_legendre_01(n)
                     total = 0j
                     for t, wt in zip(ts, wts):
                         total += wt * t ** (p - 1) * fn(
-                            phi, forms.Point((t * lam,)), radial, *ws
+                            phi, forms.Point((t * x,)), radial, *rest
                         )
-                    return total
+                    return np.broadcast_to(total, idx.shape)
 
-                prev = quad(8)
+                value = np.empty(len(rows[0]), dtype=complex)
+                idx = np.arange(len(value))
+                prev = quad(8, idx)
                 n = 16
                 while n <= max_nodes:
-                    cur = quad(n)
-                    if abs(cur - prev) <= RADIAL_RTOL * max(1.0, abs(cur)):
-                        return cur
-                    prev, n = cur, 2 * n
+                    cur = quad(n, idx)
+                    done = (np.abs(cur - prev)
+                            <= RADIAL_RTOL * np.maximum(1.0, np.abs(cur)))
+                    value[idx[done]] = cur[done]
+                    idx, prev, n = idx[~done], cur[~done], 2 * n
+                    if not idx.size:
+                        return value.reshape(batch)
                 raise QuadratureError("radial quadrature did not settle")
 
             return out
@@ -553,9 +571,9 @@ def _sigma_degree_two(config, Q):
 
     def comp2(phi, pt, u, v):
         frame, z = lc._ad_eigenframe(lc.from_coords(pt[0], N))
-        a = frame.conj().T @ lc.from_coords(u[0], N) @ frame
-        b = frame.conj().T @ lc.from_coords(v[0], N) @ frame
-        return c * np.sum(z * a * b.T * _radial_kernel(z.imag))
+        a = frame.conj().mT @ lc.from_coords(u[0], N) @ frame
+        b = frame.conj().mT @ lc.from_coords(v[0], N) @ frame
+        return c * np.sum(z * a * b.mT * _radial_kernel(z.imag), axis=(-2, -1))
 
     return forms.EquivariantFormField(
         (forms.VectorFactor(config.algebra_dim),), ("adjoint",),
@@ -670,28 +688,20 @@ def sigma_coefficient_sweep(config, Q, radii, seed=0, max_nodes=256):
     tangents = [forms.Tangent((np.eye(d)[a],)) for a in range(d)]
     phis = [lc.from_coords(np.eye(d)[a], config.N) for a in range(d)]
     radii = np.asarray(list(radii), dtype=float)
-    sups = {p: [] for p in sig.arities}
-    for rho in radii:
-        worst = {p: 0.0 for p in sig.arities}
-        for u in dirs:
-            pt = forms.Point((rho * u,))
-            for p in sig.arities:
-                if p == 0:
-                    vals = [abs(sig(phi, pt)) for phi in phis]
-                else:
-                    vals = [
-                        abs(sig(phis[0], pt, *tangents[:p])),
-                        abs(sig(phis[1], pt, *tangents[1:p + 1])),
-                    ]
-                # np.max, unlike max, keeps a NaN wherever it falls
-                worst[p] = np.max([worst[p], *vals])
-        for p in sig.arities:
-            sups[p].append(worst[p])
+    # every radius along both directions as one (radius, direction) batch
+    pts = forms.Point((radii[:, None, None] * np.stack(dirs),))
     half = len(radii) // 2
-    slopes = {}
-    for p, row in sups.items():
-        row = np.asarray(row)
-        sups[p] = row
+    sups, slopes = {}, {}
+    for p in sig.arities:
+        if p == 0:
+            vals = [sig(phi, pts) for phi in phis]
+        else:
+            vals = [sig(phis[0], pts, *tangents[:p]),
+                    sig(phis[1], pts, *tangents[1:p + 1])]
+        # a value without the batch stands for every entry; np.max, unlike
+        # max, keeps a NaN wherever it falls
+        vals = [np.broadcast_to(np.abs(v), pts[0].shape[:-1]) for v in vals]
+        sups[p] = row = np.max(vals, axis=(0, 2))
         slopes[p] = float(np.polyfit(
             np.log(radii[half:]), np.log(np.maximum(row[half:], 1e-300)), 1
         )[0])

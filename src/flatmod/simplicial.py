@@ -104,8 +104,10 @@ def simplicial_delta_equivariant(field):
 # connection, curvature, moment on Delta^n x K^(n+1)
 
 def connection_theta(t, xis):
-    """theta(t) on a tangent with group parts xis: sum_i t_i xi_i."""
-    return np.einsum("i,iuv->uv", np.asarray(t, dtype=float), np.stack(xis))
+    """theta(t) on a tangent with group parts xis: sum_i t_i xi_i; t and
+    the xis may carry a batch."""
+    xis = np.stack(np.broadcast_arrays(*xis), axis=-3)
+    return np.einsum("...i,...iuv->...uv", np.asarray(t, dtype=float), xis)
 
 
 def curvature_value(t, X, Y):

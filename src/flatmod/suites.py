@@ -454,15 +454,17 @@ def _suite_rank(config):
 # extended suite: chart-level closure, restriction, cross paths, homotopy
 
 def _polynomial_field(shape, a1, b1, c1, a2, M, x0):
-    """A 1- plus 2-form on a vector factor, polynomial in Lambda and phi."""
+    """A 1- plus 2-form on a vector factor, polynomial in Lambda and phi;
+    the point and the tangents may carry a batch."""
     def comp1(phi, pt, w):
         lam = pt[0]
         scale = 1.0 + lc.inner(phi, x0)
-        return scale * (1.0 + a1 @ lam + (b1 @ lam) ** 2) * (c1 @ w[0])
+        return scale * (1.0 + lam @ a1 + (lam @ b1) ** 2) * (w[0] @ c1)
 
     def comp2(phi, pt, u, v):
         lam = pt[0]
-        return (1.0 + a2 @ lam) * (u[0] @ M @ v[0] - v[0] @ M @ u[0])
+        skew = M - M.T
+        return (1.0 + lam @ a2) * np.sum((u[0] @ skew) * v[0], axis=-1)
 
     return forms.EquivariantFormField(shape, ("adjoint",), {1: comp1, 2: comp2})
 

@@ -1,6 +1,10 @@
 """End-to-end checks of the flatmod command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,3 +358,15 @@ def test_eval_sample_zero_gives_no_evaluations(capsys):
         evaluations = json.loads(out)["evaluations"]
         assert evaluations
         assert {e["point_index"] for e in evaluations} == {0}
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # scipy is a test-only dependency: the package runs on numpy alone
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; import flatmod.cli; "
+            "print(any(m == 'scipy' or m.startswith('scipy.') "
+            "for m in sys.modules))")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip() == "False"

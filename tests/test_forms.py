@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from flatmod import forms, liecore as lc
+from flatmod import moduli as md
+from flatmod import simplicial as sp
+from flatmod import suites as su
 
 SU2 = (forms.GroupFactor(2),)
 
@@ -35,7 +38,7 @@ def test_flow_stays_on_shape():
 def test_exterior_derivative_of_function():
     # f(g) = Re tr(gB); directional derivative along g exp(s xi) is Re tr(g xi B)
     B = lc.random_algebra(2, 7)
-    f = forms.FormField(SU2, 0, lambda pt: np.trace(pt[0] @ B).real)
+    f = forms.FormField(SU2, 0, lambda pt: np.trace(pt[0] @ B, axis1=-2, axis2=-1).real)
     df = forms.exterior_derivative(f)
     g = lc.random_group(2, 8)
     xi = lc.random_algebra(2, 9)
@@ -62,7 +65,7 @@ def test_d_squared_vanishes():
     B = lc.random_algebra(2, 21)
     beta = forms.FormField(
         SU2, 1,
-        lambda pt, v: np.trace(pt[0] @ A).real * lc.inner(B, v[0]),
+        lambda pt, v: np.trace(pt[0] @ A, axis1=-2, axis2=-1).real * lc.inner(B, v[0]),
     )
     dd = forms.exterior_derivative(
         forms.exterior_derivative(beta, step=1e-4), step=1e-4
@@ -117,7 +120,7 @@ def multiplication_map(n):
     def at(pt):
         h = pt[1]
         return forms.Point((pt[0] @ h,)), lambda v: forms.Tangent(
-            (lc.adjoint(h.conj().T, v[0]) + v[1],))
+            (lc.adjoint(h.conj().mT, v[0]) + v[1],))
 
     return forms.CallableMap(dom, cod, at)
 
@@ -127,7 +130,7 @@ def test_pullback_commutes_with_d():
     A = lc.random_algebra(2, 60)
     alpha = forms.FormField(
         SU2, 1,
-        lambda pt, v: np.trace(pt[0] @ A).real * lc.inner(A, v[0]),
+        lambda pt, v: np.trace(pt[0] @ A, axis1=-2, axis2=-1).real * lc.inner(A, v[0]),
     )
     lhs = forms.exterior_derivative(forms.pullback(m, alpha), step=1e-4)
     rhs = forms.pullback(m, forms.exterior_derivative(alpha, step=1e-4))
@@ -162,7 +165,7 @@ def test_generating_field_matches_action_flow():
     # Derivative of f along the conjugation action flow equals df(gen).
     phi = lc.random_algebra(2, 100)
     B = lc.random_algebra(2, 101)
-    f = forms.FormField(SU2, 0, lambda pt: np.trace(pt[0] @ B).real)
+    f = forms.FormField(SU2, 0, lambda pt: np.trace(pt[0] @ B, axis1=-2, axis2=-1).real)
     df = forms.exterior_derivative(f)
     h = lc.random_group(2, 102)
     pt = forms.Point((h,))
@@ -229,7 +232,7 @@ def test_cartan_differential_contraction_path():
 
 def test_simplex_margin_guard():
     shape = (forms.SimplexFactor(1),)
-    f = forms.FormField(shape, 0, lambda pt: pt[0][0] ** 2)
+    f = forms.FormField(shape, 0, lambda pt: pt[0][..., 0] ** 2)
     df = forms.exterior_derivative(f, step=1e-5)
     good = forms.Point((np.array([0.5, 0.5]),))
     tau = forms.Tangent((np.array([1.0, -1.0]),))
@@ -302,3 +305,149 @@ def test_diagnostics_on_wedge():
     vs = [forms.random_tangent(SU2, 153 + i) for i in range(2)]
     assert forms.alternation_residual(w, pt, vs) < 1e-12
     assert forms.linearity_residual(w, pt, vs, seed=5) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the stencil as one point batch
+
+
+def _d_term_by_term(f, step):
+    """The FD d with one call of f per stencil point and per bracket term,
+    summed in the order exterior_derivative sums them."""
+    p = f.arity
+
+    def fn(pt, *vs):
+        total = 0j
+        for i in range(p + 1):
+            rest = vs[:i] + vs[i + 1:]
+            plus = f(forms.flow(f.shape, pt, vs[i], step), *rest)
+            minus = f(forms.flow(f.shape, pt, vs[i], -step), *rest)
+            total += (-1) ** i * (plus - minus) / (2 * step)
+        for i in range(p + 1):
+            for j in range(i + 1, p + 1):
+                br = forms.frame_bracket(f.shape, vs[i], vs[j])
+                rest = tuple(vs[k] for k in range(p + 1) if k not in (i, j))
+                total += (-1) ** (i + j) * f(pt, br, *rest)
+        return total
+
+    return fn
+
+
+def _dk_term_by_term(ef, step):
+    def fn(phi, pt, *vs):
+        q = len(vs)
+        val = 0j
+        if q - 1 in ef.components:
+            val += _d_term_by_term(forms.at_phi(ef, phi, q - 1), step)(pt, *vs)
+        if q + 1 in ef.components:
+            gen = forms.generating_field(ef.shape, ef.actions, phi, pt)
+            val -= ef(phi, pt, gen, *vs)
+        return val
+
+    return fn
+
+
+def _assert_close(got, want, rtol):
+    assert abs(got - want) <= rtol * max(1.0, abs(want))
+
+
+def test_d_calls_its_operand_once_per_evaluation():
+    Q = lc.chern_polynomial(2, 2)
+    calls = []
+
+    def spied(f):
+        def fn(pt, *vs):
+            calls.append(len(vs))
+            return f(pt, *vs)
+        return forms.FormField(f.shape, f.arity, fn)
+
+    B = lc.random_algebra(2, 200)
+    fields = [
+        sp.bott_shulman(1, Q), sp.bott_shulman(2, Q),
+        forms.FormField(SU2, 0, lambda pt: np.trace(
+            pt[0] @ B, axis1=-2, axis2=-1).real),
+    ]
+    for k, f in enumerate(fields):
+        d = forms.exterior_derivative(spied(f))
+        pt = forms.random_point(f.shape, 201 + k)
+        vs = [forms.random_tangent(f.shape, 210 + 5 * k + i)
+              for i in range(f.arity + 1)]
+        calls.clear()
+        d(pt, *vs)
+        assert calls == [f.arity]
+
+
+def test_d_matches_the_term_by_term_stencil_on_fiber_integrals():
+    Q = lc.chern_polynomial(2, 2)
+    f = sp.bott_shulman(2, Q)
+    d = forms.exterior_derivative(f)
+    oracle = _d_term_by_term(f, forms.DEFAULT_FD_STEP)
+    rng = lc.as_rng(220)
+    for _ in range(3):
+        pt = forms.random_point(f.shape, rng)
+        vs = [forms.random_tangent(f.shape, rng) for _ in range(3)]
+        _assert_close(d(pt, *vs), oracle(pt, *vs), 1e-10)
+    # a stack of first tangents goes through the same single call
+    firsts = [forms.random_tangent(f.shape, rng) for _ in range(3)]
+    stacked = forms.Tangent(tuple(np.stack(x) for x in zip(
+        *(v.parts for v in firsts))))
+    got = d(pt, stacked, *vs[1:])
+    for k, v in enumerate(firsts):
+        _assert_close(got[k], oracle(pt, v, *vs[1:]), 1e-10)
+
+
+def test_cartan_differential_matches_the_term_by_term_stencil():
+    Q = lc.chern_polynomial(2, 2)
+    ef = sp.bott_shulman_equivariant(1, Q)
+    dk = forms.cartan_differential(ef)
+    oracle = _dk_term_by_term(ef, forms.DEFAULT_FD_STEP)
+    rng = lc.as_rng(230)
+    for q in dk.arities:
+        phi = lc.random_algebra(2, rng)
+        pt = forms.random_point(ef.shape, rng)
+        vs = [forms.random_tangent(ef.shape, rng) for _ in range(q)]
+        _assert_close(dk(phi, pt, *vs), oracle(phi, pt, *vs), 1e-10)
+
+
+def test_chart_pulled_forms_take_the_stencil_batch():
+    # the extended 'f' generator is d_K-closed; its chart term alone is not
+    cfg = md.ModuliConfig()
+    ext = md.extended_generator(cfg, "f", 2)
+    chart_term = forms.pullback_equivariant(
+        md.chart_map(cfg), md.sigma_Q(cfg, lc.inner_polynomial(2)),
+        ("conjugation",) * cfg.num_generators)
+    step = 0.1 * forms.DEFAULT_FD_STEP
+    rng = lc.as_rng(240)
+    pts = md.sample_chart_points(cfg, rng, 2)
+    for ef in (ext, chart_term):
+        dk = forms.cartan_differential(ef, step=step)
+        oracle = _dk_term_by_term(ef, step)
+        for q, pt in zip((1, 3), pts):
+            phi = lc.random_algebra(2, rng)
+            vs = [forms.random_tangent(cfg.shape, rng) for _ in range(q)]
+            _assert_close(dk(phi, pt, *vs), oracle(phi, pt, *vs), 1e-9)
+
+
+def test_homotopy_and_constant_forms_take_the_stencil_batch():
+    cfg = md.ModuliConfig()
+    d = cfg.algebra_dim
+    shape = (forms.VectorFactor(d),)
+    rng = lc.as_rng(250)
+    field = su._polynomial_field(
+        shape, *(rng.standard_normal(d) for _ in range(4)),
+        rng.standard_normal((d, d)), lc.random_algebra(2, rng))
+    h = md.homotopy_h(field)
+    const = md.generator_form(cfg, "a", 2)
+    for ef, shape in ((h, shape), (const, cfg.shape)):
+        dk = forms.cartan_differential(ef)
+        oracle = _dk_term_by_term(ef, forms.DEFAULT_FD_STEP)
+        for q in dk.arities:
+            phi = lc.random_algebra(2, rng)
+            pt = forms.random_point(shape, rng)
+            vs = [forms.random_tangent(shape, rng) for _ in range(q)]
+            _assert_close(dk(phi, pt, *vs), oracle(phi, pt, *vs), 1e-10)
+    # an arity-0 form that returns one number for every point
+    one = forms.FormField(SU2, 0, lambda pt: 2.5)
+    d_one = forms.exterior_derivative(one)
+    pt, v = forms.random_point(SU2, 251), forms.random_tangent(SU2, 252)
+    assert d_one(pt, v) == 0

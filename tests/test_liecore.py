@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, logm
 
 from flatmod import liecore as lc
 
@@ -143,6 +143,63 @@ def test_log_winding_correction_is_traceless():
     lam = lc.log_group(g)
     assert abs(np.trace(lam)) <= 1e-12
     np.testing.assert_allclose(lc.exp_alg(lam), g, atol=1e-12)
+
+
+def test_log_against_logm_oracle():
+    # independent oracle: scipy's logm on Haar samples; where the principal
+    # phases wind, the log rebalances them, so it equals logm minus the
+    # winding and keeps exp(log g) = g either way
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 4):
+        for _ in range(40):
+            g = lc.random_group(n, rng)
+            lam = lc.log_group(g)
+            want = logm(g)
+            if abs(np.trace(want)) < 1e-9:
+                np.testing.assert_allclose(lam, want, atol=1e-12)
+            assert abs(np.trace(lam)) <= 1e-12
+            np.testing.assert_allclose(lc.exp_alg(lam), g, atol=1e-12)
+
+
+def test_log_near_identity_cluster():
+    rng = np.random.default_rng(42)
+    for n in (2, 3, 4):
+        for scale in (1e-14, 1e-10, 1e-6):
+            x = lc.random_algebra(n, rng, scale=scale)
+            np.testing.assert_allclose(
+                lc.log_group(lc.exp_alg(x)), x, atol=1e-15)
+
+
+def test_matrix_functions_on_stacks_match_per_item_calls():
+    rng = np.random.default_rng(43)
+    for n in (2, 3):
+        gs = np.stack([lc.random_group(n, rng) for _ in range(6)])
+        lams = np.stack([lc.random_algebra(n, rng) for _ in range(6)])
+        ws = np.stack([lc.random_algebra(n, rng) for _ in range(6)])
+        logs = lc.log_group(gs.reshape(2, 3, n, n)).reshape(6, n, n)
+        exps = lc.exp_alg(lams)
+        dexps = lc.dexp_left(lams, ws)
+        dlogs = lc.dlog_left(lams, ws)
+        for k in range(6):
+            np.testing.assert_allclose(logs[k], lc.log_group(gs[k]), atol=1e-14)
+            np.testing.assert_allclose(exps[k], lc.exp_alg(lams[k]), atol=1e-14)
+            np.testing.assert_allclose(
+                dexps[k], lc.dexp_left(lams[k], ws[k]), atol=1e-14)
+            np.testing.assert_allclose(
+                dlogs[k], lc.dlog_left(lams[k], ws[k]), atol=1e-14)
+        # one lam against a stack of directions
+        np.testing.assert_allclose(
+            lc.dlog_left(lams[0], ws)[3], lc.dlog_left(lams[0], ws[3]),
+            atol=1e-14)
+
+
+def test_log_of_a_stack_raises_if_one_matrix_sits_at_the_cut():
+    rng = np.random.default_rng(44)
+    gs = np.stack([lc.random_group(2, rng) for _ in range(4)])
+    lc.log_group(gs)
+    gs[2] = -np.eye(2)
+    with pytest.raises(lc.BranchCutError):
+        lc.log_group(gs)
 
 
 def test_exp_ad_equivariance():

@@ -163,6 +163,68 @@ def test_homotopy_drops_arity_zero_and_node_cap():
         )
 
 
+def _counted_radial_field(d, seen):
+    """A 1-form whose radial integrand oscillates faster at larger |Lam|;
+    each call records the radial tangent rows it was given."""
+    def comp1(phi, pt, w):
+        seen.append(np.atleast_2d(w[0]).copy())
+        return np.cos(3.0 * np.sum(pt[0] * w[0], axis=-1))
+
+    return fo.EquivariantFormField(
+        (fo.VectorFactor(d),), ("adjoint",), {1: comp1})
+
+
+def test_homotopy_batch_settles_entry_by_entry():
+    # entries at larger radius need more doubling passes; each entry of a
+    # batch gets the nodes and the value of a call at its point alone
+    d = CFG.algebra_dim
+    u = np.array([0.6, -0.48, 0.64])
+    lams = np.array([0.3, 1.0, 2.0, 3.5])[:, None] * u
+    phi = lc.random_algebra(2, 5)
+    seen = []
+    h = md.homotopy_h(_counted_radial_field(d, seen))
+    want, nodes = [], []
+    for lam in lams:
+        seen.clear()
+        want.append(h(phi, fo.Point((lam,))))
+        nodes.append(len(seen))
+    assert len(set(nodes)) > 1
+    seen.clear()
+    got = h(phi, fo.Point((lams,)))
+    for k, lam in enumerate(lams):
+        assert sum(bool((rows == lam).all(axis=1).any()) for rows in seen) \
+            == nodes[k]
+        assert abs(got[k] - want[k]) <= 1e-15 * max(1.0, abs(want[k]))
+    # one entry that does not settle fails the whole batch
+    capped = md.homotopy_h(_counted_radial_field(d, []), max_nodes=16)
+    capped(phi, fo.Point((lams[0],)))
+    with pytest.raises(md.QuadratureError):
+        capped(phi, fo.Point((lams,)))
+
+
+def test_chart_maps_on_point_stacks_match_per_point_calls():
+    rng = lc.as_rng(47)
+    pts = md.sample_chart_points(CFG, rng, 3)
+    vs = [fo.random_tangent(CFG.shape, rng) for _ in range(3)]
+    d = CFG.algebra_dim
+    lams = [rng.standard_normal(d) for _ in range(3)]
+    ws = [rng.standard_normal(d) for _ in range(3)]
+    cases = [
+        (md.chart_map(CFG), pts, vs),
+        (md.exp_beta_map(CFG), [fo.Point((x,)) for x in lams],
+         [fo.Tangent((w,)) for w in ws]),
+    ]
+    for m, points, tangents in cases:
+        image, push = m.at(fo.Point(tuple(
+            np.stack(x) for x in zip(*(p.parts for p in points)))))
+        pushed = push(fo.Tangent(tuple(
+            np.stack(x) for x in zip(*(v.parts for v in tangents)))))
+        for k, (p, v) in enumerate(zip(points, tangents)):
+            im_k, push_k = m.at(p)
+            np.testing.assert_allclose(image[0][k], im_k[0], atol=1e-14)
+            np.testing.assert_allclose(pushed[0][k], push_k(v)[0], atol=1e-13)
+
+
 def test_radial_homotopy_inverts_cartan_differential():
     d = CFG.algebra_dim
     shape = (fo.VectorFactor(d),)
@@ -170,17 +232,7 @@ def test_radial_homotopy_inverts_cartan_differential():
     a1, b1, c1, a2 = (rng.standard_normal(d) for _ in range(4))
     M = rng.standard_normal((d, d))
     x0 = lc.random_algebra(2, rng)
-
-    def comp1(phi, pt, w):
-        lam = pt[0]
-        scale = 1.0 + lc.inner(phi, x0)
-        return scale * (1.0 + a1 @ lam + (b1 @ lam) ** 2) * (c1 @ w[0])
-
-    def comp2(phi, pt, u, v):
-        lam = pt[0]
-        return (1.0 + a2 @ lam) * (u[0] @ M @ v[0] - v[0] @ M @ u[0])
-
-    f = fo.EquivariantFormField(shape, ("adjoint",), {1: comp1, 2: comp2})
+    f = su._polynomial_field(shape, a1, b1, c1, a2, M, x0)
     lhs_a = md.homotopy_h(fo.cartan_differential(f, step=1e-4))
     lhs_b = fo.cartan_differential(md.homotopy_h(f), step=1e-4)
     phi = lc.random_algebra(2, rng)
