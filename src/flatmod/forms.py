@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -117,10 +116,6 @@ def point(shape, *parts):
     return Point(tuple(fixed))
 
 
-def add_tangents(u, v, a=1.0, b=1.0):
-    return Tangent(tuple(a * x + b * y for x, y in zip(u.parts, v.parts)))
-
-
 def random_point(shape, seed):
     """Haar group factors, Gaussian vectors and Dirichlet(2) simplex points
     at least 0.05 from every face."""
@@ -197,7 +192,7 @@ class EquivariantFormField:
 
     components maps arity p to a function (phi, point, tangents...) -> complex.
     Missing arities evaluate to zero. actions lists the group action per
-    factor: 'conjugation' | 'left' | 'adjoint' | 'trivial'.
+    factor: 'conjugation' | 'left' | 'adjoint'.
     """
 
     def __init__(self, shape, actions, components, phi_degree=None, name=""):
@@ -265,43 +260,6 @@ def at_phi(ef, phi, arity, name=""):
 
 
 # ---------------------------------------------------------------------------
-# wedge product
-
-@lru_cache(maxsize=None)
-def _shuffles(p, q):
-    """(p,q)-shuffles of range(p+q) with their permutation signs."""
-    idx = tuple(range(p + q))
-    out = []
-    for left in combinations(idx, p):
-        right = tuple(i for i in idx if i not in left)
-        perm = left + right
-        sign = 1
-        for a in range(len(perm)):
-            for b in range(a + 1, len(perm)):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        out.append((left, right, sign))
-    return tuple(out)
-
-
-def wedge(f, g):
-    if f.shape != g.shape:
-        raise ValueError("wedge requires forms on the same shape")
-    p, q = f.arity, g.arity
-    table = _shuffles(p, q)
-
-    def fn(pt, *vs):
-        total = 0j
-        for left, right, sign in table:
-            total += sign * f(pt, *(vs[i] for i in left)) * g(
-                pt, *(vs[i] for i in right)
-            )
-        return total
-
-    return FormField(f.shape, p + q, fn, name=f"({f.name}^{g.name})")
-
-
-# ---------------------------------------------------------------------------
 # maps between shapes
 
 class CallableMap:
@@ -324,9 +282,10 @@ class CallableMap:
         return self.at(pt)[1](v)
 
 
-def _push_all(push, vs):
-    """Push the tangents of one evaluation: tangents whose parts share their
-    shapes go through push as one stack on a new leading axis."""
+def _push_all(shape, pt, push, vs):
+    """Push the tangents of one evaluation at pt: tangents whose parts share
+    their shapes go through push as one stack on a new leading axis, padded
+    below it to the batch rank of pt and the tangents."""
     groups = {}
     for i, v in enumerate(vs):
         groups.setdefault(tuple(x.shape for x in v.parts), []).append(i)
@@ -335,8 +294,11 @@ def _push_all(push, vs):
         if len(idx) == 1:
             out[idx[0]] = push(vs[idx[0]])
             continue
+        # the grouped tangents share their shapes, so one stands for all
+        rank = _batch_rank(shape, (pt.parts, vs[idx[0]].parts))
         stacked = push(Tangent(tuple(
-            np.stack(parts) for parts in zip(*(vs[i].parts for i in idx)))))
+            _pad(np.stack(parts), fac, rank)
+            for fac, parts in zip(shape, zip(*(vs[i].parts for i in idx))))))
         for k, i in enumerate(idx):
             out[i] = Tangent(tuple(x[k] for x in stacked.parts))
     return out
@@ -348,7 +310,7 @@ def pullback(m, f):
 
     def fn(pt, *vs):
         image, push = m.at(pt)
-        return f(image, *_push_all(push, vs))
+        return f(image, *_push_all(m.domain, pt, push, vs))
 
     return FormField(m.domain, f.arity, fn, name=f"{f.name}*")
 
@@ -366,7 +328,7 @@ def pullback_equivariant(m, ef, actions):
         def make(fn):
             def g(phi, pt, *vs):
                 image, push = m.at(pt)
-                return fn(phi, image, *_push_all(push, vs))
+                return fn(phi, image, *_push_all(m.domain, pt, push, vs))
             return g
         comps[p] = make(fn)
     return EquivariantFormField(
@@ -378,28 +340,37 @@ def _core_ndim(fac):
     return 2 if isinstance(fac, GroupFactor) else 1
 
 
+def _batch_rank(shape, parts_list):
+    """The largest batch rank among the parts of points or tangents."""
+    cores = [_core_ndim(fac) for fac in shape]
+    return max(x.ndim - c for parts in parts_list
+               for c, x in zip(cores, parts))
+
+
+def _pad(x, fac, rank):
+    """A stack x of parts of one factor on a new leading axis, padded with
+    unit axes below that axis to the batch rank rank, so the new axis lines
+    up when the stack broadcasts against points and tangents of that rank."""
+    pad = rank - (x.ndim - 1 - _core_ndim(fac))
+    return x.reshape(x.shape[:1] + (1,) * pad + x.shape[1:]) if pad else x
+
+
+def _stack_parts(shape, group, rank):
+    """The parts of several points or tangents, broadcast against each
+    other and stacked on a new leading axis padded to the batch rank rank."""
+    return tuple(_pad(np.stack(np.broadcast_arrays(*parts)), fac, rank)
+                 for fac, parts in zip(shape, zip(*group)))
+
+
 def _stack_calls(shape, points, frames):
     """Several calls of one form as one: the point parts and the tangent
-    tuples of each call, stacked on a new leading axis.
-
-    Below that axis every part is padded with unit axes to the batch rank
-    of the calls, so the new axis lines up when points and tangents
-    broadcast against each other.
-    """
-    groups = [points] + [[f[j].parts for f in frames]
-                         for j in range(len(frames[0]))]
-    rank = max((x.ndim - _core_ndim(fac) for group in groups
-                for parts in group for fac, x in zip(shape, parts)), default=0)
-
-    def stack(group):
-        out = []
-        for i, fac in enumerate(shape):
-            x = np.stack(np.broadcast_arrays(*(parts[i] for parts in group)))
-            pad = rank - (x.ndim - 1 - _core_ndim(fac))
-            out.append(x.reshape(x.shape[:1] + (1,) * pad + x.shape[1:]))
-        return tuple(out)
-
-    return Point(stack(points)), [Tangent(stack(g)) for g in groups[1:]]
+    tuples of each call, stacked on a new leading axis and padded to the
+    batch rank of the calls."""
+    slots = [[f[j].parts for f in frames] for j in range(len(frames[0]))]
+    rank = _batch_rank(
+        shape, list(points) + [v.parts for f in frames for v in f])
+    return (Point(_stack_parts(shape, points, rank)),
+            [Tangent(_stack_parts(shape, g, rank)) for g in slots])
 
 
 def _term_stack(maps, shape, pt, vs):
@@ -409,7 +380,7 @@ def _term_stack(maps, shape, pt, vs):
     for m in maps:
         image, push = m.at(pt)
         images.append(image.parts)
-        pushed.append(_push_all(push, vs))
+        pushed.append(_push_all(m.domain, pt, push, vs))
     return _stack_calls(shape, images, pushed)
 
 
@@ -458,18 +429,11 @@ def generating_field(shape, actions, phi, pt):
     """Left-trivialized infinitesimal action of phi at pt.
 
     conjugation at h: Ad(h^-1)phi - phi; left multiplication at g: Ad(g^-1)phi;
-    adjoint on a vector factor at Lam: [phi, Lam]; trivial: 0.
+    adjoint on a vector factor at Lam: [phi, Lam].
     """
     parts = []
     for fac, act, p in zip(shape, actions, pt.parts):
-        if act == "trivial":
-            if isinstance(fac, GroupFactor):
-                parts.append(np.zeros((fac.n, fac.n), dtype=complex))
-            elif isinstance(fac, VectorFactor):
-                parts.append(np.zeros(fac.dim))
-            else:
-                parts.append(np.zeros(fac.n + 1))
-        elif act == "conjugation":
+        if act == "conjugation":
             parts.append(p.conj().mT @ phi @ p - phi)
         elif act == "left":
             parts.append(p.conj().mT @ phi @ p)
@@ -489,12 +453,13 @@ def flow(shape, pt, v, s):
     """Move pt along v for time s: g exp(s xi) on groups, straight lines else.
 
     A vector of times gives the moved points on a new leading axis, ahead
-    of the batch dimensions of pt and v.
+    of the batch dimensions that pt and v broadcast to.
     """
     s = np.asarray(s, dtype=float)
+    rank = _batch_rank(shape, (pt.parts, v.parts))
     parts = []
     for fac, p, x in zip(shape, pt.parts, v.parts):
-        sx = s.reshape(s.shape + (1,) * x.ndim) * x
+        sx = s.reshape(s.shape + (1,) * (rank + _core_ndim(fac))) * x
         if isinstance(fac, GroupFactor):
             parts.append(p @ lc.exp_alg(sx))
         else:
@@ -592,33 +557,3 @@ def cartan_differential(ef, step=DEFAULT_FD_STEP):
     return EquivariantFormField(
         ef.shape, ef.actions, comps, phi_degree=deg, name=f"dK({ef.name})"
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostics used by the test suite
-
-def alternation_residual(f, pt, vs):
-    """Max |f(..u,v..) + f(..v,u..)| over adjacent transpositions."""
-    worst = 0.0
-    vs = list(vs)
-    for i in range(len(vs) - 1):
-        swapped = list(vs)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        worst = max(worst, abs(f(pt, *vs) + f(pt, *swapped)))
-    return worst
-
-
-def linearity_residual(f, pt, vs, seed=0):
-    """|f(a u + b w, ...) - a f(u, ...) - b f(w, ...)| on a random slot."""
-    rng = lc.as_rng(seed)
-    i = int(rng.integers(len(vs)))
-    w = random_tangent(f.shape, rng)
-    a, b = rng.standard_normal(2)
-    combo = list(vs)
-    combo[i] = add_tangents(vs[i], w, a, b)
-    lhs = f(pt, *combo)
-    first = list(vs)
-    second = list(vs)
-    second[i] = w
-    rhs = a * f(pt, *first) + b * f(pt, *second)
-    return abs(lhs - rhs)

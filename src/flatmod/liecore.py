@@ -16,7 +16,6 @@ from functools import lru_cache
 
 import numpy as np
 
-ALGEBRA_TOL = 1e-12
 GROUP_TOL = 1e-10
 BRANCH_TOL = 1e-8
 
@@ -34,18 +33,6 @@ def as_rng(seed):
 
 # ---------------------------------------------------------------------------
 # validation helpers (boundary checks; inner loops work on raw ndarrays)
-
-def check_algebra(mat):
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("algebra element must be a square matrix")
-    scale = ALGEBRA_TOL * max(1.0, np.linalg.norm(mat))
-    if np.linalg.norm(mat + mat.conj().T) > scale:
-        raise ValueError("matrix is not anti-Hermitian")
-    if abs(np.trace(mat)) > scale:
-        raise ValueError("matrix is not traceless")
-    return mat
-
 
 def check_group(mat, tol=GROUP_TOL):
     mat = np.asarray(mat, dtype=complex)

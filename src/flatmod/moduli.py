@@ -130,11 +130,6 @@ def relator_residual(config, pt):
     return lc.log_group(config.beta.matrix().conj().T @ val)
 
 
-def is_relator_point(config, pt, tol=1e-8):
-    val = epsilon_R(config).evaluate(pt.parts)[0]
-    return float(np.linalg.norm(val - config.beta.matrix())) <= tol
-
-
 def _chart_jacobian(config, push):
     """Real Jacobian of the chart coordinates from the chart's pushforward
     at a point; columns index the tangent basis, which goes through push as
@@ -617,22 +612,6 @@ def extended_generator(config, kind, r, j=None, Q=None, max_nodes=256):
     )
     return forms.linear_combination(
         [(1, base), (-1, correction)], name=f"f-ext[{Q.name}]")
-
-
-def stokes_sides(config, Q):
-    """Both sides of the closure defect of the slant term.
-
-    Returns (d_K of the slant term, relator pullback of the level-1 form);
-    the two agree because the boundary of the fundamental class is 1 - R.
-    """
-    slant = generator_form(config, "f", Q.degree, Q=Q)
-    lhs = forms.cartan_differential(slant, step=1e-4)
-    phi1 = sp.bott_shulman_equivariant(1, Q)
-    rhs = forms.pullback_equivariant(
-        epsilon_R(config).geometry(config.N), phi1,
-        ("conjugation",) * config.num_generators,
-    )
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

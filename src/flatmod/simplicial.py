@@ -42,15 +42,6 @@ def face_map(n, i):
     return WordMap.from_words(words, n)
 
 
-@lru_cache(maxsize=None)
-def total_face_map(n, i):
-    """Total-space face K^(n+1) -> K^n: delete slot i (slots 0..n)."""
-    if n < 1 or not 0 <= i <= n:
-        raise ValueError("face index out of range")
-    words = [Word.generator(j + 1) for j in range(n + 1) if j != i]
-    return WordMap.from_words(words, n + 1)
-
-
 def compose_word_maps(outer, inner):
     """outer after inner, by substituting inner's words into outer's letters."""
     if outer.arity != len(inner.components):
@@ -80,16 +71,6 @@ def section_map(n):
     return WordMap.from_words(words, n)
 
 
-@lru_cache(maxsize=None)
-def principal_projection(n):
-    """K^(n+1) -> K^n, (g_0..g_n) -> (g_0 g_1^-1, ..., g_{n-1} g_n^-1)."""
-    words = [
-        Word.generator(i) * Word.generator(i + 1).inverse()
-        for i in range(1, n + 1)
-    ]
-    return WordMap.from_words(words, n + 1)
-
-
 def simplicial_delta_equivariant(field):
     """Alternating sum of face pullbacks, offset so level one starts at minus;
     one call of field per evaluation."""
@@ -98,35 +79,6 @@ def simplicial_delta_equivariant(field):
              for i in range(target + 1)]
     return forms.pullback_sum_equivariant(
         terms, field, ("conjugation",) * target, name=f"delta({field.name})")
-
-
-# ---------------------------------------------------------------------------
-# connection, curvature, moment on Delta^n x K^(n+1)
-
-def connection_theta(t, xis):
-    """theta(t) on a tangent with group parts xis: sum_i t_i xi_i; t and
-    the xis may carry a batch."""
-    xis = np.stack(np.broadcast_arrays(*xis), axis=-3)
-    return np.einsum("...i,...iuv->...uv", np.asarray(t, dtype=float), xis)
-
-
-def curvature_value(t, X, Y):
-    """Curvature of the sum connection on tangents X=(tau,xis), Y=(tau',xis')."""
-    tau, xi = np.asarray(X[0], dtype=float), np.stack(X[1])
-    taup, xip = np.asarray(Y[0], dtype=float), np.stack(Y[1])
-    t = np.asarray(t, dtype=float)
-    out = np.einsum("i,iuv->uv", tau, xip) - np.einsum("i,iuv->uv", taup, xi)
-    comm = np.matmul(xi, xip) - np.matmul(xip, xi)
-    out -= np.einsum("i,iuv->uv", t, comm)
-    a = np.einsum("i,iuv->uv", t, xi)
-    b = np.einsum("i,iuv->uv", t, xip)
-    return out + (a @ b - b @ a)
-
-
-def moment_value(t, gs, phi):
-    """Moment of the sum connection: -sum_i t_i Ad(g_i^-1) phi."""
-    stack = np.stack([lc.adjoint(g.conj().T, phi) for g in gs])
-    return -np.einsum("i,iuv->uv", np.asarray(t, dtype=float), stack)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +125,6 @@ def simplex_rule(n, degree):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def simplex_moment(alpha):
-    """Exact monomial integral over the simplex: prod a_i! / (n + |a|)!."""
-    alpha = [int(a) for a in alpha]
-    n = len(alpha) - 1
-    num = math.prod(math.factorial(a) for a in alpha)
-    return num / math.factorial(n + sum(alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -58,9 +58,6 @@ class Word:
     def inverse(self):
         return Word(tuple(-l for l in reversed(self.letters)))
 
-    def is_identity(self):
-        return not self.letters
-
     def max_generator(self):
         return max((abs(l) for l in self.letters), default=0)
 
@@ -76,31 +73,6 @@ class Word:
 
     def __repr__(self):
         return f"Word({self})"
-
-
-def parse_word(text, num_generators=None):
-    """Parse 'x1 x2^-1 x1' into a Word; '1' or '' is the identity."""
-    text = text.strip()
-    letters = []
-    if text and text != "1":
-        for tok in text.split():
-            body = tok
-            sign = 1
-            if "^" in tok:
-                body, exp = tok.split("^", 1)
-                if exp != "-1":
-                    raise ValueError(f"unsupported exponent in {tok!r}")
-                sign = -1
-            if not body.startswith("x"):
-                raise ValueError(f"bad token {tok!r}")
-            j = int(body[1:])
-            if j < 1:
-                raise ValueError(f"bad generator index in {tok!r}")
-            letters.append(sign * j)
-    w = Word.from_letters(letters)
-    if num_generators is not None and w.max_generator() > num_generators:
-        raise ValueError("word uses a generator beyond the declared alphabet")
-    return w
 
 
 def commutator(a, b):
@@ -165,9 +137,6 @@ class Chain1:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:
@@ -314,10 +283,6 @@ class WordMap:
                 raise ValueError("word uses more variables than the map arity")
             comps.append((None, w))
         return WordMap(arity, tuple(comps))
-
-    @staticmethod
-    def projection(arity, indices):
-        return WordMap.from_words([Word.generator(i) for i in indices], arity)
 
     def evaluate(self, mats):
         if len(mats) != self.arity:

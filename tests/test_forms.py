@@ -1,4 +1,4 @@
-"""Form engine: flows, d, wedge, pullback, Cartan model."""
+"""Form engine: flows, d, pullback, Cartan model."""
 
 import numpy as np
 import pytest
@@ -75,40 +75,27 @@ def test_d_squared_vanishes():
     assert abs(dd(pt, *vs)) < 1e-6
 
 
-def test_wedge_of_one_forms():
-    A = lc.random_algebra(2, 30)
-    B = lc.random_algebra(2, 31)
-    a, b = mc_form(A), mc_form(B)
-    w = forms.wedge(a, b)
-    pt = forms.random_point(SU2, 32)
-    u = forms.random_tangent(SU2, 33)
-    v = forms.random_tangent(SU2, 34)
-    expect = a(pt, u) * b(pt, v) - a(pt, v) * b(pt, u)
-    assert abs(w(pt, u, v) - expect) < 1e-12
-    assert abs(w(pt, u, v) + w(pt, v, u)) < 1e-12
-
-
-def test_wedge_associative_at_point():
-    mats = [lc.random_algebra(2, 40 + i) for i in range(3)]
-    a, b, c = (mc_form(m) for m in mats)
-    left = forms.wedge(forms.wedge(a, b), c)
-    right = forms.wedge(a, forms.wedge(b, c))
-    pt = forms.random_point(SU2, 44)
-    vs = [forms.random_tangent(SU2, 45 + i) for i in range(3)]
-    assert abs(left(pt, *vs) - right(pt, *vs)) < 1e-12
-
-
 def test_leibniz_rule():
+    # d(a ^ b) = da ^ b - a ^ db, with a ^ db = db ^ a for a 1-form a
     A = lc.random_algebra(2, 50)
     B = lc.random_algebra(2, 51)
     a, b = mc_form(A), mc_form(B)
-    lhs = forms.exterior_derivative(forms.wedge(a, b), step=1e-4)
-    rhs_da = forms.wedge(forms.exterior_derivative(a, step=1e-4), b)
-    rhs_db = forms.wedge(a, forms.exterior_derivative(b, step=1e-4))
+    da = forms.exterior_derivative(a, step=1e-4)
+    db = forms.exterior_derivative(b, step=1e-4)
+
+    def wedge_11(f, g):
+        return forms.FormField(
+            SU2, 2, lambda pt, u, v: f(pt, u) * g(pt, v) - f(pt, v) * g(pt, u))
+
+    def wedge_21(c, g, pt, u, v, w):
+        return c(pt, u, v) * g(pt, w) - c(pt, u, w) * g(pt, v) + c(
+            pt, v, w) * g(pt, u)
+
+    lhs = forms.exterior_derivative(wedge_11(a, b), step=1e-4)
     pt = forms.random_point(SU2, 52)
     vs = [forms.random_tangent(SU2, 53 + i) for i in range(3)]
     lhs_v = lhs(pt, *vs)
-    rhs_v = rhs_da(pt, *vs) - rhs_db(pt, *vs)
+    rhs_v = wedge_21(da, b, pt, *vs) - wedge_21(db, a, pt, *vs)
     assert abs(lhs_v - rhs_v) < 1e-6
 
 
@@ -144,21 +131,15 @@ def test_generating_field_values():
     phi = lc.random_algebra(2, 90)
     h = lc.random_group(2, 91)
     lam = lc.random_algebra(2, 92)
-    shape = (
-        forms.GroupFactor(2),
-        forms.GroupFactor(2),
-        forms.VectorFactor(3),
-        forms.SimplexFactor(1),
-    )
-    actions = ("conjugation", "left", "adjoint", "trivial")
-    pt = forms.Point((h, h, lc.to_coords(lam), np.array([0.4, 0.6])))
+    shape = (forms.GroupFactor(2), forms.GroupFactor(2), forms.VectorFactor(3))
+    actions = ("conjugation", "left", "adjoint")
+    pt = forms.Point((h, h, lc.to_coords(lam)))
     gen = forms.generating_field(shape, actions, phi, pt)
     hi = h.conj().T
     assert np.max(np.abs(gen[0] - (hi @ phi @ h - phi))) < 1e-12
     assert np.max(np.abs(gen[1] - hi @ phi @ h)) < 1e-12
     expect_adj = lc.to_coords(lc.bracket(phi, lam))
     assert np.max(np.abs(gen[2] - expect_adj)) < 1e-12
-    assert np.max(np.abs(gen[3])) == 0.0
 
 
 def test_generating_field_matches_action_flow():
@@ -295,16 +276,6 @@ def test_random_point_margin_and_determinism():
     b = forms.random_point(shape, 200)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert a[1].min() >= 0.05
-
-
-def test_diagnostics_on_wedge():
-    A = lc.random_algebra(2, 150)
-    B = lc.random_algebra(2, 151)
-    w = forms.wedge(mc_form(A), mc_form(B))
-    pt = forms.random_point(SU2, 152)
-    vs = [forms.random_tangent(SU2, 153 + i) for i in range(2)]
-    assert forms.alternation_residual(w, pt, vs) < 1e-12
-    assert forms.linearity_residual(w, pt, vs, seed=5) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -451,3 +422,58 @@ def test_homotopy_and_constant_forms_take_the_stencil_batch():
     d_one = forms.exterior_derivative(one)
     pt, v = forms.random_point(SU2, 251), forms.random_tangent(SU2, 252)
     assert d_one(pt, v) == 0
+
+
+# ---------------------------------------------------------------------------
+# a point batch against plain tangents
+
+
+def _point_stack(points):
+    return forms.Point(tuple(
+        np.stack(x) for x in zip(*(q.parts for q in points))))
+
+
+def _assert_matches_per_point(got, want):
+    want = np.array(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("B", [2, 3])
+def test_pullbacks_push_plain_tangents_at_every_point_of_a_batch(B):
+    # tangents of one shape go through the push as one stack; at a point
+    # batch that stack must not pair with the batch axis
+    Q = lc.inner_polynomial(2)
+    rng = lc.as_rng(260 + B)
+    phi = lc.random_algebra(2, rng)
+    delta = sp.simplicial_delta_equivariant(sp.bott_shulman_equivariant(1, Q))
+    for f in (sp.bott_shulman(2, Q),
+              forms.pullback(multiplication_map(2), sp.lambda_form(2)),
+              forms.at_phi(delta, phi, 3)):
+        points = [forms.random_point(f.shape, rng) for _ in range(B)]
+        vs = [forms.random_tangent(f.shape, rng) for _ in range(f.arity)]
+        _assert_matches_per_point(f(_point_stack(points), *vs),
+                                  [f(q, *vs) for q in points])
+
+
+def test_d_and_dk_at_a_point_batch_with_plain_tangents():
+    # the flowed points of the stencil keep the batch axis of the point
+    d = 3
+    shape = (forms.VectorFactor(d),)
+    rng = lc.as_rng(270)
+    field = su._polynomial_field(
+        shape, *(rng.standard_normal(d) for _ in range(4)),
+        rng.standard_normal((d, d)), lc.random_algebra(2, rng))
+    phi = lc.random_algebra(2, rng)
+    dk = forms.cartan_differential(field)
+    group_d = forms.exterior_derivative(
+        sp.bott_shulman(2, lc.inner_polynomial(2)))
+    calls = [
+        (forms.exterior_derivative(forms.at_phi(field, phi, 1)), shape, 2)]
+    calls += [(lambda pt, *vs: dk(phi, pt, *vs), shape, q) for q in dk.arities]
+    calls += [(group_d, group_d.shape, 3)]
+    for call, shp, q in calls:
+        points = [forms.random_point(shp, rng) for _ in range(2)]
+        vs = [forms.random_tangent(shp, rng) for _ in range(q)]
+        _assert_matches_per_point(call(_point_stack(points), *vs),
+                                  [call(pt, *vs) for pt in points])

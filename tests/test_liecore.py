@@ -384,7 +384,8 @@ def test_sampling_determinism_and_invariants():
     g1 = lc.random_group(3, 321)
     g2 = lc.random_group(3, 321)
     np.testing.assert_array_equal(g1, g2)
-    lc.check_algebra(a1)
+    assert np.linalg.norm(a1 + a1.conj().T) <= 1e-12  # anti-Hermitian
+    assert abs(np.trace(a1)) <= 1e-12  # traceless
     lc.check_group(g1)
 
 
@@ -400,11 +401,9 @@ def test_haar_trace_mean_near_zero():
 
 def test_validation_rejects_bad_matrices():
     with pytest.raises(ValueError):
-        lc.check_algebra(np.eye(2))  # Hermitian, not anti-Hermitian
+        lc.check_group(2 * np.eye(2))  # not unitary
     with pytest.raises(ValueError):
-        lc.check_algebra(np.diag([1j, 1j]))  # not traceless
-    with pytest.raises(ValueError):
-        lc.check_group(2 * np.eye(2))
+        lc.check_group(np.diag([1j, 1j]))  # unitary, determinant -1
 
 
 def test_central_element():

@@ -11,7 +11,42 @@ import numpy as np
 import pytest
 
 from flatmod import forms, liecore as lc, simplicial as sp, words as wd
-from flatmod.words import Word
+
+
+def simplex_moment(alpha):
+    """Exact monomial integral over the simplex: prod a_i! / (n + |a|)!."""
+    alpha = [int(a) for a in alpha]
+    n = len(alpha) - 1
+    num = math.prod(math.factorial(a) for a in alpha)
+    return num / math.factorial(n + sum(alpha))
+
+
+def alternation_residual(f, pt, vs):
+    """Max |f(..u,v..) + f(..v,u..)| over adjacent transpositions."""
+    worst = 0.0
+    vs = list(vs)
+    for i in range(len(vs) - 1):
+        swapped = list(vs)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        worst = max(worst, abs(f(pt, *vs) + f(pt, *swapped)))
+    return worst
+
+
+def linearity_residual(f, pt, vs, seed=0):
+    """|f(a u + b w, ...) - a f(u, ...) - b f(w, ...)| on a random slot."""
+    rng = lc.as_rng(seed)
+    i = int(rng.integers(len(vs)))
+    w = forms.random_tangent(f.shape, rng)
+    a, b = rng.standard_normal(2)
+    combo = list(vs)
+    combo[i] = forms.Tangent(tuple(
+        a * x + b * y for x, y in zip(vs[i].parts, w.parts)))
+    lhs = f(pt, *combo)
+    first = list(vs)
+    second = list(vs)
+    second[i] = w
+    rhs = a * f(pt, *first) + b * f(pt, *second)
+    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -26,11 +61,6 @@ def test_face_map_words():
         sp.face_map(3, 4)
 
 
-def test_total_face_map_words():
-    assert [str(w) for _, w in sp.total_face_map(2, 1).components] == ["x1", "x3"]
-    assert len(sp.total_face_map(3, 0).components) == 3
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_simplicial_identities(n):
     for j in range(n + 1):
@@ -40,36 +70,9 @@ def test_simplicial_identities(n):
             assert lhs == rhs
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_total_face_identities(n):
-    for j in range(n + 1):
-        for i in range(j):
-            lhs = sp.compose_word_maps(
-                sp.total_face_map(n - 1, i), sp.total_face_map(n, j))
-            rhs = sp.compose_word_maps(
-                sp.total_face_map(n - 1, j - 1), sp.total_face_map(n, i))
-            assert lhs == rhs
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_section_splits_projection(n):
-    composite = sp.compose_word_maps(sp.principal_projection(n), sp.section_map(n))
-    assert composite == wd.WordMap.projection(n, range(1, n + 1))
-
-
 def test_section_words():
     words = [str(w) for _, w in sp.section_map(3).components]
     assert words == ["x1 x2 x3", "x2 x3", "x3", "1"]
-
-
-def test_section_intertwines_faces():
-    # q_n is simplicial over the base faces: eps_i q_n = q_{n-1} tilde-eps_i
-    for n in [2, 3]:
-        for i in range(n + 1):
-            lhs = sp.compose_word_maps(sp.face_map(n, i), sp.principal_projection(n))
-            rhs = sp.compose_word_maps(
-                sp.principal_projection(n - 1), sp.total_face_map(n, i))
-            assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +103,7 @@ def test_quadrature_exact_on_monomials(n, degree):
         alpha = rng.multinomial(degree, np.full(n + 1, 1 / (n + 1)))
         vals = np.prod(nodes ** alpha, axis=1)
         quad = float(weights @ vals)
-        assert abs(quad - sp.simplex_moment(alpha)) < 1e-12
+        assert abs(quad - simplex_moment(alpha)) < 1e-12
 
 
 def test_quadrature_monte_carlo_cross_check():
@@ -126,46 +129,6 @@ def test_signed_pairings_counts_and_signs():
     for pairs, _ in sp.signed_pairings(6):
         flat = sorted(x for p in pairs for x in p)
         assert flat == list(range(6))
-
-
-# ---------------------------------------------------------------------------
-# connection data on the total space
-
-def test_curvature_matches_fd_derivative():
-    # <A, F(X,Y)> = d<A, theta>(X,Y) + <A, [theta X, theta Y]> on Delta^1 x K^2
-    N = 2
-    shape = (forms.SimplexFactor(1), forms.GroupFactor(N), forms.GroupFactor(N))
-    A = lc.random_algebra(N, 11)
-
-    def theta_A(pt, v):
-        return lc.inner(A, sp.connection_theta(pt[0], (v[1], v[2])))
-
-    th = forms.FormField(shape, 1, theta_A)
-    dth = forms.exterior_derivative(th, step=1e-5)
-    pt = forms.random_point(shape, 12)
-    X = forms.random_tangent(shape, 13)
-    Y = forms.random_tangent(shape, 14)
-    t = pt[0]
-    Fxy = sp.curvature_value(t, (X[0], (X[1], X[2])), (Y[0], (Y[1], Y[2])))
-    tX = sp.connection_theta(t, (X[1], X[2]))
-    tY = sp.connection_theta(t, (Y[1], Y[2]))
-    lhs = lc.inner(A, Fxy)
-    rhs = dth(pt, X, Y) + lc.inner(A, lc.bracket(tX, tY))
-    assert abs(lhs - rhs) < 1e-6
-
-
-def test_moment_is_connection_contraction():
-    # mu(phi) = -theta(generating field of the left action)
-    N = 2
-    n = 2
-    shape = (forms.SimplexFactor(n),) + forms.group_power(N, n + 1)
-    actions = ("trivial",) + ("left",) * (n + 1)
-    pt = forms.random_point(shape, 21)
-    phi = lc.random_algebra(N, 22)
-    gen = forms.generating_field(shape, actions, phi, pt)
-    theta_of_gen = sp.connection_theta(pt[0], gen.parts[1:])
-    mu = sp.moment_value(pt[0], pt.parts[1:], phi)
-    assert np.max(np.abs(mu + theta_of_gen)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +214,8 @@ def test_engine_output_is_alternating_multilinear():
     phi2 = sp.bott_shulman(2, lc.chern_polynomial(N, 2))
     pt = forms.random_point(phi2.shape, 110)
     vs = [forms.random_tangent(phi2.shape, 111 + i) for i in range(2)]
-    assert forms.alternation_residual(phi2, pt, vs) < 1e-12
-    assert forms.linearity_residual(phi2, pt, vs, seed=9) < 1e-10
+    assert alternation_residual(phi2, pt, vs) < 1e-12
+    assert linearity_residual(phi2, pt, vs, seed=9) < 1e-10
 
 
 def test_conjugation_equivariance_exact():
