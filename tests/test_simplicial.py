@@ -49,6 +49,46 @@ def linearity_residual(f, pt, vs, seed=0):
     return abs(lhs - rhs)
 
 
+def total_face_map(n, i):
+    """Total-space face K^(n+1) -> K^n: delete slot i (slots 0..n)."""
+    words = [wd.Word.generator(j + 1) for j in range(n + 1) if j != i]
+    return wd.WordMap.from_words(words, n + 1)
+
+
+def principal_projection(n):
+    """K^(n+1) -> K^n, (g_0..g_n) -> (g_0 g_1^-1, ..., g_{n-1} g_n^-1)."""
+    words = [
+        wd.Word.generator(i) * wd.Word.generator(i + 1).inverse()
+        for i in range(1, n + 1)
+    ]
+    return wd.WordMap.from_words(words, n + 1)
+
+
+def connection_theta(t, xis):
+    """Sum connection theta(t) on a tangent with group parts xis: sum_i t_i xi_i."""
+    xis = np.stack(np.broadcast_arrays(*xis), axis=-3)
+    return np.einsum("...i,...iuv->...uv", np.asarray(t, dtype=float), xis)
+
+
+def curvature_value(t, X, Y):
+    """Curvature of the sum connection on tangents X=(tau,xis), Y=(tau',xis')."""
+    tau, xi = np.asarray(X[0], dtype=float), np.stack(X[1])
+    taup, xip = np.asarray(Y[0], dtype=float), np.stack(Y[1])
+    t = np.asarray(t, dtype=float)
+    out = np.einsum("i,iuv->uv", tau, xip) - np.einsum("i,iuv->uv", taup, xi)
+    comm = np.matmul(xi, xip) - np.matmul(xip, xi)
+    out -= np.einsum("i,iuv->uv", t, comm)
+    a = np.einsum("i,iuv->uv", t, xi)
+    b = np.einsum("i,iuv->uv", t, xip)
+    return out + (a @ b - b @ a)
+
+
+def moment_value(t, gs, phi):
+    """Moment of the sum connection: -sum_i t_i Ad(g_i^-1) phi."""
+    stack = np.stack([lc.adjoint(g.conj().T, phi) for g in gs])
+    return -np.einsum("i,iuv->uv", np.asarray(t, dtype=float), stack)
+
+
 # ---------------------------------------------------------------------------
 # combinatorial layer
 
@@ -61,6 +101,11 @@ def test_face_map_words():
         sp.face_map(3, 4)
 
 
+def test_total_face_map_words():
+    assert [str(w) for _, w in total_face_map(2, 1).components] == ["x1", "x3"]
+    assert len(total_face_map(3, 0).components) == 3
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_simplicial_identities(n):
     for j in range(n + 1):
@@ -70,9 +115,37 @@ def test_simplicial_identities(n):
             assert lhs == rhs
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_total_face_identities(n):
+    for j in range(n + 1):
+        for i in range(j):
+            lhs = sp.compose_word_maps(
+                total_face_map(n - 1, i), total_face_map(n, j))
+            rhs = sp.compose_word_maps(
+                total_face_map(n - 1, j - 1), total_face_map(n, i))
+            assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_section_splits_projection(n):
+    composite = sp.compose_word_maps(principal_projection(n), sp.section_map(n))
+    assert composite == wd.WordMap.from_words(
+        [wd.Word.generator(i) for i in range(1, n + 1)], n)
+
+
 def test_section_words():
     words = [str(w) for _, w in sp.section_map(3).components]
     assert words == ["x1 x2 x3", "x2 x3", "x3", "1"]
+
+
+def test_section_intertwines_faces():
+    # q_n is simplicial over the base faces: eps_i q_n = q_{n-1} tilde-eps_i
+    for n in [2, 3]:
+        for i in range(n + 1):
+            lhs = sp.compose_word_maps(sp.face_map(n, i), principal_projection(n))
+            rhs = sp.compose_word_maps(
+                principal_projection(n - 1), total_face_map(n, i))
+            assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +202,47 @@ def test_signed_pairings_counts_and_signs():
     for pairs, _ in sp.signed_pairings(6):
         flat = sorted(x for p in pairs for x in p)
         assert flat == list(range(6))
+
+
+# ---------------------------------------------------------------------------
+# connection data on the total space
+
+def test_curvature_matches_fd_derivative():
+    # <A, F(X,Y)> = d<A, theta>(X,Y) + <A, [theta X, theta Y]> on Delta^1 x K^2
+    N = 2
+    shape = (forms.SimplexFactor(1), forms.GroupFactor(N), forms.GroupFactor(N))
+    A = lc.random_algebra(N, 11)
+
+    def theta_A(pt, v):
+        return lc.inner(A, connection_theta(pt[0], (v[1], v[2])))
+
+    th = forms.FormField(shape, 1, theta_A)
+    dth = forms.exterior_derivative(th, step=1e-5)
+    pt = forms.random_point(shape, 12)
+    X = forms.random_tangent(shape, 13)
+    Y = forms.random_tangent(shape, 14)
+    t = pt[0]
+    Fxy = curvature_value(t, (X[0], (X[1], X[2])), (Y[0], (Y[1], Y[2])))
+    tX = connection_theta(t, (X[1], X[2]))
+    tY = connection_theta(t, (Y[1], Y[2]))
+    lhs = lc.inner(A, Fxy)
+    rhs = dth(pt, X, Y) + lc.inner(A, lc.bracket(tX, tY))
+    assert abs(lhs - rhs) < 1e-6
+
+
+def test_moment_is_connection_contraction():
+    # mu(phi) = -theta(generating field of the left action); K acts on the
+    # group factors only, so the simplex part of the field is zero
+    N = 2
+    n = 2
+    shape = (forms.SimplexFactor(n),) + forms.group_power(N, n + 1)
+    pt = forms.random_point(shape, 21)
+    phi = lc.random_algebra(N, 22)
+    gen = forms.generating_field(
+        shape[1:], ("left",) * (n + 1), phi, forms.Point(pt.parts[1:]))
+    theta_of_gen = connection_theta(pt[0], gen.parts)
+    mu = moment_value(pt[0], pt.parts[1:], phi)
+    assert np.max(np.abs(mu + theta_of_gen)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
