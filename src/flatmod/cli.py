@@ -57,8 +57,8 @@ def _build_parser():
                        help="tolerance on quadrature paths (default 1e-9)")
         p.add_argument("--quad-nodes", type=int, dest="quad_nodes",
                        help="node cap for the radial quadrature, which "
-                       "runs for polynomial degrees other than 2 and the "
-                       "homotopy identity (at least 16; default 256)")
+                       "runs for polynomial degrees >= 3 and the homotopy "
+                       "identity (at least 16; default 256)")
         p.add_argument("--out", help="write JSON output to this file")
 
     verify = sub.add_parser("verify", help="run identity suites")

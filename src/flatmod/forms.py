@@ -275,9 +275,6 @@ class CallableMap:
         self.codomain = tuple(codomain)
         self.at = at
 
-    def apply(self, pt):
-        return self.at(pt)[0]
-
     def push(self, pt, v):
         return self.at(pt)[1](v)
 

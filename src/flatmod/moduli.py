@@ -56,8 +56,11 @@ class ModuliConfig:
             raise ValueError("central phase index out of range")
         object.__setattr__(self, "degrees", tuple(self.degrees))
         for r in self.degrees:
-            if not 1 <= r <= self.N:
-                raise ValueError("polynomial degree must satisfy 1 <= r <= N")
+            if r == 1:
+                raise ValueError("polynomial degree 1 gives no generators: "
+                                 "c_1 = (i/2pi) tr X vanishes on su(N)")
+            if not 2 <= r <= self.N:
+                raise ValueError("polynomial degree must satisfy 2 <= r <= N")
 
     @property
     def beta(self):
@@ -448,11 +451,12 @@ def homotopy_h(field, max_nodes=256):
     on (Lam, w_1..w_{p-1}); node counts double from 8 until two passes
     agree to RADIAL_RTOL, so max_nodes below 16 never settles.
 
-    A point batch settles entry by entry: each entry keeps the pass at
-    which its own two passes agree, and later passes run on the entries
-    still open only, so every entry gets the nodes and the value of a call
-    at its point alone. QuadratureError is raised if any entry is still
-    open at max_nodes.
+    A pass is one call of f on the (nodes, entries) point batch t_k Lam of
+    the open entries, against their (entries,) tangents; a plain call is a
+    batch of one. An entry keeps the pass at which its own two passes agree
+    and later passes run on the open entries only, so each entry gets the
+    nodes and the value of a call at its point alone. QuadratureError is
+    raised if any entry is still open at max_nodes.
     """
     if len(field.shape) != 1 or not isinstance(field.shape[0], forms.VectorFactor):
         raise ValueError("the homotopy acts on forms over a single vector factor")
@@ -470,22 +474,18 @@ def homotopy_h(field, max_nodes=256):
                     -1, x.shape[-1]) for x in (lam, *(w[0] for w in ws))]
 
                 def quad(n, idx):
-                    # a plain call stays plain down to the integrand
-                    x, *rest = (r[idx] if batch else r[0] for r in rows)
-                    radial = forms.Tangent((x,))
-                    rest = [forms.Tangent((r,)) for r in rest]
                     ts, wts = _gauss_legendre_01(n)
-                    total = 0j
-                    for t, wt in zip(ts, wts):
-                        total += wt * t ** (p - 1) * fn(
-                            phi, forms.Point((t * x,)), radial, *rest
-                        )
-                    return np.broadcast_to(total, idx.shape)
+                    x = [r[idx] for r in rows]
+                    vals = fn(phi, forms.Point((ts[:, None, None] * x[0],)),
+                              *(forms.Tangent((r,)) for r in x))
+                    terms = (wts * ts ** (p - 1))[:, None] * np.broadcast_to(
+                        vals, (n, len(idx)))
+                    # summed node by node, whatever else the pass holds
+                    return np.add.accumulate(terms)[-1]
 
                 value = np.empty(len(rows[0]), dtype=complex)
                 idx = np.arange(len(value))
-                prev = quad(8, idx)
-                n = 16
+                prev, n = quad(8, idx), 16
                 while n <= max_nodes:
                     cur = quad(n, idx)
                     done = (np.abs(cur - prev)
@@ -499,10 +499,9 @@ def homotopy_h(field, max_nodes=256):
             return out
 
         comps[p - 1] = make(p, fn)
-    deg = field.phi_degree
     return forms.EquivariantFormField(
-        field.shape, field.actions, comps, phi_degree=deg, name=f"h({field.name})"
-    )
+        field.shape, field.actions, comps, phi_degree=field.phi_degree,
+        name=f"h({field.name})")
 
 
 # Taylor coefficients 2 (-1)^(n-1) / (2n+1)! of the radial kernel in theta^2
@@ -578,8 +577,9 @@ def _sigma_degree_two(config, Q):
 def sigma_Q(config, Q, max_nodes=256):
     """Radial primitive of the level-1 form pulled back along beta * exp.
 
-    Degree 2 has a closed form; every other degree integrates the pulled-back
-    form radially with homotopy_h, doubling nodes up to max_nodes.
+    Degree 2 has a closed form. Radial quadrature (homotopy_h, up to
+    max_nodes) runs here for degree >= 3, as ModuliConfig rejects degree 1,
+    and elsewhere only for the homotopy identity.
     """
     if Q.degree == 2:
         out = _sigma_degree_two(config, Q)

@@ -130,40 +130,24 @@ def simplex_rule(n, degree):
 # ---------------------------------------------------------------------------
 # signed perfect matchings
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
 def signed_pairings(D):
-    """Perfect matchings of range(D) with the sign of (a1,b1,a2,b2,...)."""
+    """Perfect matchings of range(D) with the sign of (a1,b1,a2,b2,...);
+    pairing the first open slot with the k-th one after it gives (-1)^(k-1)."""
     if D % 2:
         raise ValueError("odd slot count has no perfect matching")
     out = []
 
-    def rec(remaining, acc):
+    def rec(remaining, acc, sign):
         if not remaining:
-            flat = [x for pair in acc for x in pair]
-            out.append((tuple(acc), _perm_sign(flat)))
+            out.append((tuple(acc), sign))
             return
         a = remaining[0]
         for k in range(1, len(remaining)):
-            b = remaining[k]
-            rec(remaining[1:k] + remaining[k + 1:], acc + [(a, b)])
+            rec(remaining[1:k] + remaining[k + 1:], acc + [(a, remaining[k])],
+                -sign if k % 2 == 0 else sign)
 
-    rec(tuple(range(D)), [])
+    rec(tuple(range(D)), [], 1)
     return tuple(out)
 
 
@@ -208,8 +192,8 @@ def _component_evaluator(n, Q, m):
     M = len(weights)
     per_entry = len(matchings) * M
 
-    def block(phi, Xi, G, batch):
-        """The quadrature sums at one block of batch entries."""
+    def block(phi, Xi, G):
+        """The quadrature sums at a flat block of batch entries."""
         S = [np.einsum("mi,...iuv->...muv", nodes, x) for x in Xi]
         mu = None
         if m:
@@ -231,40 +215,37 @@ def _component_evaluator(n, Q, m):
             return cache[(a, b)]
 
         # every slot broadcasts into its place in one array of rows
-        rows = np.empty(batch + (len(matchings), M, r, N, N), dtype=complex)
+        rows = np.empty((len(Xi[0]), len(matchings), M, r, N, N),
+                        dtype=complex)
         for s, pairs in enumerate(matchings):
             for j, slot in enumerate([F(a, b) for a, b in pairs] + [mu] * m):
                 rows[..., s, :, j, :, :] = slot
         rows = rows.reshape(-1, r, N, N)
         vals = np.concatenate([Q.eval_batch(rows[i:i + ROW_CAP])
                                for i in range(0, len(rows), ROW_CAP)])
-        vals = vals.reshape(batch + (len(matchings), M))
+        vals = vals.reshape(-1, len(matchings), M)
         return (vals @ weights) @ signs
 
     def fn(phi, pt, *vs):
-        Xi = [np.stack(v.parts, axis=-3) for v in vs]       # p x (..., n+1, N, N)
-        G = np.stack(np.broadcast_arrays(*pt.parts), axis=-3) if m else None
         batch = np.broadcast_shapes(
-            *(x.shape[:-3] for x in Xi), *(g.shape[:-2] for g in pt.parts))
+            *(x.shape[:-2] for v in (pt, *vs) for x in v.parts))
         if not matchings:
             return np.zeros(batch) if batch else 0.0
-        size = math.prod(batch)
-        step = max(1, ROW_CAP // per_entry)
-        if size <= step:
-            total = block(phi, Xi, G, batch)
-        else:
-            # flat blocks of the batch; fancy indexing copies only the block
-            Xi = [np.broadcast_to(x, batch + x.shape[-3:]) for x in Xi]
-            if m:
-                G = np.broadcast_to(G, batch + G.shape[-3:])
-            parts = []
-            for start in range(0, size, step):
-                idx = np.unravel_index(
-                    np.arange(start, min(start + step, size)), batch)
-                parts.append(block(
-                    phi, [x[idx] for x in Xi], G[idx] if m else None,
-                    (len(idx[0]),)))
-            total = np.concatenate(parts).reshape(batch)
+        # flat blocks of the batch, a plain call as a batch of one; fancy
+        # indexing copies only the block
+        flat, core = batch or (1,), (n + 1, N, N)
+        Xi = [np.broadcast_to(np.stack(v.parts, axis=-3), flat + core)
+              for v in vs]
+        G = np.broadcast_to(np.stack(np.broadcast_arrays(*pt.parts), axis=-3),
+                            flat + core) if m else None
+        size, step = math.prod(flat), max(1, ROW_CAP // per_entry)
+        parts = []
+        for start in range(0, size, step):
+            idx = np.unravel_index(
+                np.arange(start, min(start + step, size)), flat)
+            parts.append(
+                block(phi, [x[idx] for x in Xi], G[idx] if m else None))
+        total = np.concatenate(parts).reshape(batch)
         return coeff * (total if batch else complex(total))
 
     return p, fn

@@ -335,13 +335,24 @@ def test_growth_probe_nan_is_a_numeric_failure(monkeypatch):
         probe.samples[0]()
 
 
+def test_verify_rejects_degree_one(capsys):
+    # c_1 vanishes on su(N), so degree 1 has no generator to check
+    code, out, err = run_cli(
+        ["verify", "--r", "1", "--suite", "extended", "--samples", "1"],
+        capsys)
+    assert code == 2
+    assert "degree 1" in err and "vanishes on su(N)" in err
+    assert out == ""
+
+
 def test_r_flag_overrides_config_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"r_list": [2], "seed": 5}))
     args = cli._build_parser().parse_args(
-        ["verify", "--config", str(path), "--r", "1", "--seed", "7"])
+        ["verify", "--config", str(path), "--N", "3", "--r", "3",
+         "--seed", "7"])
     config = cli._load_config(args)
-    assert config.r_list == (1,)
+    assert config.r_list == (3,)
     assert config.seed == 7
     args = cli._build_parser().parse_args(["verify", "--config", str(path)])
     assert cli._load_config(args).r_list == (2,)

@@ -236,7 +236,7 @@ def test_pullback_equivariant_keeps_components():
     phi = lc.random_algebra(2, 140)
     pt = forms.random_point(SU2, 141)
     v = forms.random_tangent(SU2, 142)
-    direct = th(phi, sq.apply(pt), sq.push(pt, v))
+    direct = th(phi, sq.at(pt)[0], sq.push(pt, v))
     assert abs(pulled(phi, pt, v) - direct) < 1e-12
     assert pulled.arities == [1]
 

@@ -96,8 +96,8 @@ def test_chart_tangent_matches_fd():
     pt = fo.random_point(CFG.shape, 31)
     v = fo.random_tangent(CFG.shape, 32)
     step = 1e-6
-    plus = chart.apply(fo.flow(CFG.shape, pt, v, step))[0]
-    minus = chart.apply(fo.flow(CFG.shape, pt, v, -step))[0]
+    plus = chart.at(fo.flow(CFG.shape, pt, v, step))[0][0]
+    minus = chart.at(fo.flow(CFG.shape, pt, v, -step))[0][0]
     fd = (plus - minus) / (2 * step)
     exact = chart.push(pt, v)[0]
     assert np.linalg.norm(fd - exact) <= 1e-6
@@ -143,7 +143,7 @@ def test_homotopy_on_coordinate_differentials():
     shape = (fo.VectorFactor(d),)
     for i in range(d):
         field = fo.EquivariantFormField(
-            shape, ("adjoint",), {1: lambda phi, pt, w, i=i: w[0][i]}
+            shape, ("adjoint",), {1: lambda phi, pt, w, i=i: w[0][..., i]}
         )
         out = md.homotopy_h(field)
         lam = np.array([0.3, -0.7, 0.2])
@@ -157,7 +157,8 @@ def test_homotopy_drops_arity_zero_and_node_cap():
     shape = (fo.VectorFactor(d),)
     field = fo.EquivariantFormField(
         shape, ("adjoint",),
-        {0: lambda phi, pt: 1.0, 1: lambda phi, pt, w: np.cos(40 * pt[0] @ w[0])},
+        {0: lambda phi, pt: 1.0,
+         1: lambda phi, pt, w: np.cos(40 * np.sum(pt[0] * w[0], axis=-1))},
     )
     out = md.homotopy_h(field)
     assert out.arities == [0]
@@ -200,12 +201,27 @@ def test_homotopy_batch_settles_entry_by_entry():
     for k, lam in enumerate(lams):
         assert sum(bool((rows == lam).all(axis=1).any()) for rows in seen) \
             == nodes[k]
-        assert abs(got[k] - want[k]) <= 1e-15 * max(1.0, abs(want[k]))
+        assert got[k] == want[k]
     # one entry that does not settle fails the whole batch
     capped = md.homotopy_h(_counted_radial_field(d, []), max_nodes=16)
     capped(phi, fo.Point((lams[0],)))
     with pytest.raises(md.QuadratureError):
         capped(phi, fo.Point((lams,)))
+
+
+def test_homotopy_makes_one_integrand_call_per_pass():
+    # every node of a pass goes in as one point batch, whatever the batch
+    d = CFG.algebra_dim
+    seen = []
+    h = md.homotopy_h(_counted_radial_field(d, seen))
+    phi = lc.random_algebra(2, 6)
+    lam = np.array([0.18, -0.144, 0.192])
+    h(phi, fo.Point((lam,)))
+    # settled at 16 nodes: the 8-node pass and the 16-node one
+    assert [len(rows) for rows in seen] == [1, 1]
+    seen.clear()
+    h(phi, fo.Point((np.stack([lam, 2 * lam, -lam]),)))
+    assert [len(rows) for rows in seen] == [3, 3]
 
 
 def test_chart_maps_on_point_stacks_match_per_point_calls():
@@ -542,7 +558,7 @@ def test_omega_tilde_is_goldman_minus_chart_pulled_sigma():
     for pt in md.sample_chart_points(CFG, rng, 3):
         u, v = (fo.random_tangent(CFG.shape, rng) for _ in range(2))
         want = om(pt, u, v) - sig2(
-            zero, chart.apply(pt), chart.push(pt, u), chart.push(pt, v))
+            zero, chart.at(pt)[0], chart.push(pt, u), chart.push(pt, v))
         assert abs(ot(pt, u, v) - want) <= 1e-12 * max(1.0, abs(want))
 
 

@@ -191,6 +191,23 @@ def test_quadrature_monte_carlo_cross_check():
     assert abs(quad - mc) < 5 * sigma + 1e-4
 
 
+def _perm_sign(perm):
+    """Parity of a permutation of range(len(perm)) by its cycle lengths."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
 def test_signed_pairings_counts_and_signs():
     assert len(sp.signed_pairings(2)) == 1
     assert len(sp.signed_pairings(4)) == 3
@@ -202,6 +219,10 @@ def test_signed_pairings_counts_and_signs():
     for pairs, _ in sp.signed_pairings(6):
         flat = sorted(x for p in pairs for x in p)
         assert flat == list(range(6))
+    # every sign against the parity of the flattened permutation
+    for D in range(2, 11, 2):
+        for pairs, sign in sp.signed_pairings(D):
+            assert sign == _perm_sign([x for pair in pairs for x in pair])
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +340,7 @@ def test_total_form_pullback_consistency():
     pt = forms.random_point(down.shape, 100)
     u = forms.random_tangent(down.shape, 101)
     v = forms.random_tangent(down.shape, 102)
-    direct = total(geo.apply(pt), geo.push(pt, u), geo.push(pt, v))
+    direct = total(geo.at(pt)[0], geo.push(pt, u), geo.push(pt, v))
     assert abs(down(pt, u, v) - direct) < 1e-12
 
 

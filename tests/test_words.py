@@ -283,12 +283,12 @@ def test_geometry_adapter():
     m = wd.WordMap.from_words([parse_word("x1 x2 x1^-1")], 2).geometry(2)
     pt = forms.random_point(m.domain, 70)
     v = forms.random_tangent(m.domain, 71)
-    img = m.apply(pt)
+    img = m.at(pt)[0]
     lc.check_group(img[0])
     # pushforward consistency with the flow, finite differences
     s = 1e-6
-    fd = (m.apply(forms.flow(m.domain, pt, v, s))[0]
-          - m.apply(forms.flow(m.domain, pt, v, -s))[0]) / (2 * s)
+    fd = (m.at(forms.flow(m.domain, pt, v, s))[0][0]
+          - m.at(forms.flow(m.domain, pt, v, -s))[0][0]) / (2 * s)
     analytic = img[0] @ m.push(pt, v)[0]
     assert np.max(np.abs(fd - analytic)) < 1e-6
 
