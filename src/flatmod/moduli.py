@@ -393,7 +393,7 @@ def generator_form(config, kind, r, j=None, Q=None):
     if kind == "b":
         if j is None or not 1 <= j <= ng:
             raise ValueError("kind 'b' needs a generator index 1 <= j <= 2g")
-        chain = wd.Chain1.of(wd.Word.generator(j))
+        chain = wd.Chain.of(wd.Word.generator(j))
         field = sp.bott_shulman_equivariant(1, Q)
         return wd.slant_form_equivariant(chain, field, ng, config.N)
     if kind == "f":

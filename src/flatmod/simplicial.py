@@ -179,13 +179,11 @@ def _component_evaluator(n, Q, m):
     """
     r, N = Q.degree, Q.n
     p = 2 * (r - m) - n
-    if p < 0:
-        raise ValueError("component arity is negative")
-    nodes, weights = simplex_rule(n, 2 * r)
     # a pair of two simplex slots has no curvature term, so its matchings
-    # drop out
+    # drop out; a component that keeps none needs no rule
     kept = [(pairs, sgn) for pairs, sgn in signed_pairings(p + n)
             if all(a < p for a, _ in pairs)]
+    nodes, weights = simplex_rule(n, 2 * r) if kept else (None, ())
     matchings = [pairs for pairs, _ in kept]
     signs = np.array([sgn for _, sgn in kept], dtype=float)
     coeff = math.comb(r, m) * math.factorial(r - m) * _fiber_sign(n)

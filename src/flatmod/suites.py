@@ -328,10 +328,10 @@ def _commutator_prefix_table(genus):
     for k in range(genus):
         a = wd.Word.generator(2 * k + 1)
         b = wd.Word.generator(2 * k + 2)
-        table[2 * k + 1] = wd.Chain1([
-            (prefix, 1), (prefix * a * b * a.inverse(), -1)])
-        table[2 * k + 2] = wd.Chain1([
-            (prefix * a, 1), (prefix * wd.commutator(a, b), -1)])
+        table[2 * k + 1] = (wd.Chain.of(prefix)
+                            - wd.Chain.of(prefix * a * b * a.inverse()))
+        table[2 * k + 2] = (wd.Chain.of(prefix * a)
+                            - wd.Chain.of(prefix * wd.commutator(a, b)))
         prefix = prefix * wd.commutator(a, b)
     return table
 
@@ -357,7 +357,7 @@ def _suite_fox(config):
         def fn(g=g):
             R = wd.surface_relator(g)
             got = wd.bar_boundary(wd.fundamental_class(g))
-            want = wd.Chain1.one() - wd.Chain1.of(R)
+            want = wd.Chain.one() - wd.Chain.of(R)
             return 0.0 if got == want else 1.0
         samples.append(fn)
     tasks.append(IdentityTask(
@@ -371,10 +371,10 @@ def _suite_fox(config):
     for _ in range(config.sample_count):
         w = wd.random_word(ng, int(rng.integers(1, 13)), rng)
         def fn(w=w):
-            lhs = wd.Chain1.of(w) - wd.Chain1.one()
-            rhs = wd.Chain1()
+            lhs = wd.Chain.of(w) - wd.Chain.one()
+            rhs = wd.Chain()
             for j in range(1, ng + 1):
-                step = wd.Chain1.of(wd.Word.generator(j)) - wd.Chain1.one()
+                step = wd.Chain.of(wd.Word.generator(j)) - wd.Chain.one()
                 rhs = rhs + wd.fox_derivative(w, j) * step
             return 0.0 if lhs == rhs else 1.0
         samples.append(fn)

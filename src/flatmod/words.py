@@ -1,9 +1,10 @@
 """Free-group words, Fox derivatives, and evaluation maps into SU(N).
 
 Words are freely reduced tuples of nonzero signed integers: +j stands for the
-generator x_j, -j for its inverse (1-based). Chains over words carry integer
-coefficients and normalize eagerly. Evaluation maps push tangents forward
-exactly via the left-trivialized product rule, never by finite differences.
+generator x_j, -j for its inverse (1-based). Bar chains carry integer
+coefficients on tuples of words and normalize eagerly. Evaluation maps push
+tangents forward exactly via the left-trivialized product rule, never by
+finite differences.
 """
 
 from __future__ import annotations
@@ -90,94 +91,53 @@ def surface_relator(genus):
 
 
 # ---------------------------------------------------------------------------
-# integer chains of words (group-ring elements) and word pairs
+# integer chains of the bar complex
 
-class Chain1:
-    """Integer combination of words; doubles as a group-ring element."""
+class Chain:
+    """Integer combination of bar cells (w_1 | ... | w_k), each a tuple of
+    words; chains of one-word cells double as group-ring elements."""
 
     def __init__(self, terms=()):
         data = {}
-        for w, c in dict(terms).items() if isinstance(terms, dict) else terms:
+        for cell, c in terms:
             c = int(c)
             if c:
-                data[w] = data.get(w, 0) + c
-        self.terms = {w: c for w, c in data.items() if c}
+                data[cell] = data.get(cell, 0) + c
+        self.terms = {cell: c for cell, c in data.items() if c}
 
     @staticmethod
-    def of(word, coeff=1):
-        return Chain1([(word, coeff)])
+    def of(*words, coeff=1):
+        return Chain([(words, coeff)])
 
     @staticmethod
     def one():
-        return Chain1.of(Word.identity())
+        return Chain.of(Word.identity())
 
     def __add__(self, other):
-        merged = dict(self.terms)
-        for w, c in other.terms.items():
-            merged[w] = merged.get(w, 0) + c
-        return Chain1(merged.items())
+        return Chain([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, k):
-        return Chain1([(w, k * c) for w, c in self.terms.items()])
+        return self + Chain((cell, -c) for cell, c in other.terms.items())
 
     def __mul__(self, other):
-        """Group-ring product: words concatenate and reduce."""
-        out = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                w = a * b
-                out[w] = out.get(w, 0) + ca * cb
-        return Chain1(out.items())
+        """Group-ring product: cells multiply word by word."""
+        return Chain([
+            (tuple(a * b for a, b in zip(x, y, strict=True)), cx * cy)
+            for x, cx in self.terms.items() for y, cy in other.terms.items()])
 
     def __eq__(self, other):
-        return isinstance(other, Chain1) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return isinstance(other, Chain) and self.terms == other.terms
 
     def __repr__(self):
-        if not self.terms:
-            return "Chain1(0)"
-        bits = " + ".join(f"{c}*({w})" for w, c in sorted(
-            self.terms.items(), key=lambda t: str(t[0])))
-        return f"Chain1({bits})"
-
-
-class Chain2:
-    """Integer combination of ordered word pairs (a | b)."""
-
-    def __init__(self, terms=()):
-        data = {}
-        for pair, c in dict(terms).items() if isinstance(terms, dict) else terms:
-            c = int(c)
-            if c:
-                data[pair] = data.get(pair, 0) + c
-        self.terms = {p: c for p, c in data.items() if c}
-
-    def __add__(self, other):
-        merged = dict(self.terms)
-        for p, c in other.terms.items():
-            merged[p] = merged.get(p, 0) + c
-        return Chain2(merged.items())
-
-    def __eq__(self, other):
-        return isinstance(other, Chain2) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "Chain2(0)"
         bits = " + ".join(
-            f"{c}*({a} | {b})" for (a, b), c in sorted(
-                self.terms.items(), key=lambda t: (str(t[0][0]), str(t[0][1])))
-        )
-        return f"Chain2({bits})"
+            f"{c}*({' | '.join(map(str, cell))})" for cell, c in sorted(
+                self.terms.items(), key=lambda t: tuple(map(str, t[0]))))
+        return f"Chain({bits or 0})"
 
 
 def fox_derivative(word, j):
-    """Free derivative of a word with respect to x_j, as a Chain1.
+    """Free derivative of a word with respect to x_j, as a chain of one-word
+    cells.
 
     Rules: d(x_j) = 1, d(x_j^-1) = -x_j^-1, d(uv) = d(u) + u d(v).
     """
@@ -185,26 +145,26 @@ def fox_derivative(word, j):
     prefix = Word.identity()
     for l in word.letters:
         if l == j:
-            terms.append((prefix, 1))
+            terms.append(((prefix,), 1))
         elif l == -j:
-            terms.append((prefix * Word((-j,)), -1))
+            terms.append(((prefix * Word((-j,)),), -1))
         prefix = prefix * Word((l,))
-    return Chain1(terms)
+    return Chain(terms)
 
 
-def bar_boundary(chain2):
-    """Boundary of sum c (a | b): each term contributes b - ab + a."""
-    out = Chain1()
-    for (a, b), c in chain2.terms.items():
-        out = out + Chain1([(b, c), (a * b, -c), (a, c)])
-    return out
+def bar_boundary(chain):
+    """Boundary of sum c (a | b): each cell contributes b - ab + a."""
+    terms = []
+    for (a, b), c in chain.terms.items():
+        terms += [((b,), c), ((a * b,), -c), ((a,), c)]
+    return Chain(terms)
 
 
 def fundamental_class(genus):
     """Bar 2-chain whose boundary is 1 - R, built from Fox derivatives.
 
     For the surface relator each d(R)/d(x_j) has exactly two terms with
-    coefficients +1 and -1; the pairs (word | x_j) with those signs assemble
+    coefficients +1 and -1; the cells (word | x_j) with those signs assemble
     the fundamental class.
     """
     R = surface_relator(genus)
@@ -213,9 +173,9 @@ def fundamental_class(genus):
         d = fox_derivative(R, j)
         if sorted(d.terms.values()) != [-1, 1]:
             raise ValueError("relator derivative is not a difference of words")
-        for w, c in d.terms.items():
+        for (w,), c in d.terms.items():
             terms.append(((w, Word.generator(j)), c))
-    return Chain2(terms)
+    return Chain(terms)
 
 
 def random_word(num_generators, length, seed):
@@ -316,21 +276,18 @@ class WordMap:
 # slant products against word chains
 
 def slant_form_equivariant(chain, eform, num_generators, n):
-    """Pair a word chain with an equivariant form on a group power.
+    """Pair a bar chain with an equivariant form on a group power.
 
-    A Chain1 pairs with a form on K^1, a Chain2 with a form on K^2; the result
-    lives on K^num_generators, with conjugation on every factor: the sum over
-    the chain's terms of the form pulled back along each term's evaluation
-    map, times the term's coefficient, evaluated as one call of the form.
+    Each cell (w_1 | ... | w_k) pairs with a form on K^k; the result lives
+    on K^num_generators, with conjugation on every factor: the sum over the
+    chain's cells of the form pulled back along each cell's evaluation map,
+    times the cell's coefficient, evaluated as one call of the form.
     """
-    if isinstance(chain, Chain1):
-        items = [((w,), c) for w, c in chain.terms.items()]
-    else:
-        items = [((a, b), c) for (a, b), c in chain.terms.items()]
-    if eform.shape != forms.group_power(n, len(items[0][0]) if items else 1):
+    if any(eform.shape != forms.group_power(n, len(cell))
+           for cell in chain.terms):
         raise ValueError("form shape does not match the chain's word count")
-    terms = [(c, WordMap.from_words(words, num_generators).geometry(n))
-             for words, c in items]
+    terms = [(c, WordMap.from_words(cell, num_generators).geometry(n))
+             for cell, c in chain.terms.items()]
     return forms.pullback_sum_equivariant(
         terms, eform, ("conjugation",) * num_generators,
         name=f"slant({eform.name})")

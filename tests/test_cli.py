@@ -231,6 +231,19 @@ def test_verify_n3_beta1_rank_exits_zero(capsys):
     assert payload["config"]["N"] == 3 and payload["config"]["beta_index"] == 1
 
 
+def test_verify_n4_top_degree_cocycle_passes(capsys):
+    # levels 5..8 keep no matching at r=4 and build no simplex rule
+    code, out, err = run_cli(
+        ["verify", "--N", "4", "--beta", "1", "--r", "4", "--suite",
+         "cocycle", "--samples", "1"],
+        capsys,
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["records"]
+    assert all(rec["pass"] for rec in payload["records"])
+
+
 def _write_points(path, mat):
     entry = {"matrices": [lc.matrix_to_json(mat)] * 4}
     path.write_text(json.dumps({"points": [entry]}))

@@ -546,6 +546,27 @@ def test_blocked_fiber_integral_matches_one_block(monkeypatch):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_levels_above_the_degree_build_no_rule(monkeypatch, n):
+    # above level r every matching pairs two simplex slots: no component
+    # keeps one, no simplex rule is built and the form is zero
+    calls = []
+    rule = sp.simplex_rule
+
+    def spy(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(sp, "simplex_rule", spy)
+    ef = sp.bott_shulman_total_equivariant(n, lc.chern_polynomial(3, 2))
+    assert calls == []
+    rng = lc.as_rng(440)
+    (p,) = ef.arities
+    pt = forms.random_point(ef.shape, rng)
+    vs = [forms.random_tangent(ef.shape, rng) for _ in range(p)]
+    assert ef(lc.random_algebra(3, rng), pt, *vs) == 0
+
+
 def _oracle_sum(terms, f):
     """The sum c m^* f as separate pullbacks, one call of f per term."""
     actions = ("conjugation",) * len(terms[0][1].domain)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatmod import forms, liecore as lc, words as wd
-from flatmod.words import Chain1, Chain2, Word
+from flatmod.words import Chain, Word
 
 
 def parse_word(text, num_generators=None):
@@ -78,22 +78,22 @@ def test_surface_relator():
 def fox_oracle(word, j):
     """Independent recursion on the first letter."""
     if word == Word.identity():
-        return Chain1()
+        return Chain()
     l = word.letters[0]
     rest = Word(word.letters[1:])
     if l == j:
-        head = Chain1.one()
+        head = Chain.one()
     elif l == -j:
-        head = Chain1.of(Word((-j,)), -1)
+        head = Chain.of(Word((-j,)), coeff=-1)
     else:
-        head = Chain1()
-    return head + Chain1.of(Word((l,))) * fox_oracle(rest, j)
+        head = Chain()
+    return head + Chain.of(Word((l,))) * fox_oracle(rest, j)
 
 
 def test_fox_derivative_base_cases():
-    assert wd.fox_derivative(Word.generator(1), 1) == Chain1.one()
-    assert wd.fox_derivative(Word.generator(1), 2) == Chain1()
-    assert wd.fox_derivative(Word((-1,)), 1) == Chain1.of(Word((-1,)), -1)
+    assert wd.fox_derivative(Word.generator(1), 1) == Chain.one()
+    assert wd.fox_derivative(Word.generator(1), 2) == Chain()
+    assert wd.fox_derivative(Word((-1,)), 1) == Chain.of(Word((-1,)), coeff=-1)
 
 
 @given(st.lists(st.integers(min_value=-4, max_value=4).filter(bool),
@@ -111,7 +111,7 @@ def test_fox_product_rule():
         v = wd.random_word(4, int(rng.integers(1, 9)), rng)
         for j in range(1, 5):
             lhs = wd.fox_derivative(u * v, j)
-            rhs = wd.fox_derivative(u, j) + Chain1.of(u) * wd.fox_derivative(v, j)
+            rhs = wd.fox_derivative(u, j) + Chain.of(u) * wd.fox_derivative(v, j)
             assert lhs == rhs
 
 
@@ -142,7 +142,7 @@ def test_relator_derivatives_match_table(genus):
     R = wd.surface_relator(genus)
     table = commutator_prefix_table(genus)
     for j in range(1, 2 * genus + 1):
-        expect = Chain1.of(table[(j, 0)]) - Chain1.of(table[(j, 1)])
+        expect = Chain.of(table[(j, 0)]) - Chain.of(table[(j, 1)])
         assert wd.fox_derivative(R, j) == expect
 
 
@@ -150,22 +150,22 @@ def test_relator_derivatives_match_table(genus):
 def test_fundamental_class(genus):
     c = wd.fundamental_class(genus)
     table = commutator_prefix_table(genus)
-    expect = Chain2(
+    expect = Chain(
         [((table[(j, tau)], Word.generator(j)), 1 - 2 * tau)
          for j in range(1, 2 * genus + 1) for tau in (0, 1)]
     )
     assert c == expect
     # boundary of the class is 1 - R
     R = wd.surface_relator(genus)
-    assert wd.bar_boundary(c) == Chain1.one() - Chain1.of(R)
+    assert wd.bar_boundary(c) == Chain.one() - Chain.of(R)
 
 
 def test_bar_boundary_single_terms():
     a = parse_word("x1 x2")
-    assert wd.bar_boundary(Chain2([((Word.identity(), a), 1)])) == Chain1.one()
+    assert wd.bar_boundary(Chain([((Word.identity(), a), 1)])) == Chain.one()
     b = a.inverse()
-    expect = Chain1.of(b) - Chain1.one() + Chain1.of(a)
-    assert wd.bar_boundary(Chain2([((a, b), 1)])) == expect
+    expect = Chain.of(b) - Chain.one() + Chain.of(a)
+    assert wd.bar_boundary(Chain([((a, b), 1)])) == expect
 
 
 def test_fundamental_identity():
@@ -175,11 +175,11 @@ def test_fundamental_identity():
         wd.random_word(4, int(rng.integers(1, 15)), rng) for _ in range(20)
     ]
     for w in samples:
-        total = Chain1()
+        total = Chain()
         for j in range(1, 5):
-            gen = Chain1.of(Word.generator(j)) - Chain1.one()
+            gen = Chain.of(Word.generator(j)) - Chain.one()
             total = total + wd.fox_derivative(w, j) * gen
-        assert total == Chain1.of(w) - Chain1.one()
+        assert total == Chain.of(w) - Chain.one()
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_slant_form_single_word():
     K1 = forms.group_power(2, 1)
     alpha = forms.EquivariantFormField(
         K1, ("conjugation",), {1: lambda phi, pt, v: lc.inner(A, v[0])})
-    chain = Chain1.of(parse_word("x1 x2"))
+    chain = Chain.of(parse_word("x1 x2"))
     paired = forms.at_phi(
         wd.slant_form_equivariant(chain, alpha, num_generators=2, n=2), None, 1)
     pt = forms.random_point(paired.shape, 81)
@@ -324,15 +324,29 @@ def test_slant_form_chain2_linearity():
                             None, 2)
 
     a, b = parse_word("x1"), parse_word("x2 x1")
-    ch = Chain2([((a, b), 2), ((b, a), -1)])
+    ch = Chain([((a, b), 2), ((b, a), -1)])
     paired = slant(ch, 2, 2)
     pt = forms.random_point(paired.shape, 91)
     u = forms.random_tangent(paired.shape, 92)
     v = forms.random_tangent(paired.shape, 93)
-    single_ab = slant(Chain2([((a, b), 1)]), 2, 2)
-    single_ba = slant(Chain2([((b, a), 1)]), 2, 2)
+    single_ab = slant(Chain([((a, b), 1)]), 2, 2)
+    single_ba = slant(Chain([((b, a), 1)]), 2, 2)
     expect = 2 * single_ab(pt, u, v) - single_ba(pt, u, v)
     assert abs(paired(pt, u, v) - expect) < 1e-12
+
+
+def test_slant_rejects_a_form_on_the_wrong_power():
+    one = forms.EquivariantFormField(
+        forms.group_power(2, 1), ("conjugation",),
+        {1: lambda phi, pt, v: lc.inner(v[0], v[0])})
+    two = forms.EquivariantFormField(
+        forms.group_power(2, 2), ("conjugation",) * 2,
+        {1: lambda phi, pt, v: lc.inner(v[0], v[1])})
+    a, b = parse_word("x1"), parse_word("x2")
+    with pytest.raises(ValueError, match="word count"):
+        wd.slant_form_equivariant(Chain.of(a), two, 2, 2)
+    with pytest.raises(ValueError, match="word count"):
+        wd.slant_form_equivariant(Chain.of(a, b), one, 2, 2)
 
 
 def test_slant_form_equivariant_passthrough():
@@ -342,7 +356,7 @@ def test_slant_form_equivariant_passthrough():
     theta = forms.EquivariantFormField(
         forms.group_power(2, 1), ("conjugation",), {1: comp1}, phi_degree=1
     )
-    chain = Chain1.of(parse_word("x2"))
+    chain = Chain.of(parse_word("x2"))
     paired = wd.slant_form_equivariant(chain, theta, num_generators=2, n=2)
     phi = lc.random_algebra(2, 95)
     pt = forms.random_point(paired.shape, 96)
