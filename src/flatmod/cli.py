@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -134,14 +135,13 @@ _FORM_PATTERN = re.compile(r"^(extended_)?([abf])_(\d+)(?:_(\d+))?$")
 
 
 def _resolve_form(form_id, config):
-    mcfg = config.moduli()
     if form_id == "omega":
-        return ("plain", md.goldman_form(mcfg))
+        return ("plain", md.goldman_form(config))
     if form_id == "omega_tilde":
-        return ("plain", md.omega_tilde(mcfg))
+        return ("plain", md.omega_tilde(config))
     if form_id == "sigma_Q":
-        Q = lc.chern_polynomial(mcfg.N, config.r_list[0])
-        return ("algebra", md.sigma_Q(mcfg, Q, max_nodes=config.quad_nodes))
+        Q = lc.chern_polynomial(config.N, config.r_list[0])
+        return ("algebra", md.sigma_Q(config, Q, max_nodes=config.quad_nodes))
     m = _FORM_PATTERN.match(form_id)
     if not m:
         raise ValueError(f"unknown form id {form_id!r}")
@@ -149,16 +149,16 @@ def _resolve_form(form_id, config):
     j = int(j) if j is not None else None
     if kind == "b" and j is None:
         raise ValueError("b-forms need a generator index, e.g. b_2_1")
+    replace(config, r_list=(r,))  # the degree rule of --r
     if extended:
-        field = md.extended_generator(mcfg, kind, r, j=j,
+        field = md.extended_generator(config, kind, r, j=j,
                                       max_nodes=config.quad_nodes)
     else:
-        field = md.generator_form(mcfg, kind, r, j=j)
+        field = md.generator_form(config, kind, r, j=j)
     return ("group" if kind != "a" else "constant", field)
 
 
 def _load_points(config, path, count):
-    mcfg = config.moduli()
     if path:
         try:
             with open(path) as fh:
@@ -170,10 +170,10 @@ def _load_points(config, path, count):
         for entry in entries:
             body = entry.get("matrices", entry.get("h")) if isinstance(
                 entry, dict) else entry
-            pts.append(forms.point(mcfg.shape, *md.point_from_json(body).parts))
+            pts.append(forms.point(config.shape, *md.point_from_json(body).parts))
         return pts
     rng = lc.as_rng(config.seed)
-    return [forms.random_point(mcfg.shape, rng) for _ in range(count)]
+    return [forms.random_point(config.shape, rng) for _ in range(count)]
 
 
 def _c2(value):
@@ -182,99 +182,84 @@ def _c2(value):
 
 
 def _cmd_eval(args):
+    """Evaluate a form at points. Plain forms take no phi. sigma_Q's points
+    Lam and tangents are coordinate rows on the algebra, drawn in turn with
+    its phis, and it ignores --frame. A constant form a_r has one entry: its
+    values on the algebra basis."""
     config = _load_config(args)
     count = 1 if args.sample is None else args.sample
     if count < 0:
         raise ValueError("sample must be nonnegative")
-    mcfg = config.moduli()
     kind, field = _resolve_form(args.form, config)
     rng = lc.as_rng(config.seed + 1)
-    d = mcfg.algebra_dim
-    basis = [lc.from_coords(np.eye(d)[a], mcfg.N) for a in range(d)]
+    d = config.algebra_dim
+    basis = [lc.from_coords(np.eye(d)[a], config.N) for a in range(d)]
     evaluations = []
-
+    frame = args.frame
     if kind == "constant":
-        Q = lc.chern_polynomial(mcfg.N, field.phi_degree)
+        Q = lc.chern_polynomial(config.N, field.phi_degree)
         entry = {"point_index": None, "arity": 0}
         if field.phi_degree == 2:
-            entry["gram"] = [
-                [_c2(Q(a, b)) for b in basis] for a in basis]
-        entry["diagonal"] = [
-            _c2(Q(*([a] * field.phi_degree))) for a in basis]
+            entry["gram"] = [[_c2(Q(a, b)) for b in basis] for a in basis]
+        entry["diagonal"] = [_c2(Q(*([a] * field.phi_degree))) for a in basis]
         evaluations.append(entry)
-        payload = {"form": args.form, "evaluations": evaluations}
-        _emit(payload, args.out)
-        return 0
+        points = []
+    elif kind == "algebra":
+        frame = "random"
+        points = (forms.Point((rng.standard_normal(d) * 0.7,))
+                  for _ in range(count))
+    else:
+        points = _load_points(config, args.points, count)
 
-    if kind == "algebra":
-        for i in range(count):
-            lam = rng.standard_normal(d) * 0.7
-            pt = forms.Point((lam,))
-            phi = lc.random_algebra(mcfg.N, rng)
-            for p in field.arities:
-                vs = [forms.Tangent((rng.standard_normal(d),))
-                      for _ in range(p)]
-                evaluations.append({
-                    "point_index": i, "arity": p,
-                    "lam": list(map(float, lam)),
-                    "value": _c2(field(phi, pt, *vs)),
-                })
-        payload = {"form": args.form, "evaluations": evaluations}
-        _emit(payload, args.out)
-        return 0
+    def tangent():
+        if kind == "algebra":
+            return forms.Tangent((rng.standard_normal(d),))
+        return forms.random_tangent(config.shape, rng)
 
-    points = _load_points(config, args.points, count)
+    def value(phi, pt, *vs):
+        return _c2(field(pt, *vs) if phi is None else field(phi, pt, *vs))
+
     for i, pt in enumerate(points):
-        if args.frame == "reduced":
-            frame = md.reduced_frame(mcfg, pt)
-            rows = [md.tangent_from_coords(mcfg, r) for r in frame.quotient]
-            if kind == "plain":
-                matrix = [[_c2(field(pt, u, v)) for v in rows] for u in rows]
-            else:
-                phi = lc.random_algebra(mcfg.N, rng)
-                matrix = [[_c2(field(phi, pt, u, v)) for v in rows]
-                          for u in rows]
-            evaluations.append({"point_index": i, "arity": 2,
-                                "frame": "reduced", "matrix": matrix})
-            continue
         if kind == "plain":
-            vs = [forms.random_tangent(mcfg.shape, rng)
-                  for _ in range(field.arity)]
-            evaluations.append({
-                "point_index": i, "arity": field.arity,
-                "value": _c2(field(pt, *vs)),
-            })
+            phis = [None]
+        elif frame == "phi-basis":
+            phis = basis
         else:
-            phis = basis if args.frame == "phi-basis" else [
-                lc.random_algebra(mcfg.N, rng)]
-            for p in field.arities:
-                vs = [forms.random_tangent(mcfg.shape, rng) for _ in range(p)]
-                for a, phi in enumerate(phis):
-                    entry = {
-                        "point_index": i, "arity": p,
-                        "value": _c2(field(phi, pt, *vs)),
-                    }
-                    if len(phis) > 1:
-                        entry["phi_index"] = a
-                    evaluations.append(entry)
-    payload = {"form": args.form, "evaluations": evaluations}
-    _emit(payload, args.out)
+            phis = [lc.random_algebra(config.N, rng)]
+        if frame == "reduced":
+            reduced = md.reduced_frame(config, pt)
+            rows = [md.tangent_from_coords(config, r) for r in reduced.quotient]
+            evaluations.append({
+                "point_index": i, "arity": 2, "frame": "reduced",
+                "matrix": [[value(phis[0], pt, u, v) for v in rows]
+                           for u in rows]})
+            continue
+        for p in (field.arity,) if kind == "plain" else field.arities:
+            vs = [tangent() for _ in range(p)]
+            for a, phi in enumerate(phis):
+                entry = {"point_index": i, "arity": p,
+                         "value": value(phi, pt, *vs)}
+                if len(phis) > 1:
+                    entry["phi_index"] = a
+                if kind == "algebra":
+                    entry["lam"] = list(map(float, pt.parts[0]))
+                evaluations.append(entry)
+    _emit({"form": args.form, "evaluations": evaluations}, args.out)
     return 0
 
 
 def _cmd_sample(args):
     config = _load_config(args)
-    mcfg = config.moduli()
     if args.count < 0:
         raise ValueError("count must be nonnegative")
     if args.space == "Y":
         stats = {}
-        pts = md.sample_Y(mcfg, config.seed, args.count,
+        pts = md.sample_Y(config, config.seed, args.count,
                           perturbation=args.perturbation, stats=stats)
         entries = []
         for p in pts:
-            val = md.epsilon_R(mcfg).evaluate(p.parts)[0]
-            res = float(np.linalg.norm(val - mcfg.beta.matrix()))
+            val = md.epsilon_R(config).evaluate(p.parts)[0]
+            res = float(np.linalg.norm(val - config.beta.matrix()))
             entries.append({"matrices": md.point_to_json(p), "residual": res})
         payload = {
             "space": "Y", "count": len(entries),
@@ -284,10 +269,10 @@ def _cmd_sample(args):
         rng = lc.as_rng(config.seed)
         entries = []
         for _ in range(args.count):
-            h = forms.random_point(mcfg.shape, rng)
-            x = md.lift_to_X(mcfg, h)
+            h = forms.random_point(config.shape, rng)
+            x = md.lift_to_X(config, h)
             entries.append({**md.x_point_to_json(x),
-                            "residual": md.x_point_residual(mcfg, x)})
+                            "residual": md.x_point_residual(config, x)})
         payload = {"space": "X", "count": len(entries), "failures": 0,
                    "points": entries}
     _emit(payload, args.out)

@@ -218,12 +218,9 @@ def algebra_dim(n):
     return n * n - 1
 
 
-def to_coords(x, n=None):
+def to_coords(x, n):
     """Real coordinates of an algebra element in the orthonormal basis; a
     stack of elements gives a stack of coordinate rows."""
-    x = np.asarray(x)
-    if n is None:
-        n = x.shape[-1]
     basis = algebra_basis(n)
     # <E_a, x> = -tr(E_a x)
     return -np.einsum("aij,...ji->...a", basis, x).real

@@ -42,10 +42,12 @@ LEVEL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ModuliConfig:
+    """The level set of h in SU(N)^(2g) whose surface relator equals the
+    central element beta = exp(2 pi i beta_index / N) I."""
+
     N: int = 2
     genus: int = 2
     beta_index: int = 1
-    degrees: tuple = (2,)
 
     def __post_init__(self):
         if self.N < 2:
@@ -54,13 +56,6 @@ class ModuliConfig:
             raise ValueError("genus must be at least 2")
         if not 0 <= self.beta_index < self.N:
             raise ValueError("central phase index out of range")
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        for r in self.degrees:
-            if r == 1:
-                raise ValueError("polynomial degree 1 gives no generators: "
-                                 "c_1 = (i/2pi) tr X vanishes on su(N)")
-            if not 2 <= r <= self.N:
-                raise ValueError("polynomial degree must satisfy 2 <= r <= N")
 
     @property
     def beta(self):
@@ -330,10 +325,8 @@ def x_point_residual(config, x):
 # reduced tangent frames
 
 def _orthonormal_rows(rows):
-    if len(rows) == 0:
-        return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
-    u, s, vt = np.linalg.svd(np.asarray(rows), full_matrices=False)
-    keep = s > 1e-8 * s[0] if s.size and s[0] > 0 else []
+    u, s, vt = np.linalg.svd(rows, full_matrices=False)
+    keep = s > 1e-8 * s[0] if s[0] > 0 else []
     return vt[keep]
 
 
@@ -578,8 +571,8 @@ def sigma_Q(config, Q, max_nodes=256):
     """Radial primitive of the level-1 form pulled back along beta * exp.
 
     Degree 2 has a closed form. Radial quadrature (homotopy_h, up to
-    max_nodes) runs here for degree >= 3, as ModuliConfig rejects degree 1,
-    and elsewhere only for the homotopy identity.
+    max_nodes) runs here for degree >= 3, as suites.RunConfig rejects
+    degree 1, and elsewhere only for the homotopy identity.
     """
     if Q.degree == 2:
         out = _sigma_degree_two(config, Q)

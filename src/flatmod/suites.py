@@ -40,10 +40,10 @@ class NumericalBreakdown(RuntimeError):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    N: int = 2
-    genus: int = 2
-    beta_index: int = 1
+class RunConfig(md.ModuliConfig):
+    """A moduli space plus the settings of one run: the degrees r of the
+    generators to check, the seed, the sample count and the tolerances."""
+
     r_list: tuple = (2,)
     seed: int = 0
     sample_count: int = 20
@@ -69,16 +69,22 @@ class RunConfig:
             raise ValueError("quad_nodes must be at least 16")
         if self.jobs != 1:
             raise ValueError("jobs must be 1: samples run on the calling thread")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {s!r}")
-        self.moduli()  # validates N, genus, beta_index, r_list
-
-    def moduli(self):
-        return md.ModuliConfig(
-            N=self.N, genus=self.genus, beta_index=self.beta_index,
-            degrees=self.r_list,
-        )
+        super().__post_init__()
+        for r in self.r_list:
+            if r == 1:
+                raise ValueError("polynomial degree 1 gives no generators: "
+                                 "c_1 = (i/2pi) tr X vanishes on su(N)")
+            if not 2 <= r <= self.N:
+                raise ValueError("polynomial degree must satisfy 2 <= r <= N")
+        for name, values in (("degree", self.r_list), ("suite", self.suites)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} {value!r} is given twice")
 
 
 @dataclass
@@ -186,15 +192,15 @@ def _equivariant_draws(N, shape, arities, count):
     return draws
 
 
-def _chart_draws(mcfg, arities, count):
+def _chart_draws(config, arities, count):
     """Chart points drawn in bulk, then per sample a phi and one frame whose
     arity cycles through arities."""
     def draws(rng):
-        pts = md.sample_chart_points(mcfg, rng, count)
+        pts = md.sample_chart_points(config, rng, count)
         for i, pt in enumerate(pts):
-            phi = lc.random_algebra(mcfg.N, rng)
+            phi = lc.random_algebra(config.N, rng)
             p = arities[i % len(arities)]
-            yield [(phi, pt, *_tangents(mcfg.shape, rng, p))]
+            yield [(phi, pt, *_tangents(config.shape, rng, p))]
     return draws
 
 
@@ -387,15 +393,14 @@ def _suite_fox(config):
 # goldman suite
 
 def _suite_goldman(config):
-    mcfg = config.moduli()
     pulled = forms.pullback(
-        md.epsilon_R(mcfg).geometry(mcfg.N),
-        sp.bott_shulman(1, lc.inner_polynomial(mcfg.N)),
+        md.epsilon_R(config).geometry(config.N),
+        sp.bott_shulman(1, lc.inner_polynomial(config.N)),
     )
     return [_identity(
         config, "goldman.exactness", "d omega = relator^* Phi_1(<.,.>)",
-        config.tol_fd, _plain_draws(mcfg.shape, 3, config.sample_count),
-        forms.exterior_derivative(md.goldman_form(mcfg), step=config.fd_step),
+        config.tol_fd, _plain_draws(config.shape, 3, config.sample_count),
+        forms.exterior_derivative(md.goldman_form(config), step=config.fd_step),
         pulled)]
 
 
@@ -403,18 +408,17 @@ def _suite_goldman(config):
 # rank suite: the symplectic certificate on the reduced frame
 
 def _suite_rank(config):
-    mcfg = config.moduli()
-    om = md.goldman_form(mcfg)
+    om = md.goldman_form(config)
     n_y = min(config.sample_count, 10)
     rng = _rng_for(config, "rank")
-    points = md.sample_Y(mcfg, rng, n_y)
+    points = md.sample_Y(config, rng, n_y)
     cache = {}
 
     def certificate(i):
         if i not in cache:
             y = points[i]
-            frame = md.reduced_frame(mcfg, y)
-            rows = md.tangent_from_coords(mcfg, frame.kernel)
+            frame = md.reduced_frame(config, y)
+            rows = md.tangent_from_coords(config, frame.kernel)
             # one call on the k x k grid of kernel rows: (k, 1) against
             # (1, k); omega(u_a, u_b) and omega(u_b, u_a) stay separate
             # evaluations, so skew still tests antisymmetry
@@ -430,7 +434,7 @@ def _suite_rank(config):
             cache[i] = (skew, s, sq)
         return cache[i]
 
-    rank = (2 * mcfg.genus - 2) * (mcfg.N ** 2 - 1)
+    rank = (2 * config.genus - 2) * (config.N ** 2 - 1)
     tasks = []
     tasks.append(IdentityTask(
         "rank.skew", "omega is antisymmetric on the reduced frame", 1e-8,
@@ -479,10 +483,9 @@ def _homotopy_sum(f, phi, pt, *vs, step, max_nodes):
 
 
 def _suite_extended(config):
-    mcfg = config.moduli()
-    N = mcfg.N
+    N = config.N
     n = config.sample_count
-    d = mcfg.algebra_dim
+    d = config.algebra_dim
     tasks = []
     # forms composed with the chart logarithm carry third derivatives two
     # orders larger than the level-set forms, so their difference stencils
@@ -490,17 +493,17 @@ def _suite_extended(config):
     chart_step = 0.1 * config.fd_step
     for r in config.r_list:
         dk = forms.cartan_differential(
-            md.extended_generator(mcfg, "f", r, max_nodes=config.quad_nodes),
+            md.extended_generator(config, "f", r, max_nodes=config.quad_nodes),
             step=chart_step)
         tasks.append(_identity(
             config, f"extended.f-closed.r{r}",
             f"d_K extended-f_{r} = 0 in the chart", config.tol_fd,
-            _chart_draws(mcfg, dk.arities, n), dk))
+            _chart_draws(config, dk.arities, n), dk))
 
         dks = [
             forms.cartan_differential(
-                md.extended_generator(mcfg, "b", r, j=j), step=config.fd_step)
-            for j in range(1, mcfg.num_generators + 1)
+                md.extended_generator(config, "b", r, j=j), step=config.fd_step)
+            for j in range(1, config.num_generators + 1)
         ]
 
         def b_draws(rng):
@@ -508,8 +511,8 @@ def _suite_extended(config):
             for i in range(n):
                 dkb = dks[i % len(dks)]
                 phi = lc.random_algebra(N, rng)
-                pt = forms.random_point(mcfg.shape, rng)
-                vs = _tangents(mcfg.shape, rng, arities[i % len(arities)])
+                pt = forms.random_point(config.shape, rng)
+                vs = _tangents(config.shape, rng, arities[i % len(arities)])
                 yield [(dkb, phi, pt, *vs)]
 
         tasks.append(_identity(
@@ -518,20 +521,20 @@ def _suite_extended(config):
             b_draws, _call))
 
         pairs = [("a", None), ("f", None)]
-        pairs += [("b", j) for j in (1, mcfg.num_generators)]
+        pairs += [("b", j) for j in (1, config.num_generators)]
         fields = [
-            (md.extended_generator(mcfg, kind, r, j=j,
+            (md.extended_generator(config, kind, r, j=j,
                                    max_nodes=config.quad_nodes),
-             md.generator_form(mcfg, kind, r, j=j))
+             md.generator_form(config, kind, r, j=j))
             for kind, j in pairs
         ]
 
         def restriction_draws(rng):
-            for y in md.sample_Y(mcfg, rng, min(n, 10)):
+            for y in md.sample_Y(config, rng, min(n, 10)):
                 frames = {}
                 for _, base in fields:
                     for p in base.arities:
-                        frames.setdefault(p, _tangents(mcfg.shape, rng, p))
+                        frames.setdefault(p, _tangents(config.shape, rng, p))
                 phi = lc.random_algebra(N, rng)
                 yield [(ext, base, phi, y, *frames[p])
                        for ext, base in fields for p in base.arities]
@@ -543,16 +546,16 @@ def _suite_extended(config):
             lambda ext, base, *args: ext(*args),
             lambda ext, base, *args: base(*args)))
 
-        pipe = md.generator_form(mcfg, "f", r)
+        pipe = md.generator_form(config, "f", r)
         tasks.append(_identity(
             config, f"extended.crosspath.r{r}",
             f"slant pipeline equals the fused word-map double sum for f_{r}",
-            config.tol_quad, _equivariant_draws(N, mcfg.shape, pipe.arities, n),
-            md.generator_form_direct_f(mcfg, r), pipe))
+            config.tol_quad, _equivariant_draws(N, config.shape, pipe.arities, n),
+            md.generator_form_direct_f(config, r), pipe))
 
         Q = lc.chern_polynomial(N, r)
         dks_sigma = forms.cartan_differential(
-            md.sigma_Q(mcfg, Q, max_nodes=config.quad_nodes),
+            md.sigma_Q(config, Q, max_nodes=config.quad_nodes),
             step=config.fd_step)
 
         def transgression_draws(rng):
@@ -569,14 +572,14 @@ def _suite_extended(config):
             f"d_K sigma_{r} equals the beta-exp pullback of the level-1 form",
             config.tol_fd, transgression_draws, dks_sigma,
             forms.pullback_equivariant(
-                md.exp_beta_map(mcfg), sp.bott_shulman_equivariant(1, Q),
+                md.exp_beta_map(config), sp.bott_shulman_equivariant(1, Q),
                 ("adjoint",))))
 
         ident = f"extended.growth-probe.r{r}"
         def probe(r=r, ident=ident):
             radii = np.linspace(0.5, 10 * np.pi, 8)
             _, sups, slopes = md.sigma_coefficient_sweep(
-                config.moduli(), lc.chern_polynomial(N, r), radii,
+                config, lc.chern_polynomial(N, r), radii,
                 seed=config.seed, max_nodes=config.quad_nodes)
             for row in sups.values():
                 if not np.all(np.isfinite(row)):
@@ -613,16 +616,15 @@ def _suite_extended(config):
 # moment suite: the symplectic example and its equivariant extension
 
 def _suite_moment(config):
-    mcfg = config.moduli()
     n = config.sample_count
     chart_step = 0.1 * config.fd_step
-    ot = md.omega_tilde(mcfg)
-    ob = md.omega_bar(mcfg)
+    ot = md.omega_tilde(config)
+    ob = md.omega_bar(config)
     dkb = forms.cartan_differential(ob, step=chart_step)
 
     def omega_tilde_draws(rng):
-        for pt in md.sample_chart_points(mcfg, rng, n):
-            yield [(pt, *_tangents(mcfg.shape, rng, 3))]
+        for pt in md.sample_chart_points(config, rng, n):
+            yield [(pt, *_tangents(config.shape, rng, 3))]
 
     tasks = [
         _identity(
@@ -631,16 +633,16 @@ def _suite_moment(config):
             forms.exterior_derivative(ot, step=chart_step)),
         _identity(
             config, "moment.omega-bar-closed", "d_K omega-bar = 0",
-            config.tol_fd, _chart_draws(mcfg, dkb.arities, n), dkb),
+            config.tol_fd, _chart_draws(config, dkb.arities, n), dkb),
     ]
 
     conventions = ("d_K = d - iota_{phi#}, phi# = d/dt exp(t phi).x "
                    "left-trivialised, <X,Y> = -tr XY, relator = beta exp(Lambda)")
     ident = "moment.linear-part"
     rng = _rng_for(config, ident)
-    pts = md.sample_chart_points(mcfg, rng, min(n, 10))
+    pts = md.sample_chart_points(config, rng, min(n, 10))
     def linear_part(pt):
-        coeffs, lam = md.moment_linear_coefficients(mcfg, ob, pt)
+        coeffs, lam = md.moment_linear_coefficients(config, ob, pt)
         scale = max(1.0, float(np.linalg.norm(lam)))
         return float(np.linalg.norm(coeffs - 2.0 * lam)) / scale
     tasks.append(IdentityTask(
@@ -649,14 +651,14 @@ def _suite_moment(config):
         "reads -2 Lambda under phi# = d/dt exp(-t phi).x)", 1e-8,
         [lambda pt=pt: linear_part(pt) for pt in pts]))
 
-    chart = md.chart_map(mcfg)
-    actions = ("conjugation",) * mcfg.num_generators
+    chart = md.chart_map(config)
+    actions = ("conjugation",) * config.num_generators
 
     def measured_draws(rng):
         # the linear part's chart points, each with a fresh phi and tangent
         for pt in pts:
-            phi = lc.random_algebra(mcfg.N, rng)
-            yield [(pt, phi, forms.random_tangent(mcfg.shape, rng))]
+            phi = lc.random_algebra(config.N, rng)
+            yield [(pt, phi, forms.random_tangent(config.shape, rng))]
 
     tasks.append(_identity(
         config, "moment.linear-part-measured",
@@ -664,9 +666,9 @@ def _suite_moment(config):
         f"that fixes the sign of the linear part ({conventions})", 1e-8,
         measured_draws,
         lambda pt, phi, v: 2.0 * lc.inner(
-            lc.from_coords(chart.push(pt, v)[0], mcfg.N), phi),
+            lc.from_coords(chart.push(pt, v)[0], config.N), phi),
         lambda pt, phi, v: ot(
-            pt, forms.generating_field(mcfg.shape, actions, phi, pt), v)))
+            pt, forms.generating_field(config.shape, actions, phi, pt), v)))
     return tasks
 
 

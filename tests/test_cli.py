@@ -358,6 +358,39 @@ def test_verify_rejects_degree_one(capsys):
     assert out == ""
 
 
+
+def test_repeated_degrees_and_suites_are_rejected(capsys):
+    # a repeated entry would list its records twice
+    for argv, message in (
+            (["--r", "2,2", "--suite", "cocycle"], "degree 2 is given twice"),
+            (["--suite", "fox-symbolic", "--suite", "fox-symbolic"],
+             "suite 'fox-symbolic' is given twice")):
+        code, out, err = run_cli(["verify", "--samples", "1", *argv], capsys)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+
+def test_eval_form_ids_obey_the_degree_rule(capsys):
+    for form in ("f_1", "a_1", "b_1_1", "extended_f_1"):
+        code, out, err = run_cli(["eval", "--form", form], capsys)
+        assert code == 2, form
+        assert "degree 1" in err and "vanishes on su(N)" in err
+        assert out == ""
+    code, out, err = run_cli(["eval", "--form", "f_3"], capsys)
+    assert code == 2
+    assert "polynomial degree must satisfy 2 <= r <= N" in err
+    assert out == ""
+
+
+def test_negative_seed_is_named(capsys):
+    for argv in (["verify", "--suite", "fox-symbolic"],
+                 ["eval", "--form", "f_2"], ["sample"]):
+        code, out, err = run_cli([*argv, "--seed", "-1"], capsys)
+        assert code == 2, argv
+        assert "seed must be nonnegative" in err
+        assert out == ""
+
 def test_r_flag_overrides_config_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"r_list": [2], "seed": 5}))
@@ -394,3 +427,42 @@ def test_importing_the_cli_does_not_import_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "False"
+
+
+GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"
+
+GOLDEN_CLI_COMMANDS = [
+    ["eval", "--form", "a_2"],
+    ["eval", "--form", "b_2_1"],
+    ["eval", "--form", "f_2", "--sample", "2"],
+    ["eval", "--form", "f_2", "--frame", "phi-basis"],
+    ["eval", "--form", "f_2", "--frame", "reduced"],
+    ["eval", "--form", "omega", "--frame", "reduced"],
+    ["eval", "--form", "omega_tilde"],
+    ["eval", "--form", "sigma_Q", "--sample", "2"],
+    ["eval", "--form", "sigma_Q", "--N", "3", "--r", "3"],
+    ["eval", "--form", "extended_b_2_1", "--frame", "phi-basis"],
+    ["eval", "--form", "extended_f_2", "--frame", "reduced"],
+    ["eval", "--form", "f_2", "--sample", "0"],
+    ["sample", "--space", "Y"],
+    ["sample", "--space", "X"],
+]
+
+
+def test_cli_output_matches_golden_file(capsys):
+    """Each command's stdout equals its lines in tests/data/golden_cli.json.
+
+    The file pins every form kind, frame and sample-count path of `eval`
+    and both spaces of `sample`. A change that moves a value on purpose
+    regenerates the file: run each argv through `cli.main`, store its
+    stdout as `stdout.splitlines()` next to it under "commands", dump with
+    `json.dumps(..., indent=1)`,
+    and says in CHANGES.md which values moved and why.
+    """
+    golden = json.loads(GOLDEN_CLI.read_text())["commands"]
+    assert [entry["argv"] for entry in golden] == GOLDEN_CLI_COMMANDS
+    for entry in golden:
+        code, out, _ = run_cli(entry["argv"], capsys)
+        assert code == 0, entry["argv"]
+        assert out == "".join(line + "\n" for line in entry["stdout"]), \
+            entry["argv"]

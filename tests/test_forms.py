@@ -133,12 +133,12 @@ def test_generating_field_values():
     lam = lc.random_algebra(2, 92)
     shape = (forms.GroupFactor(2), forms.GroupFactor(2), forms.VectorFactor(3))
     actions = ("conjugation", "left", "adjoint")
-    pt = forms.Point((h, h, lc.to_coords(lam)))
+    pt = forms.Point((h, h, lc.to_coords(lam, 2)))
     gen = forms.generating_field(shape, actions, phi, pt)
     hi = h.conj().T
     assert np.max(np.abs(gen[0] - (hi @ phi @ h - phi))) < 1e-12
     assert np.max(np.abs(gen[1] - hi @ phi @ h)) < 1e-12
-    expect_adj = lc.to_coords(lc.bracket(phi, lam))
+    expect_adj = lc.to_coords(lc.bracket(phi, lam), 2)
     assert np.max(np.abs(gen[2] - expect_adj)) < 1e-12
 
 

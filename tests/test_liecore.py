@@ -427,7 +427,7 @@ def test_coords_roundtrip():
     rng = np.random.default_rng(14)
     for n in (2, 3):
         x = lc.random_algebra(n, rng)
-        v = lc.to_coords(x)
+        v = lc.to_coords(x, n)
         np.testing.assert_allclose(lc.from_coords(v, n), x, atol=1e-13)
         assert np.linalg.norm(v) == pytest.approx(
             np.sqrt(lc.inner(x, x)), abs=1e-12

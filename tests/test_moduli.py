@@ -11,7 +11,7 @@ import flatmod.suites as su
 import flatmod.words as wd
 
 CFG = md.ModuliConfig()
-CFG3 = md.ModuliConfig(N=3, genus=2, beta_index=0, degrees=(2, 3))
+CFG3 = md.ModuliConfig(N=3, genus=2, beta_index=0)
 
 
 def _random_phis(n, seed, count):
@@ -31,7 +31,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         md.ModuliConfig(beta_index=2)
     with pytest.raises(ValueError):
-        md.ModuliConfig(N=2, degrees=(3,))
+        su.RunConfig(N=2, r_list=(3,))
 
 
 def test_relator_values_at_identity_and_seed():
@@ -48,7 +48,7 @@ def test_relator_values_at_identity_and_seed():
 def test_seed_point_meets_every_central_relator():
     for n in range(2, 6):
         for k in range(n):
-            config = md.ModuliConfig(N=n, beta_index=k, degrees=(2,))
+            config = md.ModuliConfig(N=n, beta_index=k)
             seed = md.seed_point(config)
             for g in seed.parts:
                 lc.check_group(g, tol=1e-12)
