@@ -1,8 +1,10 @@
 """Command-line interface: run identity suites, evaluate forms, sample points.
 
-Exit codes: 0 pass, 1 identity failure, 2 usage or config error, 3 numeric
-breakdown (branch cut, simplex margin, non-convergence, quadrature failure,
-non-generic point, non-finite residual).
+Exit codes: 0 pass, 1 identity failure, 2 usage or config error (a
+ValueError or TypeError), 3 numeric breakdown (any `liecore.NumericalFailure`:
+branch cut, non-normal logarithm, simplex margin, non-convergence, quadrature
+failure, non-generic point, non-finite residual). A breakdown in `verify`
+names its suite, and the identity and sample when a sample raised it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -20,10 +22,7 @@ from . import liecore as lc
 from . import moduli as md
 from . import suites as su
 
-_CONFIG_KEYS = (
-    "N", "genus", "beta_index", "r_list", "seed", "sample_count",
-    "fd_step", "tol_quad", "tol_fd", "quad_nodes", "suites",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(su.RunConfig) if f.name != "jobs")
 
 
 def _parse_int_list(text):
@@ -184,18 +183,27 @@ def _c2(value):
 def _cmd_eval(args):
     """Evaluate a form at points. Plain forms take no phi. sigma_Q's points
     Lam and tangents are coordinate rows on the algebra, drawn in turn with
-    its phis, and it ignores --frame. A constant form a_r has one entry: its
-    values on the algebra basis."""
+    its phis. A constant form a_r has one entry: its values on the algebra
+    basis. A flag that the form cannot use is refused."""
     config = _load_config(args)
     count = 1 if args.sample is None else args.sample
     if count < 0:
         raise ValueError("sample must be nonnegative")
     kind, field = _resolve_form(args.form, config)
+    arities = (field.arity,) if kind == "plain" else field.arities
+    for flag, refused in (
+            ("--points", args.points and kind in ("algebra", "constant")),
+            ("--sample", args.sample is not None and kind == "constant"),
+            ("--frame phi-basis", args.frame == "phi-basis"
+             and kind in ("plain", "constant")),
+            ("--frame reduced", args.frame == "reduced"
+             and (kind == "algebra" or 2 not in arities))):
+        if refused:
+            raise ValueError(f"form {args.form} does not take {flag}")
     rng = lc.as_rng(config.seed + 1)
     d = config.algebra_dim
     basis = [lc.from_coords(np.eye(d)[a], config.N) for a in range(d)]
     evaluations = []
-    frame = args.frame
     if kind == "constant":
         Q = lc.chern_polynomial(config.N, field.phi_degree)
         entry = {"point_index": None, "arity": 0}
@@ -205,7 +213,6 @@ def _cmd_eval(args):
         evaluations.append(entry)
         points = []
     elif kind == "algebra":
-        frame = "random"
         points = (forms.Point((rng.standard_normal(d) * 0.7,))
                   for _ in range(count))
     else:
@@ -222,11 +229,11 @@ def _cmd_eval(args):
     for i, pt in enumerate(points):
         if kind == "plain":
             phis = [None]
-        elif frame == "phi-basis":
+        elif args.frame == "phi-basis":
             phis = basis
         else:
             phis = [lc.random_algebra(config.N, rng)]
-        if frame == "reduced":
+        if args.frame == "reduced":
             reduced = md.reduced_frame(config, pt)
             rows = [md.tangent_from_coords(config, r) for r in reduced.quotient]
             evaluations.append({
@@ -252,30 +259,30 @@ def _cmd_sample(args):
     config = _load_config(args)
     if args.count < 0:
         raise ValueError("count must be nonnegative")
+    eps, beta = md.epsilon_R(config), config.beta.matrix()
+
+    def residual(pt, target):
+        return float(np.linalg.norm(eps.evaluate(pt.parts)[0] - target))
+
     if args.space == "Y":
         stats = {}
         pts = md.sample_Y(config, config.seed, args.count,
                           perturbation=args.perturbation, stats=stats)
-        entries = []
-        for p in pts:
-            val = md.epsilon_R(config).evaluate(p.parts)[0]
-            res = float(np.linalg.norm(val - config.beta.matrix()))
-            entries.append({"matrices": md.point_to_json(p), "residual": res})
-        payload = {
-            "space": "Y", "count": len(entries),
-            "failures": stats.get("failures", 0), "points": entries,
-        }
+        entries = [{"matrices": md.point_to_json(p),
+                    "residual": residual(p, beta)} for p in pts]
+        failures = stats.get("failures", 0)
     else:
         rng = lc.as_rng(config.seed)
         entries = []
         for _ in range(args.count):
             h = forms.random_point(config.shape, rng)
-            x = md.lift_to_X(config, h)
-            entries.append({**md.x_point_to_json(x),
-                            "residual": md.x_point_residual(config, x)})
-        payload = {"space": "X", "count": len(entries), "failures": 0,
-                   "points": entries}
-    _emit(payload, args.out)
+            lam = md.relator_residual(config, h)
+            entries.append({"h": md.point_to_json(h),
+                            "lam": lc.matrix_to_json(lam),
+                            "residual": residual(h, beta @ lc.exp_alg(lam))})
+        failures = 0
+    _emit({"space": args.space, "count": len(entries), "failures": failures,
+           "points": entries}, args.out)
     return 0
 
 
@@ -288,9 +295,7 @@ def main(argv=None):
         if args.command == "eval":
             return _cmd_eval(args)
         return _cmd_sample(args)
-    except (su.NumericalBreakdown,) + su._NUMERIC_ERRORS as exc:
-        # before the usage clause: BranchCutError and SimplexMarginError
-        # are ValueErrors
+    except lc.NumericalFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:

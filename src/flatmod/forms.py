@@ -42,7 +42,7 @@ from . import liecore as lc
 DEFAULT_FD_STEP = 1e-4
 
 
-class SimplexMarginError(ValueError):
+class SimplexMarginError(lc.NumericalFailure):
     """Point is too close to the simplex boundary for the FD step."""
 
 

@@ -20,7 +20,11 @@ GROUP_TOL = 1e-10
 BRANCH_TOL = 1e-8
 
 
-class BranchCutError(ValueError):
+class NumericalFailure(RuntimeError):
+    """A numeric breakdown; every layer's numeric error subclasses it."""
+
+
+class BranchCutError(NumericalFailure):
     """Raised when a logarithm is requested at (or too near) the branch cut."""
 
 
@@ -104,7 +108,7 @@ def log_group(g):
     is invertible, and eigh of the Cayley transform i(I - g)(I + g)^-1
     (eigenvalues tan(theta/2)) gives an eigenframe Z of g; the phases are
     read off the Rayleigh quotients z^H g z of the unturned g. A matrix
-    whose Z^H g Z is not diagonal to 1e-8 raises ValueError.
+    whose Z^H g Z is not diagonal to 1e-8 raises NumericalFailure.
 
     Eigenphases are taken in (-pi, pi]; when their sum winds (2 pi m with
     m != 0, possible because each phase is reduced independently) the m
@@ -125,7 +129,7 @@ def log_group(g):
     t = z.conj().mT @ g @ z
     d = np.diagonal(t, axis1=-2, axis2=-1)
     if np.max(np.linalg.norm(t - d[..., None] * eye, axis=(-2, -1))) > 1e-8:
-        raise ValueError("matrix is not normal enough for a unitary logarithm")
+        raise NumericalFailure("matrix is not normal enough for a unitary logarithm")
     phases = np.angle(d)  # in (-pi, pi]
     if np.min(np.pi - np.abs(phases)) < BRANCH_TOL:
         raise BranchCutError("eigenvalue phase at the principal branch cut")

@@ -24,15 +24,15 @@ from . import simplicial as sp
 from . import words as wd
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(lc.NumericalFailure):
     """Newton projection onto the relator level set failed."""
 
 
-class NonGenericPointError(RuntimeError):
+class NonGenericPointError(lc.NumericalFailure):
     """Constraint rank drops at this point; the reduced frame is undefined."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(lc.NumericalFailure):
     """Radial quadrature failed to converge under node doubling."""
 
 
@@ -72,14 +72,6 @@ class ModuliConfig:
     @property
     def shape(self):
         return forms.group_power(self.N, self.num_generators)
-
-
-@dataclass(frozen=True)
-class XPoint:
-    """A chart point (h, Lam) with relator(h) = beta exp(Lam)."""
-
-    h: forms.Point
-    lam: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -282,11 +274,6 @@ def chart_map(config):
     return forms.CallableMap(dom, cod, at)
 
 
-def lift_to_X(config, pt):
-    """Attach the logarithm coordinate; valid away from the branch cut."""
-    return XPoint(pt, relator_residual(config, pt))
-
-
 def cut_margin(config, pt):
     """Distance of the relator value's eigenphases from the logarithm cut."""
     val = epsilon_R(config).evaluate(pt.parts)[0]
@@ -313,12 +300,6 @@ def sample_chart_points(config, seed, count, margin=0.7):
         if cut_margin(config, pt) >= margin:
             out.append(pt)
     return out
-
-
-def x_point_residual(config, x):
-    val = epsilon_R(config).evaluate(x.h.parts)[0]
-    target = config.beta.matrix() @ lc.exp_alg(x.lam)
-    return float(np.linalg.norm(val - target))
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +670,3 @@ def point_to_json(pt):
 
 def point_from_json(data):
     return forms.Point(tuple(lc.matrix_from_json(m) for m in data))
-
-
-def x_point_to_json(x):
-    return {"h": point_to_json(x.h), "lam": lc.matrix_to_json(x.lam)}

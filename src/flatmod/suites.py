@@ -35,7 +35,7 @@ SUITE_NAMES = (
 )
 
 
-class NumericalBreakdown(RuntimeError):
+class NumericalBreakdown(lc.NumericalFailure):
     """A suite aborted on a numerical failure rather than an identity failure."""
 
 
@@ -686,29 +686,25 @@ _BUILDERS = {
     "rank": _suite_rank,
 }
 
-_NUMERIC_ERRORS = (
-    lc.BranchCutError,
-    md.ConvergenceError,
-    md.NonGenericPointError,
-    md.QuadratureError,
-    forms.SimplexMarginError,
-)
-
 
 def run_suites(config):
-    """Run the selected suites and assemble a deterministic report."""
+    """Run the selected suites and assemble a deterministic report. A numeric
+    failure leaves as a NumericalBreakdown that names the suite, and the
+    identity and sample when a sample raised it."""
     records = []
     timings = {}
     for name in config.suites:
         t0 = time.perf_counter()
+        where = f"suite {name}"
         try:
             for task in _BUILDERS[name](config):
-                residuals = [float(fn()) for fn in task.samples]
-                for i, value in enumerate(residuals):
-                    if not np.isfinite(value):
-                        raise NumericalBreakdown(
-                            f"suite {name}: {task.identity_id} sample {i} "
-                            f"gave residual {value}")
+                residuals = []
+                for i, fn in enumerate(task.samples):
+                    where = f"suite {name}: {task.identity_id} sample {i}"
+                    residuals.append(float(fn()))
+                    if not np.isfinite(residuals[-1]):
+                        raise lc.NumericalFailure(
+                            f"non-finite residual {residuals[-1]}")
                 worst = max(residuals) if residuals else 0.0
                 passed = True if task.report_only else worst <= task.tolerance
                 records.append(IdentityRecord(
@@ -720,8 +716,10 @@ def run_suites(config):
                     passed=passed,
                     report_only=task.report_only,
                 ))
-        except _NUMERIC_ERRORS as exc:
-            raise NumericalBreakdown(f"suite {name}: {exc}") from exc
+        except NumericalBreakdown:
+            raise
+        except lc.NumericalFailure as exc:
+            raise NumericalBreakdown(f"{where}: {exc}") from exc
         timings[name] = time.perf_counter() - t0
     records.sort(key=lambda r: r.identity_id)
     return VerificationReport(

@@ -348,6 +348,25 @@ def test_growth_probe_nan_is_a_numeric_failure(monkeypatch):
         probe.samples[0]()
 
 
+def test_every_numeric_error_is_one_failure_class():
+    for cls in (lc.BranchCutError, forms.SimplexMarginError,
+                md.ConvergenceError, md.NonGenericPointError,
+                md.QuadratureError, su.NumericalBreakdown):
+        assert issubclass(cls, lc.NumericalFailure), cls
+        assert not issubclass(cls, ValueError), cls
+
+
+def test_numeric_failure_in_a_sample_names_identity_and_sample(capsys):
+    # 16 nodes cannot settle the growth probe's degree-3 sweep
+    code, out, err = run_cli(
+        ["verify", "--N", "3", "--r", "3", "--suite", "extended",
+         "--quad-nodes", "16", "--samples", "1"], capsys)
+    assert code == 3
+    assert ("suite extended: extended.growth-probe.r3 sample 0: "
+            "radial quadrature did not settle") in err
+    assert out == ""
+
+
 def test_verify_rejects_degree_one(capsys):
     # c_1 vanishes on su(N), so degree 1 has no generator to check
     code, out, err = run_cli(
@@ -466,3 +485,37 @@ def test_cli_output_matches_golden_file(capsys):
         assert code == 0, entry["argv"]
         assert out == "".join(line + "\n" for line in entry["stdout"]), \
             entry["argv"]
+
+
+@pytest.mark.parametrize("form, argv, flag", [
+    ("b_2_1", ["--frame", "reduced"], "--frame reduced"),
+    ("omega", ["--frame", "phi-basis"], "--frame phi-basis"),
+    ("omega_tilde", ["--frame", "phi-basis"], "--frame phi-basis"),
+    ("a_2", ["--points", "points.json"], "--points"),
+    ("a_2", ["--sample", "2"], "--sample"),
+    ("a_2", ["--frame", "phi-basis"], "--frame phi-basis"),
+    ("extended_a_2", ["--frame", "reduced"], "--frame reduced"),
+    ("extended_a_2", ["--sample", "0"], "--sample"),
+    ("sigma_Q", ["--points", "points.json"], "--points"),
+    ("sigma_Q", ["--frame", "reduced"], "--frame reduced"),
+])
+def test_eval_refuses_flags_the_form_cannot_use(form, argv, flag, capsys):
+    code, out, err = run_cli(["eval", "--form", form, *argv], capsys)
+    assert code == 2
+    assert f"form {form} does not take {flag}" in err
+    assert out == ""
+
+
+def test_eval_sigma_q_takes_the_phi_basis(capsys):
+    code, out, _ = run_cli(
+        ["eval", "--form", "sigma_Q", "--frame", "phi-basis"], capsys)
+    assert code == 0
+    entries = json.loads(out)["evaluations"]
+    assert [(e["arity"], e["phi_index"]) for e in entries] == [
+        (p, a) for p in (0, 2) for a in range(3)]
+    config = su.RunConfig()
+    sigma = md.sigma_Q(config, lc.chern_polynomial(2, 2))
+    for e in entries[:3]:
+        phi = lc.from_coords(np.eye(3)[e["phi_index"]], 2)
+        want = complex(sigma(phi, forms.Point((np.array(e["lam"]),))))
+        assert e["value"] == [want.real, want.imag]

@@ -135,6 +135,12 @@ def test_log_branch_cut_raises():
         lc.log_group(g)
 
 
+def test_log_of_a_non_normal_matrix_is_a_numeric_failure():
+    # a Jordan block has no unitary eigenframe
+    with pytest.raises(lc.NumericalFailure, match="not normal enough"):
+        lc.log_group(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
 def test_log_winding_correction_is_traceless():
     # principal phases (5pi/6, 5pi/6, pi/3) sum to 2pi: the correction must
     # shift one phase down, keeping exp(log g) = g and tr(log g) = 0

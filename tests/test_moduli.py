@@ -82,13 +82,18 @@ def test_sampling_determinism_and_zero_perturbation():
             assert np.array_equal(x, y)
 
 
+def _lift_residual(config, h):
+    """|relator(h) - beta exp(Lam)| for the chart lift Lam of h."""
+    lam = md.relator_residual(config, h)
+    val = md.epsilon_R(config).evaluate(h.parts)[0]
+    return np.linalg.norm(val - config.beta.matrix() @ lc.exp_alg(lam))
+
+
 def test_lift_roundtrip():
     y = md.sample_Y(CFG, 11, 1)[0]
-    x = md.lift_to_X(CFG, y)
-    assert np.linalg.norm(x.lam) <= 1e-8
+    assert np.linalg.norm(md.relator_residual(CFG, y)) <= 1e-8
     h = fo.random_point(CFG.shape, 23)
-    x = md.lift_to_X(CFG, h)
-    assert md.x_point_residual(CFG, x) <= 1e-10
+    assert _lift_residual(CFG, h) <= 1e-10
 
 
 def test_chart_tangent_matches_fd():
