@@ -72,10 +72,11 @@ def _build_parser():
     ev.add_argument("--form", required=True,
                     help="a_R, b_R_J, f_R, omega, omega_tilde, sigma_Q, "
                     "or extended_{a,b,f}_...")
-    ev.add_argument("--points", help="JSON point file from the sample command")
-    ev.add_argument("--sample", type=int,
-                    help="evaluate at this many random points instead "
-                    "(default 1)")
+    where = ev.add_mutually_exclusive_group()
+    where.add_argument("--points", help="JSON point file written by sample")
+    where.add_argument("--sample", type=int,
+                       help="evaluate at this many random points instead "
+                       "(default 1)")
     ev.add_argument("--frame", choices=("random", "reduced", "phi-basis"),
                     default="random", help="tangent frame choice")
 
@@ -146,8 +147,9 @@ def _resolve_form(form_id, config):
         raise ValueError(f"unknown form id {form_id!r}")
     extended, kind, r, j = m.group(1), m.group(2), int(m.group(3)), m.group(4)
     j = int(j) if j is not None else None
-    if kind == "b" and j is None:
-        raise ValueError("b-forms need a generator index, e.g. b_2_1")
+    if (kind == "b") != (j is not None):
+        raise ValueError("b-forms need a generator index, e.g. b_2_1; "
+                         "a- and f-forms take none")
     replace(config, r_list=(r,))  # the degree rule of --r
     if extended:
         field = md.extended_generator(config, kind, r, j=j,
@@ -201,8 +203,7 @@ def _cmd_eval(args):
         if refused:
             raise ValueError(f"form {args.form} does not take {flag}")
     rng = lc.as_rng(config.seed + 1)
-    d = config.algebra_dim
-    basis = [lc.from_coords(np.eye(d)[a], config.N) for a in range(d)]
+    d, basis = config.algebra_dim, lc.algebra_basis(config.N)
     evaluations = []
     if kind == "constant":
         Q = lc.chern_polynomial(config.N, field.phi_degree)
@@ -234,12 +235,13 @@ def _cmd_eval(args):
         else:
             phis = [lc.random_algebra(config.N, rng)]
         if args.frame == "reduced":
-            reduced = md.reduced_frame(config, pt)
-            rows = [md.tangent_from_coords(config, r) for r in reduced.quotient]
+            form = field if kind == "plain" else forms.at_phi(
+                field, phis[0], 2)
+            vals = md.frame_matrix(config, form, pt,
+                                   md.reduced_frame(config, pt).quotient)
             evaluations.append({
                 "point_index": i, "arity": 2, "frame": "reduced",
-                "matrix": [[value(phis[0], pt, u, v) for v in rows]
-                           for u in rows]})
+                "matrix": [[_c2(x) for x in row] for row in vals]})
             continue
         for p in (field.arity,) if kind == "plain" else field.arities:
             vs = [tangent() for _ in range(p)]

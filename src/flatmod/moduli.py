@@ -322,8 +322,7 @@ def reduced_frame(config, pt):
         raise NonGenericPointError("constraint rank drops at this point")
     kernel = vt[d:]
     orbit_rows = []
-    for a in range(d):
-        phi = lc.from_coords(np.eye(d)[a], config.N)
+    for phi in lc.algebra_basis(config.N):
         gen = forms.generating_field(
             config.shape, ("conjugation",) * config.num_generators, phi, pt
         )
@@ -332,6 +331,15 @@ def reduced_frame(config, pt):
     proj = kernel - (kernel @ orbit.T) @ orbit if len(orbit) else kernel
     quotient = _orthonormal_rows(proj)
     return ReducedTangentFrame(pt, kernel, orbit, quotient)
+
+
+def frame_matrix(config, form, pt, rows):
+    """The matrix form(u_a, u_b) of a plain arity-2 form on the tangents of
+    the coordinate rows u, as one call on the (k, 1) x (1, k) grid;
+    form(u_a, u_b) and form(u_b, u_a) stay separate evaluations."""
+    u = tangent_from_coords(config, rows)
+    return form(pt, forms.Tangent(tuple(x[:, None] for x in u.parts)),
+                forms.Tangent(tuple(x[None, :] for x in u.parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +377,11 @@ def generator_form(config, kind, r, j=None, Q=None):
             raise ValueError("kind 'b' needs a generator index 1 <= j <= 2g")
         chain = wd.Chain.of(wd.Word.generator(j))
         field = sp.bott_shulman_equivariant(1, Q)
-        return wd.slant_form_equivariant(chain, field, ng, config.N)
+        return wd.slant_form_equivariant(chain, field, ng)
     if kind == "f":
         chain = wd.fundamental_class(config.genus)
         field = sp.bott_shulman_equivariant(2, Q)
-        return wd.slant_form_equivariant(chain, field, ng, config.N)
+        return wd.slant_form_equivariant(chain, field, ng)
     raise ValueError("kind must be one of 'a', 'b', 'f'")
 
 
@@ -387,9 +395,8 @@ def generator_form_direct_f(config, r, Q=None):
     actions = ("conjugation",) * ng
     terms = []
     for (a, b), coeff in wd.fundamental_class(config.genus).terms.items():
-        pair_map = wd.WordMap.from_words([a, b], ng)
-        fused = sp.compose_word_maps(sp.section_map(2), pair_map)
-        geo = fused.geometry(config.N)
+        fused = wd.substitute(sp.section_cell(2), (a, b))
+        geo = wd.WordMap.from_words(fused, ng).geometry(config.N)
         terms.append((coeff, forms.pullback_equivariant(geo, total, actions)))
     return forms.linear_combination(terms, name=f"f-direct[{Q.name}]")
 
@@ -610,11 +617,8 @@ def moment_linear_coefficients(config, ob, pt):
     """Coordinates of the arity-0 part of the omega-bar field ob as a linear
     functional of phi, together with the chart coordinate Lam at pt."""
     comp0 = ob.components[0]
-    d = config.algebra_dim
     coeffs = np.array([
-        complex(comp0(lc.from_coords(np.eye(d)[a], config.N), pt)).real
-        for a in range(d)
-    ])
+        complex(comp0(phi, pt)).real for phi in lc.algebra_basis(config.N)])
     lam = lc.to_coords(relator_residual(config, pt), config.N)
     return coeffs, lam
 
@@ -639,7 +643,7 @@ def sigma_coefficient_sweep(config, Q, radii, seed=0, max_nodes=256):
         v = rng.standard_normal(d)
         dirs.append(v / np.linalg.norm(v))
     tangents = [forms.Tangent((np.eye(d)[a],)) for a in range(d)]
-    phis = [lc.from_coords(np.eye(d)[a], config.N) for a in range(d)]
+    phis = lc.algebra_basis(config.N)
     radii = np.asarray(list(radii), dtype=float)
     # every radius along both directions as one (radius, direction) batch
     pts = forms.Point((radii[:, None, None] * np.stack(dirs),))

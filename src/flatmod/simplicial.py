@@ -1,11 +1,13 @@
-"""Simplicial levels K^n, face structure, and fiber-integrated characteristic forms.
+"""The section, delta and the fiber-integrated characteristic forms on K^n.
 
-The level-n total space is Delta^n x K^(n+1) with the sum connection
-theta(t) = sum_i t_i theta_i. Its curvature and moment map have closed forms,
-so the fiber integral over the simplex reduces to a polynomial quadrature
-paired with signed perfect matchings of the tangent slots. No finite
-differences enter any evaluation here; d and the cocycle identities are
-checked against the form engine's FD derivative only in tests.
+The nerve's faces are cells in `words`: the section K^n -> K^(n+1) is one
+more cell, and delta is the slant product with the face chain. The level-n
+total space is Delta^n x K^(n+1) with the sum connection theta(t) = sum_i
+t_i theta_i. Its curvature and moment map have closed forms, so the fiber
+integral over the simplex reduces to a polynomial quadrature paired with
+signed perfect matchings of the tangent slots. No finite differences enter
+any evaluation here; d and the cocycle identities are checked against the
+form engine's FD derivative only in tests.
 """
 
 from __future__ import annotations
@@ -17,68 +19,31 @@ import numpy as np
 
 from . import forms
 from . import liecore as lc
-from .words import Word, WordMap
+from .words import Chain, Word, WordMap, face, slant_form_equivariant
 
 # the most polynomial rows one fiber-integral evaluation hands to
 # InvariantPolynomial.eval_batch at once; larger batches go in blocks
 ROW_CAP = 2 ** 13
 
 # ---------------------------------------------------------------------------
-# face and degeneracy structure in word form
+# the section and delta, in cells
 
 @lru_cache(maxsize=None)
-def face_map(n, i):
-    """Base-level face K^n -> K^(n-1): drop an end or merge neighbours."""
-    if n < 1 or not 0 <= i <= n:
-        raise ValueError("face index out of range")
-    if i == 0:
-        words = [Word.generator(j) for j in range(2, n + 1)]
-    elif i == n:
-        words = [Word.generator(j) for j in range(1, n)]
-    else:
-        words = [Word.generator(j) for j in range(1, i)]
-        words.append(Word.generator(i) * Word.generator(i + 1))
-        words.extend(Word.generator(j) for j in range(i + 2, n + 1))
-    return WordMap.from_words(words, n)
-
-
-def compose_word_maps(outer, inner):
-    """outer after inner, by substituting inner's words into outer's letters."""
-    if outer.arity != len(inner.components):
-        raise ValueError("arity mismatch in word map composition")
-    if any(c is not None for c, _ in outer.components) or any(
-        c is not None for c, _ in inner.components
-    ):
-        raise NotImplementedError("composition with central prefactors")
-    words = []
-    for _, w in outer.components:
-        acc = Word.identity()
-        for l in w.letters:
-            _, piece = inner.components[abs(l) - 1]
-            acc = acc * (piece if l > 0 else piece.inverse())
-        words.append(acc)
-    return WordMap.from_words(words, inner.arity)
-
-
-@lru_cache(maxsize=None)
-def section_map(n):
-    """K^n -> K^(n+1), (h_1..h_n) -> (h_1...h_n, h_2...h_n, ..., h_n, 1)."""
-    if n < 1:
-        raise ValueError("level must be at least 1")
-    words = [
-        Word.from_letters(range(i + 1, n + 1)) for i in range(n + 1)
-    ]
-    return WordMap.from_words(words, n)
+def section_cell(n):
+    """The section K^n -> K^(n+1) as words: (h_1...h_n, ..., h_n, 1)."""
+    return tuple(Word.from_letters(range(i + 1, n + 1)) for i in range(n + 1))
 
 
 def simplicial_delta_equivariant(field):
-    """Alternating sum of face pullbacks, offset so level one starts at minus;
-    one call of field per evaluation."""
-    target, N = len(field.shape) + 1, field.shape[0].n
-    terms = [((-1) ** (i + 1), face_map(target, i).geometry(N))
-             for i in range(target + 1)]
-    return forms.pullback_sum_equivariant(
-        terms, field, ("conjugation",) * target, name=f"delta({field.name})")
+    """The slant product with the face chain sum_i (-1)^(i+1) d_i of the
+    cell (x_1 | ... | x_n), offset so level one starts at minus; one call
+    of field per evaluation."""
+    n = len(field.shape) + 1
+    cell = tuple(Word.generator(j) for j in range(1, n + 1))
+    chain = Chain((face(cell, i), (-1) ** (i + 1)) for i in range(n + 1))
+    out = slant_form_equivariant(chain, field, n)
+    out.name = f"delta({field.name})"
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +246,7 @@ def bott_shulman(n, Q):
 
 def bott_shulman_equivariant(n, Q):
     total = bott_shulman_total_equivariant(n, Q)
-    geo = section_map(n).geometry(Q.n)
+    geo = WordMap.from_words(section_cell(n), n).geometry(Q.n)
     out = forms.pullback_equivariant(
         geo, total, ("conjugation",) * n
     )

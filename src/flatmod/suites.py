@@ -418,12 +418,8 @@ def _suite_rank(config):
         if i not in cache:
             y = points[i]
             frame = md.reduced_frame(config, y)
-            rows = md.tangent_from_coords(config, frame.kernel)
-            # one call on the k x k grid of kernel rows: (k, 1) against
-            # (1, k); omega(u_a, u_b) and omega(u_b, u_a) stay separate
-            # evaluations, so skew still tests antisymmetry
-            vals = om(y, forms.Tangent(tuple(x[:, None] for x in rows.parts)),
-                      forms.Tangent(tuple(x[None, :] for x in rows.parts)))
+            # omega(u_a, u_b) and omega(u_b, u_a) are separate: skew tests both
+            vals = md.frame_matrix(config, om, y, frame.kernel)
             np.fill_diagonal(vals, 0.0)
             skew = float(np.abs(vals + vals.T).max())
             s = np.linalg.svd(0.5 * (vals - vals.T).real, compute_uv=False)

@@ -1,10 +1,13 @@
-"""Free-group words, Fox derivatives, and evaluation maps into SU(N).
+"""Free-group words, bar cells, Fox calculus, and word maps into SU(N).
 
 Words are freely reduced tuples of nonzero signed integers: +j stands for the
-generator x_j, -j for its inverse (1-based). Bar chains carry integer
-coefficients on tuples of words and normalize eagerly. Evaluation maps push
-tangents forward exactly via the left-trivialized product rule, never by
-finite differences.
+generator x_j, -j for its inverse (1-based). A cell (w_1 | ... | w_k) is a
+tuple of words; bar chains carry integer coefficients on cells and normalize
+eagerly. Cells are the one form of the nerve's structure maps: the faces d_i
+give the bar boundary and, through the slant product, the simplicial delta,
+and substituting one cell into another composes the two word maps.
+Evaluation maps push tangents forward exactly via the left-trivialized
+product rule, never by finite differences.
 """
 
 from __future__ import annotations
@@ -152,12 +155,33 @@ def fox_derivative(word, j):
     return Chain(terms)
 
 
+def face(cell, i):
+    """The i-th face of a cell (w_1 | ... | w_k): d_0 drops w_1, d_k drops
+    w_k, and 0 < i < k merges w_i w_(i+1). On (x_1 | ... | x_n) it is the
+    nerve's face K^n -> K^(n-1)."""
+    k = len(cell)
+    if not k or not 0 <= i <= k:
+        raise ValueError("face index out of range")
+    if 0 < i < k:
+        return cell[:i - 1] + (cell[i - 1] * cell[i],) + cell[i + 1:]
+    return cell[1:] if i == 0 else cell[:-1]
+
+
 def bar_boundary(chain):
-    """Boundary of sum c (a | b): each cell contributes b - ab + a."""
-    terms = []
-    for (a, b), c in chain.terms.items():
-        terms += [((b,), c), ((a * b,), -c), ((a,), c)]
-    return Chain(terms)
+    """Boundary sum_i (-1)^i d_i of a chain of cells of any length."""
+    return Chain((face(cell, i), (-1) ** i * c)
+                 for cell, c in chain.terms.items()
+                 for i in range(len(cell) + 1))
+
+
+def substitute(cell, inner):
+    """The cell with each letter x_j replaced by inner's j-th word: the word
+    map cell after the word map inner."""
+    def image(l):
+        return (inner[l - 1] if l > 0 else inner[-l - 1].inverse()).letters
+
+    return tuple(Word.from_letters(m for l in w.letters for m in image(l))
+                 for w in cell)
 
 
 def fundamental_class(genus):
@@ -275,14 +299,16 @@ class WordMap:
 # ---------------------------------------------------------------------------
 # slant products against word chains
 
-def slant_form_equivariant(chain, eform, num_generators, n):
+def slant_form_equivariant(chain, eform, num_generators):
     """Pair a bar chain with an equivariant form on a group power.
 
     Each cell (w_1 | ... | w_k) pairs with a form on K^k; the result lives
     on K^num_generators, with conjugation on every factor: the sum over the
     chain's cells of the form pulled back along each cell's evaluation map,
-    times the cell's coefficient, evaluated as one call of the form.
+    times the cell's coefficient, evaluated as one call of the form. The
+    group size is the form's.
     """
+    n = eform.shape[0].n
     if any(eform.shape != forms.group_power(n, len(cell))
            for cell in chain.terms):
         raise ValueError("form shape does not match the chain's word count")

@@ -506,6 +506,26 @@ def test_eval_refuses_flags_the_form_cannot_use(form, argv, flag, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("form", ["f_2_1", "a_2_3", "extended_a_2_1",
+                                  "extended_f_2_2"])
+def test_eval_refuses_an_index_on_a_and_f_forms(form, capsys):
+    code, out, err = run_cli(["eval", "--form", form], capsys)
+    assert code == 2
+    assert "a- and f-forms take none" in err
+    assert out == ""
+
+
+def test_eval_points_and_sample_exclude_each_other(tmp_path, capsys):
+    pts = tmp_path / "points.json"
+    code, _, _ = run_cli(["sample", "--count", "2", "--out", str(pts)], capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--form", "omega", "--points", str(pts),
+                  "--sample", "5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_eval_sigma_q_takes_the_phi_basis(capsys):
     code, out, _ = run_cli(
         ["eval", "--form", "sigma_Q", "--frame", "phi-basis"], capsys)

@@ -434,7 +434,7 @@ def test_generator_b_matches_closed_level_one():
 def test_goldman_matches_closed_level_two():
     om = md.goldman_form(CFG)
     closed = fo.at_phi(wd.slant_form_equivariant(
-        wd.fundamental_class(2), sp.phi2_inner_closed(2), 4, 2), None, 2)
+        wd.fundamental_class(2), sp.phi2_inner_closed(2), 4), None, 2)
     rng = lc.as_rng(21)
     for _ in range(3):
         pt = fo.random_point(CFG.shape, rng)

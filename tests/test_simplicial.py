@@ -49,19 +49,22 @@ def linearity_residual(f, pt, vs, seed=0):
     return abs(lhs - rhs)
 
 
+def generic_cell(n):
+    """The cell (x_1 | ... | x_n): the identity map of K^n."""
+    return tuple(wd.Word.generator(j) for j in range(1, n + 1))
+
+
 def total_face_map(n, i):
-    """Total-space face K^(n+1) -> K^n: delete slot i (slots 0..n)."""
-    words = [wd.Word.generator(j + 1) for j in range(n + 1) if j != i]
-    return wd.WordMap.from_words(words, n + 1)
+    """Total-space face K^(n+1) -> K^n as a cell: delete slot i (0..n)."""
+    return tuple(wd.Word.generator(j + 1) for j in range(n + 1) if j != i)
 
 
 def principal_projection(n):
-    """K^(n+1) -> K^n, (g_0..g_n) -> (g_0 g_1^-1, ..., g_{n-1} g_n^-1)."""
-    words = [
+    """K^(n+1) -> K^n, (g_0..g_n) -> (g_0 g_1^-1, ..., g_{n-1} g_n^-1), as
+    a cell."""
+    return tuple(
         wd.Word.generator(i) * wd.Word.generator(i + 1).inverse()
-        for i in range(1, n + 1)
-    ]
-    return wd.WordMap.from_words(words, n + 1)
+        for i in range(1, n + 1))
 
 
 def connection_theta(t, xis):
@@ -93,25 +96,28 @@ def moment_value(t, gs, phi):
 # combinatorial layer
 
 def test_face_map_words():
-    assert [str(w) for _, w in sp.face_map(3, 0).components] == ["x2", "x3"]
-    assert [str(w) for _, w in sp.face_map(3, 1).components] == ["x1 x2", "x3"]
-    assert [str(w) for _, w in sp.face_map(3, 2).components] == ["x1", "x2 x3"]
-    assert [str(w) for _, w in sp.face_map(3, 3).components] == ["x1", "x2"]
+    x = generic_cell(3)
+    assert [str(w) for w in wd.face(x, 0)] == ["x2", "x3"]
+    assert [str(w) for w in wd.face(x, 1)] == ["x1 x2", "x3"]
+    assert [str(w) for w in wd.face(x, 2)] == ["x1", "x2 x3"]
+    assert [str(w) for w in wd.face(x, 3)] == ["x1", "x2"]
     with pytest.raises(ValueError):
-        sp.face_map(3, 4)
+        wd.face(x, 4)
 
 
 def test_total_face_map_words():
-    assert [str(w) for _, w in total_face_map(2, 1).components] == ["x1", "x3"]
-    assert len(total_face_map(3, 0).components) == 3
+    assert [str(w) for w in total_face_map(2, 1)] == ["x1", "x3"]
+    assert len(total_face_map(3, 0)) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_simplicial_identities(n):
+    # d_i d_j = d_(j-1) d_i for i < j, as composites of word maps
+    x, y = generic_cell(n - 1), generic_cell(n)
     for j in range(n + 1):
         for i in range(j):
-            lhs = sp.compose_word_maps(sp.face_map(n - 1, i), sp.face_map(n, j))
-            rhs = sp.compose_word_maps(sp.face_map(n - 1, j - 1), sp.face_map(n, i))
+            lhs = wd.substitute(wd.face(x, i), wd.face(y, j))
+            rhs = wd.substitute(wd.face(x, j - 1), wd.face(y, i))
             assert lhs == rhs
 
 
@@ -119,22 +125,21 @@ def test_simplicial_identities(n):
 def test_total_face_identities(n):
     for j in range(n + 1):
         for i in range(j):
-            lhs = sp.compose_word_maps(
+            lhs = wd.substitute(
                 total_face_map(n - 1, i), total_face_map(n, j))
-            rhs = sp.compose_word_maps(
+            rhs = wd.substitute(
                 total_face_map(n - 1, j - 1), total_face_map(n, i))
             assert lhs == rhs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_section_splits_projection(n):
-    composite = sp.compose_word_maps(principal_projection(n), sp.section_map(n))
-    assert composite == wd.WordMap.from_words(
-        [wd.Word.generator(i) for i in range(1, n + 1)], n)
+    composite = wd.substitute(principal_projection(n), sp.section_cell(n))
+    assert composite == generic_cell(n)
 
 
 def test_section_words():
-    words = [str(w) for _, w in sp.section_map(3).components]
+    words = [str(w) for w in sp.section_cell(3)]
     assert words == ["x1 x2 x3", "x2 x3", "x3", "1"]
 
 
@@ -142,8 +147,9 @@ def test_section_intertwines_faces():
     # q_n is simplicial over the base faces: eps_i q_n = q_{n-1} tilde-eps_i
     for n in [2, 3]:
         for i in range(n + 1):
-            lhs = sp.compose_word_maps(sp.face_map(n, i), principal_projection(n))
-            rhs = sp.compose_word_maps(
+            lhs = wd.substitute(
+                wd.face(generic_cell(n), i), principal_projection(n))
+            rhs = wd.substitute(
                 principal_projection(n - 1), total_face_map(n, i))
             assert lhs == rhs
 
@@ -163,6 +169,34 @@ def test_delta_squared_vanishes():
     pt = forms.random_point(dd.shape, 3)
     v = forms.random_tangent(dd.shape, 4)
     assert abs(dd(pt, v)) < 1e-12
+
+
+def _random_chain(k, rng):
+    """Three k-word cells on 4 generators with coefficients in +-1, +-2."""
+    return wd.Chain(
+        (tuple(wd.random_word(4, int(rng.integers(1, 4)), rng)
+               for _ in range(k)), int(rng.choice([-2, -1, 1, 2])))
+        for _ in range(3))
+
+
+@pytest.mark.parametrize("level, N, Q", [
+    (1, 2, "c2"), (1, 2, "inner"), (1, 3, "c3"), (2, 3, "c3")])
+def test_delta_is_dual_to_the_bar_boundary(level, N, Q):
+    # <c, delta f> = -<del c, f> on (level + 1)-cells: both sides are the
+    # same face cells, reached through delta's face chain or through del
+    Q = lc.inner_polynomial(N) if Q == "inner" else lc.chern_polynomial(
+        N, int(Q[1]))
+    f = sp.bott_shulman_equivariant(level, Q)
+    rng = lc.as_rng(470 + 10 * level + N)
+    c = _random_chain(level + 1, rng)
+    lhs = wd.slant_form_equivariant(c, sp.simplicial_delta_equivariant(f), 4)
+    rhs = wd.slant_form_equivariant(wd.bar_boundary(c), f, 4)
+    assert lhs.arities == rhs.arities
+    pt = forms.random_point(lhs.shape, rng)
+    phi = lc.random_algebra(N, rng)
+    for p in lhs.arities:
+        vs = [forms.random_tangent(lhs.shape, rng) for _ in range(p)]
+        assert abs(lhs(phi, pt, *vs) + rhs(phi, pt, *vs)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +370,7 @@ def test_total_form_pullback_consistency():
     Q = lc.inner_polynomial(N)
     total = sp.bott_shulman_total(2, Q)
     down = sp.bott_shulman(2, Q)
-    geo = sp.section_map(2).geometry(N)
+    geo = wd.WordMap.from_words(sp.section_cell(2), 2).geometry(N)
     pt = forms.random_point(down.shape, 100)
     u = forms.random_tangent(down.shape, 101)
     v = forms.random_tangent(down.shape, 102)
@@ -585,14 +619,16 @@ def test_pullback_sum_matches_separate_pullbacks(equivariant):
     slant_terms = [
         (c, wd.WordMap.from_words([a, b], 2 * genus).geometry(N))
         for (a, b), c in chain.terms.items()]
-    delta_terms = [((-1) ** (i + 1), sp.face_map(3, i).geometry(N))
-                   for i in range(4)]
+    delta_terms = [
+        ((-1) ** (i + 1),
+         wd.WordMap.from_words(wd.face(generic_cell(3), i), 3).geometry(N))
+        for i in range(4)]
 
     def summed(terms, f):
         return forms.pullback_sum_equivariant(
             terms, f, ("conjugation",) * len(terms[0][1].domain))
 
-    slant = wd.slant_form_equivariant(chain, level(2, Q), 2 * genus, N)
+    slant = wd.slant_form_equivariant(chain, level(2, Q), 2 * genus)
     delta = sp.simplicial_delta_equivariant(level(2, Q))
     rng = lc.as_rng(440 + equivariant)
     for got, want in (

@@ -168,6 +168,30 @@ def test_bar_boundary_single_terms():
     assert wd.bar_boundary(Chain([((a, b), 1)])) == expect
 
 
+def test_bar_boundary_of_a_three_cell():
+    a, b, c = parse_word("x1 x2"), parse_word("x2^-1 x3"), parse_word("x1^-1")
+    expect = (Chain.of(b, c) - Chain.of(parse_word("x1 x3"), c)
+              + Chain.of(a, parse_word("x2^-1 x3 x1^-1")) - Chain.of(a, b))
+    assert wd.bar_boundary(Chain([((a, b, c), 1)])) == expect
+    assert wd.bar_boundary(wd.bar_boundary(Chain([((a, b, c), 1)]))) == Chain()
+    for cell, i in (((a, b, c), 4), ((a, b, c), -1), ((), 0)):
+        with pytest.raises(ValueError, match="face index out of range"):
+            wd.face(cell, i)
+
+
+def test_substitute_composes_the_word_maps():
+    # the cell after inner, evaluated, equals the cell evaluated at inner's
+    # values
+    cell = (parse_word("x1 x2^-1"), parse_word("x2 x1 x2"), Word.identity())
+    inner = (parse_word("x3 x1"), parse_word("x2^-1 x3^-1"))
+    fused = wd.WordMap.from_words(wd.substitute(cell, inner), 3)
+    pt = forms.random_point(forms.group_power(2, 3), 75)
+    mid = wd.WordMap.from_words(inner, 3).evaluate(pt.parts)
+    want = wd.WordMap.from_words(cell, 2).evaluate(mid)
+    for got, w in zip(fused.evaluate(pt.parts), want, strict=True):
+        assert np.max(np.abs(got - w)) < 1e-12
+
+
 def test_fundamental_identity():
     # w - 1 = sum_j d(w)/d(x_j) (x_j - 1) in the integral group ring
     rng = np.random.default_rng(9)
@@ -300,7 +324,7 @@ def test_slant_form_single_word():
         K1, ("conjugation",), {1: lambda phi, pt, v: lc.inner(A, v[0])})
     chain = Chain.of(parse_word("x1 x2"))
     paired = forms.at_phi(
-        wd.slant_form_equivariant(chain, alpha, num_generators=2, n=2), None, 1)
+        wd.slant_form_equivariant(chain, alpha, num_generators=2), None, 1)
     pt = forms.random_point(paired.shape, 81)
     v = forms.random_tangent(paired.shape, 82)
     mmap = wd.WordMap.from_words([parse_word("x1 x2")], 2)
@@ -325,12 +349,12 @@ def test_slant_form_chain2_linearity():
 
     a, b = parse_word("x1"), parse_word("x2 x1")
     ch = Chain([((a, b), 2), ((b, a), -1)])
-    paired = slant(ch, 2, 2)
+    paired = slant(ch, 2)
     pt = forms.random_point(paired.shape, 91)
     u = forms.random_tangent(paired.shape, 92)
     v = forms.random_tangent(paired.shape, 93)
-    single_ab = slant(Chain([((a, b), 1)]), 2, 2)
-    single_ba = slant(Chain([((b, a), 1)]), 2, 2)
+    single_ab = slant(Chain([((a, b), 1)]), 2)
+    single_ba = slant(Chain([((b, a), 1)]), 2)
     expect = 2 * single_ab(pt, u, v) - single_ba(pt, u, v)
     assert abs(paired(pt, u, v) - expect) < 1e-12
 
@@ -344,9 +368,9 @@ def test_slant_rejects_a_form_on_the_wrong_power():
         {1: lambda phi, pt, v: lc.inner(v[0], v[1])})
     a, b = parse_word("x1"), parse_word("x2")
     with pytest.raises(ValueError, match="word count"):
-        wd.slant_form_equivariant(Chain.of(a), two, 2, 2)
+        wd.slant_form_equivariant(Chain.of(a), two, 2)
     with pytest.raises(ValueError, match="word count"):
-        wd.slant_form_equivariant(Chain.of(a, b), one, 2, 2)
+        wd.slant_form_equivariant(Chain.of(a, b), one, 2)
 
 
 def test_slant_form_equivariant_passthrough():
@@ -357,7 +381,7 @@ def test_slant_form_equivariant_passthrough():
         forms.group_power(2, 1), ("conjugation",), {1: comp1}, phi_degree=1
     )
     chain = Chain.of(parse_word("x2"))
-    paired = wd.slant_form_equivariant(chain, theta, num_generators=2, n=2)
+    paired = wd.slant_form_equivariant(chain, theta, num_generators=2)
     phi = lc.random_algebra(2, 95)
     pt = forms.random_point(paired.shape, 96)
     v = forms.random_tangent(paired.shape, 97)
