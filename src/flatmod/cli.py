@@ -76,7 +76,8 @@ def _build_parser():
     where.add_argument("--points", help="JSON point file written by sample")
     where.add_argument("--sample", type=int,
                        help="evaluate at this many random points instead "
-                       "(default 1)")
+                       "(default 1), on the relator level set for "
+                       "--frame reduced")
     ev.add_argument("--frame", choices=("random", "reduced", "phi-basis"),
                     default="random", help="tangent frame choice")
 
@@ -216,6 +217,10 @@ def _cmd_eval(args):
     elif kind == "algebra":
         points = (forms.Point((rng.standard_normal(d) * 0.7,))
                   for _ in range(count))
+    elif args.frame == "reduced" and not args.points:
+        # the reduced frame lives on the relator level set: the points of
+        # `sample --space Y --count K`
+        points = md.sample_Y(config, config.seed, count)
     else:
         points = _load_points(config, args.points, count)
 

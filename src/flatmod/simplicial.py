@@ -24,6 +24,9 @@ from .words import Chain, Word, WordMap, face, slant_form_equivariant
 # the most polynomial rows one fiber-integral evaluation hands to
 # InvariantPolynomial.eval_batch at once; larger batches go in blocks
 ROW_CAP = 2 ** 13
+# the most batch entries one block copies tangents and builds rows for,
+# whatever their row count: a one-node rule gives few rows per entry
+ENTRY_CAP = 2 ** 9
 
 # ---------------------------------------------------------------------------
 # the section and delta, in cells
@@ -55,11 +58,12 @@ def simplex_rule(n, degree):
 
     Collocation on the principal lattice {alpha/d}: in the Bernstein basis
     every basis integral equals d!/(n+d)!, so the weights solve one linear
-    system against the Bernstein collocation matrix. The measure is Lebesgue
-    on the simplex, total volume 1/n!.
+    system against the Bernstein collocation matrix. Degree 0 is the
+    barycentre with weight 1/n!. The measure is Lebesgue on the simplex,
+    total volume 1/n!.
     """
-    if n < 1 or degree < 1:
-        raise ValueError("need n >= 1 and degree >= 1")
+    if n < 1 or degree < 0:
+        raise ValueError("need n >= 1 and degree >= 0")
     d = degree
     alphas = []
 
@@ -72,7 +76,8 @@ def simplex_rule(n, degree):
 
     build([], d, n + 1)
     alphas = np.array(alphas)            # (M, n+1)
-    nodes = alphas / d
+    # degree 0: the one lattice point alpha = 0 sits at the barycentre
+    nodes = alphas / d if d else np.full(alphas.shape, 1 / (n + 1))
     M = len(alphas)
     coeff = np.array([
         math.factorial(d) // math.prod(math.factorial(int(a)) for a in row)
@@ -129,6 +134,15 @@ def _fiber_sign(n):
     return 1 if n % 2 else -1
 
 
+def _blocks(size, per_entry):
+    """Flat [start, stop) ranges of a batch of size entries, each at most
+    ENTRY_CAP entries and, where one entry's per_entry rows allow, ROW_CAP
+    rows."""
+    step = max(1, min(ENTRY_CAP, ROW_CAP // per_entry))
+    return [(start, min(start + step, size))
+            for start in range(0, size, step)]
+
+
 def _component_evaluator(n, Q, m):
     """Evaluator of the arity 2(r-m)-n piece of the level-n fiber integral.
 
@@ -139,16 +153,23 @@ def _component_evaluator(n, Q, m):
     The point and the tangents may carry leading batch dimensions that
     broadcast against each other; the value is then an ndarray of the
     broadcast batch shape, each entry the value at the corresponding point
-    and tangents. Without a batch it is a complex number. Large batches are
-    evaluated in blocks, so no polynomial call gets more than ROW_CAP rows.
+    and tangents. Without a batch it is a complex number. Batches are
+    evaluated in flat blocks of at most ENTRY_CAP entries, so no polynomial
+    call gets more than ROW_CAP rows.
+
+    The simplex rule has the integrand's exact degree in the barycentric t.
+    A pair of two simplex slots has no curvature term, so every kept
+    matching pairs each of the n simplex slots with a tangent slot, an edge
+    term Xi_0 - Xi_i constant in t. The other p - n tangent slots pair
+    among themselves into curvature entries of degree <= 2, and the m
+    moment slots are linear: the degree is p - n + m = 2(r - n) - m.
     """
     r, N = Q.degree, Q.n
     p = 2 * (r - m) - n
-    # a pair of two simplex slots has no curvature term, so its matchings
-    # drop out; a component that keeps none needs no rule
     kept = [(pairs, sgn) for pairs, sgn in signed_pairings(p + n)
             if all(a < p for a, _ in pairs)]
-    nodes, weights = simplex_rule(n, 2 * r) if kept else (None, ())
+    # a component that keeps no matching needs no rule
+    nodes, weights = simplex_rule(n, p - n + m) if kept else (None, ())
     matchings = [pairs for pairs, _ in kept]
     signs = np.array([sgn for _, sgn in kept], dtype=float)
     coeff = math.comb(r, m) * math.factorial(r - m) * _fiber_sign(n)
@@ -201,11 +222,9 @@ def _component_evaluator(n, Q, m):
               for v in vs]
         G = np.broadcast_to(np.stack(np.broadcast_arrays(*pt.parts), axis=-3),
                             flat + core) if m else None
-        size, step = math.prod(flat), max(1, ROW_CAP // per_entry)
         parts = []
-        for start in range(0, size, step):
-            idx = np.unravel_index(
-                np.arange(start, min(start + step, size)), flat)
+        for start, stop in _blocks(math.prod(flat), per_entry):
+            idx = np.unravel_index(np.arange(start, stop), flat)
             parts.append(
                 block(phi, [x[idx] for x in Xi], G[idx] if m else None))
         total = np.concatenate(parts).reshape(batch)

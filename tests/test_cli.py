@@ -249,6 +249,28 @@ def _write_points(path, mat):
     path.write_text(json.dumps({"points": [entry]}))
 
 
+@pytest.mark.parametrize("form", ["omega", "f_2"])
+def test_eval_reduced_frame_samples_the_level_set(form, tmp_path, capsys):
+    # without --points the reduced frame is taken at the points that
+    # `sample --space Y` draws: 6 x 6 at the default N=2, g=2, and the
+    # same matrices as through a point file
+    code, out, _ = run_cli(
+        ["eval", "--form", form, "--frame", "reduced", "--sample", "2"],
+        capsys)
+    assert code == 0
+    drawn = json.loads(out)["evaluations"]
+    assert [np.array(e["matrix"]).shape for e in drawn] == [(6, 6, 2)] * 2
+    pts = tmp_path / "pts.json"
+    code, _, _ = run_cli(
+        ["sample", "--space", "Y", "--count", "2", "--out", str(pts)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(
+        ["eval", "--form", form, "--frame", "reduced", "--points", str(pts)],
+        capsys)
+    assert code == 0
+    assert json.loads(out)["evaluations"] == drawn
+
+
 def test_numeric_failures_in_eval_exit_three(tmp_path, capsys):
     # the all-identity point sits on the chart's branch cut at beta = -1
     # and is a non-generic point of the relator at beta = 1

@@ -787,6 +787,39 @@ def test_rank_quotient_condition_matches_direct_quotient_block():
         assert abs(cond - want) <= 1e-10 * want
 
 
+def test_rank_sized_fiber_batch_stays_within_row_and_entry_caps(monkeypatch):
+    # the genus-3 rank certificate's frame_matrix call: the Goldman form on
+    # the (15, 15) grid of kernel rows hands the level-2 fiber integral one
+    # batch of every chain term x 225 entries at two rows an entry (a
+    # one-node rule), so the entry cap, not the row cap, cuts its blocks
+    config = md.ModuliConfig(N=2, genus=3, beta_index=1)
+    blocks, rows = [], []
+    cut, eval_batch = sp._blocks, lc.InvariantPolynomial.eval_batch
+
+    def block_spy(size, per_entry):
+        ranges = cut(size, per_entry)
+        blocks.append((size, per_entry, ranges))
+        return ranges
+
+    def row_spy(self, stack):
+        rows.append(len(stack))
+        return eval_batch(self, stack)
+
+    monkeypatch.setattr(sp, "_blocks", block_spy)
+    monkeypatch.setattr(lc.InvariantPolynomial, "eval_batch", row_spy)
+    y = md.sample_Y(config, 0, 1)[0]
+    kernel = md.reduced_frame(config, y).kernel
+    vals = md.frame_matrix(config, md.goldman_form(config), y, kernel)
+    assert vals.shape == (15, 15)
+    ((size, per_entry, ranges),) = blocks
+    assert size > sp.ENTRY_CAP
+    assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
+    assert ranges[-1][1] == size
+    widths = [b - a for a, b in ranges]
+    assert max(widths) == sp.ENTRY_CAP and max(widths) * per_entry <= sp.ROW_CAP
+    assert max(rows) <= sp.ROW_CAP and sum(rows) == size * per_entry
+
+
 def test_generator_forms_ignore_central_shifts():
     f = md.generator_form(CFG, "f", 2)
     b = md.generator_form(CFG, "b", 2, j=1)

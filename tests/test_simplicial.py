@@ -202,7 +202,15 @@ def test_delta_is_dual_to_the_bar_boundary(level, N, Q):
 # ---------------------------------------------------------------------------
 # quadrature and matchings
 
-@pytest.mark.parametrize("n,degree", [(1, 2), (1, 4), (2, 4), (2, 6), (3, 6)])
+# full-degree rules (n, 2r), and the fiber integrals' exact degrees
+# 2(r - n) - m for 0 <= m <= r - n and n <= r <= 4 (degree 0 at n = r)
+QUADRATURE_CASES = sorted(
+    {(1, 2), (1, 4), (2, 4), (2, 6), (3, 6)}
+    | {(n, d) for r in range(1, 5) for n in range(1, r + 1)
+       for d in range(r - n, 2 * (r - n) + 1)})
+
+
+@pytest.mark.parametrize("n,degree", QUADRATURE_CASES)
 def test_quadrature_exact_on_monomials(n, degree):
     nodes, weights = sp.simplex_rule(n, degree)
     rng = np.random.default_rng(5)
@@ -545,9 +553,10 @@ def test_fiber_integral_on_a_point_batch_matches_per_point_calls(N, r):
 
 
 def test_blocked_fiber_integral_matches_one_block(monkeypatch):
-    # a row cap far below one call's rows forces blocks of the batch (and of
-    # one entry's rows); the values match the unblocked call, on a point
-    # batch with moment components, and no polynomial call exceeds the cap
+    # row and entry caps far below one call's rows and entries force blocks
+    # of the batch (and of one entry's rows); the values match the unblocked
+    # call, on a point batch with moment components, and no polynomial call
+    # exceeds the row cap
     N, r = 3, 3
     Q = lc.chern_polynomial(N, r)
     rng = lc.as_rng(430)
@@ -570,14 +579,55 @@ def test_blocked_fiber_integral_matches_one_block(monkeypatch):
                                          for _ in range(3)]) for _ in range(4)])
                      for _ in range(p)]
             want = ef(phi, stack, *slots)
-            monkeypatch.setattr(sp, "ROW_CAP", 40)
+            monkeypatch.setattr(sp, "ROW_CAP", 20)
+            monkeypatch.setattr(sp, "ENTRY_CAP", 5)
             monkeypatch.setattr(lc.InvariantPolynomial, "eval_batch", spy)
             sizes.clear()
             got = ef(phi, stack, *slots)
             monkeypatch.undo()
-            assert len(sizes) > 1 and max(sizes) <= 40
+            assert len(sizes) > 1 and max(sizes) <= 20
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N, r", [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
+def test_exact_degree_rule_matches_the_full_degree_rule(monkeypatch, N, r):
+    # every level and every moment order m (arity 2(r - m) - n) of the fiber
+    # integral, built on the rule of degree 2(r - n) - m, gives the values of
+    # the same form built on the full-degree rule simplex_rule(n, 2r), which
+    # this test keeps as its oracle: plain calls, and the same B entries on
+    # one point and tangent batch
+    Q = lc.chern_polynomial(N, r)
+    levels = range(1, 2 * r + 1)
+    exact = [sp.bott_shulman_total_equivariant(n, Q) for n in levels]
+    rule = sp.simplex_rule
+    monkeypatch.setattr(sp, "simplex_rule", lambda n, degree: rule(n, 2 * r))
+    full = [sp.bott_shulman_total_equivariant(n, Q) for n in levels]
+    monkeypatch.undo()
+    rng = lc.as_rng(450 + 10 * N + r)
+    B = 2
+    checked = []
+    for n, ef, oracle in zip(levels, exact, full):
+        phi = lc.random_algebra(N, rng)
+        points = [forms.random_point(ef.shape, rng) for _ in range(B)]
+        for p in ef.arities:
+            frames = [[forms.random_tangent(ef.shape, rng) for _ in range(p)]
+                      for _ in range(B)]
+            want = np.array([oracle(phi, pt, *vs)
+                             for pt, vs in zip(points, frames)])
+            plain = np.array([ef(phi, pt, *vs)
+                              for pt, vs in zip(points, frames)])
+            batched = ef(phi, _stacked_point(points),
+                         *(_stacked(slot) for slot in zip(*frames)))
+            tol = 1e-13 * np.abs(want).max()
+            assert np.abs(plain - want).max() <= tol, (n, p)
+            assert np.abs(batched - want).max() <= tol, (n, p)
+            # below arity n every matching pairs two simplex slots: zero
+            assert (np.abs(want).max() > 0) == (p >= n), (n, p)
+            checked.append((n, (2 * r - n - p) // 2))
+    # every level up to r has its moment orders 0..r - n
+    for n in range(1, r + 1):
+        assert {m for k, m in checked if k == n} >= set(range(r - n + 1))
 
 
 @pytest.mark.parametrize("n", [3, 4])
