@@ -4,7 +4,8 @@ Exit codes: 0 pass, 1 identity failure, 2 usage or config error (a
 ValueError or TypeError), 3 numeric breakdown (any `liecore.NumericalFailure`:
 branch cut, non-normal logarithm, simplex margin, non-convergence, quadrature
 failure, non-generic point, non-finite residual). A breakdown in `verify`
-names its suite, and the identity and sample when a sample raised it.
+names its suite, and the identity and sample when a sample raised it; one
+in a report-only record still writes the report, then exits 3.
 """
 
 from __future__ import annotations
@@ -129,7 +130,10 @@ def _cmd_verify(args):
     for line in su.report_lines(report):
         print(line, file=sys.stderr)
     _emit(report.to_dict(), args.out)
-    return 0 if report.overall_pass else 1
+    failures = [r.failure for r in report.records if r.failure]
+    for failure in failures:
+        print(f"numeric failure: {failure}", file=sys.stderr)
+    return 3 if failures else (0 if report.overall_pass else 1)
 
 
 _FORM_PATTERN = re.compile(r"^(extended_)?([abf])_(\d+)(?:_(\d+))?$")

@@ -23,10 +23,12 @@ evaluation.
 A pullback pushes the tangents of one evaluation with one push per distinct
 tangent shape. A plain form is at_phi of an equivariant one: the component of
 one arity at a fixed phi (the top components of the fiber integrals never
-read phi). So the one chain sum, sum c m^* f of a single form f, is
-pullback_sum_equivariant: the terms' images and pushed tangents reach f as
-one call, stacked on a leading batch axis. linear_combination sums different
-equivariant forms, one call each.
+read phi). So the one chain sum, sum c m^* f of a single form f over the
+cells of a bar chain, is words.slant_form_equivariant: one word map over the
+chain's distinct words, whose values and pushed tangents each cell gathers
+onto a leading term axis, so f is called once and _contract applies the
+coefficients. linear_combination sums different equivariant forms, one call
+each.
 """
 
 from __future__ import annotations
@@ -370,17 +372,6 @@ def _stack_calls(shape, points, frames):
             [Tangent(_stack_parts(shape, g, rank)) for g in slots])
 
 
-def _term_stack(maps, shape, pt, vs):
-    """Images of pt and pushed tangents of every map, stacked on a new
-    leading term axis."""
-    images, pushed = [], []
-    for m in maps:
-        image, push = m.at(pt)
-        images.append(image.parts)
-        pushed.append(_push_all(m.domain, pt, push, vs))
-    return _stack_calls(shape, images, pushed)
-
-
 def _contract(coeffs, val):
     """Sum a value over its leading term axis with the coefficients; a form
     that reads neither point nor tangents returns no term axis."""
@@ -388,35 +379,6 @@ def _contract(coeffs, val):
     if val.ndim == 0:
         return coeffs.sum() * val
     return np.tensordot(coeffs, val, axes=1)
-
-
-def pullback_sum_equivariant(terms, ef, actions, name=""):
-    """The field sum c m^* ef over (c, m) pairs, as one call of ef.
-
-    Each map's at runs once per evaluation; the images and pushed tangents
-    of all terms go to ef stacked on a leading batch axis, and ef's value is
-    contracted with the coefficients. ef must accept a point batch. phi
-    passes through, and each map must intertwine the declared domain
-    actions with ef's.
-    """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("a pullback sum needs at least one term")
-    coeffs, maps = np.array([c for c, _ in terms]), [m for _, m in terms]
-    if any(m.codomain != ef.shape for m in maps):
-        raise ValueError("form shape does not match map codomain")
-    if any(m.domain != maps[0].domain for m in maps):
-        raise ValueError("pullback sum of maps on different domains")
-    comps = {}
-    for p, fn in ef.components.items():
-        def make(fn):
-            def g(phi, pt, *vs):
-                image, pushed = _term_stack(maps, ef.shape, pt, vs)
-                return _contract(coeffs, fn(phi, image, *pushed))
-            return g
-        comps[p] = make(fn)
-    return EquivariantFormField(
-        maps[0].domain, actions, comps, phi_degree=ef.phi_degree, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,7 @@ class IdentityRecord:
     tolerance: float
     passed: bool
     report_only: bool = False
+    failure: str | None = None
 
     def to_dict(self):
         out = {
@@ -117,6 +118,8 @@ class IdentityRecord:
         }
         if self.report_only:
             out["report_only"] = True
+        if self.failure:
+            out["failure"] = self.failure
         return out
 
 
@@ -687,7 +690,9 @@ _BUILDERS = {
 def run_suites(config):
     """Run the selected suites and assemble a deterministic report. A numeric
     failure leaves as a NumericalBreakdown that names the suite, and the
-    identity and sample when a sample raised it."""
+    identity and sample when a sample raised it. In a report-only task it
+    ends only that task: its record fails and keeps the reason under
+    `failure`, and the run goes on."""
     records = []
     timings = {}
     for name in config.suites:
@@ -696,14 +701,22 @@ def run_suites(config):
         try:
             for task in _BUILDERS[name](config):
                 residuals = []
-                for i, fn in enumerate(task.samples):
-                    where = f"suite {name}: {task.identity_id} sample {i}"
-                    residuals.append(float(fn()))
-                    if not np.isfinite(residuals[-1]):
-                        raise lc.NumericalFailure(
-                            f"non-finite residual {residuals[-1]}")
+                failure = None
+                try:
+                    for i, fn in enumerate(task.samples):
+                        where = f"suite {name}: {task.identity_id} sample {i}"
+                        value = float(fn())
+                        if not np.isfinite(value):
+                            raise lc.NumericalFailure(
+                                f"non-finite residual {value}")
+                        residuals.append(value)
+                except lc.NumericalFailure as exc:
+                    if not task.report_only:
+                        raise
+                    failure = f"{where}: {exc}"
                 worst = max(residuals) if residuals else 0.0
-                passed = True if task.report_only else worst <= task.tolerance
+                passed = (failure is None if task.report_only
+                          else worst <= task.tolerance)
                 records.append(IdentityRecord(
                     identity_id=task.identity_id,
                     reference=task.reference,
@@ -712,6 +725,7 @@ def run_suites(config):
                     tolerance=task.tolerance,
                     passed=passed,
                     report_only=task.report_only,
+                    failure=failure,
                 ))
         except NumericalBreakdown:
             raise
@@ -734,6 +748,8 @@ def report_lines(report):
         status = "PASS" if r.passed else "FAIL"
         if r.report_only:
             status = "INFO"
+        if r.failure:
+            status = "ERROR"
         out.append(
             f"[{status}] {r.identity_id}: max residual {r.max_residual:.3e} "
             f"(tol {r.tolerance:.1e}, {r.samples} samples) -- {r.reference}"

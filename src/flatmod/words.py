@@ -6,8 +6,11 @@ tuple of words; bar chains carry integer coefficients on cells and normalize
 eagerly. Cells are the one form of the nerve's structure maps: the faces d_i
 give the bar boundary and, through the slant product, the simplicial delta,
 and substituting one cell into another composes the two word maps.
-Evaluation maps push tangents forward exactly via the left-trivialized
-product rule, never by finite differences.
+A word map evaluates and pushes each distinct prefix of its words once,
+left to right: value(w x) = value(w) x, and the left-trivialized
+pushforward by D(w x_j) = Ad(x_j^-1) D(w) + xi_j and
+D(w x_j^-1) = Ad(x_j)(D(w) - xi_j), exactly, never by finite differences.
+A slant product builds one word map over its chain's distinct words.
 """
 
 from __future__ import annotations
@@ -217,36 +220,6 @@ def random_word(num_generators, length, seed):
 # ---------------------------------------------------------------------------
 # evaluation maps K^m -> K^k and their exact pushforwards
 
-def _eval_word(word, mats):
-    """The word's value; group arguments with leading batch dimensions give
-    a stack (the identity word stays one matrix)."""
-    g = np.eye(mats[0].shape[-1], dtype=complex)
-    for l in word.letters:
-        m = mats[abs(l) - 1]
-        g = g @ (m if l > 0 else m.conj().mT)
-    return g
-
-
-def _push_word(word, mats, tangents):
-    """Left-trivialized differential of the evaluation of one word.
-
-    Letter x_j contributes xi_j, letter x_j^-1 contributes -Ad(A_j) xi_j;
-    each contribution is conjugated back through the suffix that follows it.
-    Group arguments and tangents may carry leading batch dimensions that
-    broadcast against each other; the matrix products broadcast over them.
-    """
-    suffix = np.eye(mats[0].shape[-1], dtype=complex)
-    total = np.zeros(np.broadcast_shapes(
-        *(m.shape for m in mats), *(x.shape for x in tangents)), dtype=complex)
-    for l in reversed(word.letters):
-        m = mats[abs(l) - 1]
-        xi = tangents[abs(l) - 1]
-        d = xi if l > 0 else -lc.adjoint(m, xi)
-        total += lc.adjoint(suffix.conj().mT, d)
-        suffix = (m if l > 0 else m.conj().mT) @ suffix
-    return total
-
-
 @dataclass(frozen=True)
 class WordMap:
     """Tuple of words (with optional central prefactors) read as a map K^m -> K^k.
@@ -268,22 +241,43 @@ class WordMap:
             comps.append((None, w))
         return WordMap(arity, tuple(comps))
 
+    def _through_prefixes(self, root, step):
+        """Each component's word's value, from root on the empty prefix by
+        value(w l) = step(value(w), l), once per distinct prefix."""
+        table = {(): root}
+        for _, w in self.components:
+            for i, l in enumerate(w.letters):
+                if w.letters[:i + 1] not in table:
+                    table[w.letters[:i + 1]] = step(table[w.letters[:i]], l)
+        return [table[w.letters] for _, w in self.components]
+
     def evaluate(self, mats):
+        """Values left to right, value(w x) = value(w) x; batched group
+        arguments give stacks (the identity word stays one matrix)."""
         if len(mats) != self.arity:
             raise ValueError("wrong number of group arguments")
-        out = []
-        for central, w in self.components:
-            g = _eval_word(w, mats)
-            if central is not None:
-                g = central.matrix() @ g
-            out.append(g)
-        return tuple(out)
+        values = self._through_prefixes(
+            np.eye(mats[0].shape[-1], dtype=complex), lambda g, l: g @ (
+                mats[l - 1] if l > 0 else mats[-l - 1].conj().mT))
+        return tuple(g if c is None else c.matrix() @ g
+                     for (c, _), g in zip(self.components, values))
 
     def push(self, mats, tangents):
-        """Exact left-trivialized pushforward; central prefactors drop out."""
-        return tuple(
-            _push_word(w, mats, tangents) for _, w in self.components
-        )
+        """Exact left-trivialized pushforward, <= 1 adjoint per prefix:
+        D(w x_j) = Ad(x_j^-1) D(w) + xi_j, D(w x_j^-1) = Ad(x_j)(D(w) - xi_j)
+        from D(1) = 0; central prefactors drop out. Batches broadcast, and
+        each component is a new array of the full broadcast shape."""
+        zero = np.zeros(np.broadcast_shapes(
+            *(m.shape for m in mats), *(x.shape for x in tangents)),
+            dtype=complex)
+
+        def step(d, l):
+            m, xi = mats[abs(l) - 1], tangents[abs(l) - 1]
+            if l < 0:
+                return lc.adjoint(m, d - xi)
+            return xi + (d if d is zero else lc.adjoint(m.conj().mT, d))
+
+        return tuple(self._through_prefixes(zero, step))
 
     def geometry(self, n):
         """The same map as a forms.CallableMap on SU(n) factors."""
@@ -305,15 +299,37 @@ def slant_form_equivariant(chain, eform, num_generators):
     Each cell (w_1 | ... | w_k) pairs with a form on K^k; the result lives
     on K^num_generators, with conjugation on every factor: the sum over the
     chain's cells of the form pulled back along each cell's evaluation map,
-    times the cell's coefficient, evaluated as one call of the form. The
-    group size is the form's.
+    times the cell's coefficient. One word map over the chain's distinct
+    words evaluates once and pushes once per distinct tangent shape; each
+    cell gathers its k slots from a (cells, k) index table onto a leading
+    term axis, so the form is called once on all cells and its value is
+    contracted with the coefficients. The group size is the form's.
     """
     n = eform.shape[0].n
-    if any(eform.shape != forms.group_power(n, len(cell))
-           for cell in chain.terms):
+    cells = list(chain.terms)
+    if any(eform.shape != forms.group_power(n, len(cell)) for cell in cells):
         raise ValueError("form shape does not match the chain's word count")
-    terms = [(c, WordMap.from_words(cell, num_generators).geometry(n))
-             for cell, c in chain.terms.items()]
-    return forms.pullback_sum_equivariant(
-        terms, eform, ("conjugation",) * num_generators,
-        name=f"slant({eform.name})")
+    if not cells:
+        raise ValueError("a pullback sum needs at least one term")
+    index = {w: i for i, w in enumerate(dict.fromkeys(sum(cells, ())))}
+    table = np.array([[index[w] for w in cell] for cell in cells]).T
+    coeffs = np.array(list(chain.terms.values()))
+    geo = WordMap.from_words(index, num_generators).geometry(n)
+
+    def make(fn):
+        def g(phi, pt, *vs):
+            image, push = geo.at(pt)
+            parts = [image.parts] + [
+                v.parts for v in forms._push_all(geo.domain, pt, push, vs)]
+            rank = forms._batch_rank(geo.codomain, parts)
+            image, *pushed = [tuple(stack[col] for col in table) for stack in (
+                forms._pad(np.stack(np.broadcast_arrays(*p)), eform.shape[0],
+                           rank) for p in parts)]
+            return forms._contract(coeffs, fn(
+                phi, forms.Point(image), *map(forms.Tangent, pushed)))
+        return g
+
+    return forms.EquivariantFormField(
+        geo.domain, ("conjugation",) * num_generators,
+        {p: make(fn) for p, fn in eform.components.items()},
+        phi_degree=eform.phi_degree, name=f"slant({eform.name})")

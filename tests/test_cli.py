@@ -378,15 +378,37 @@ def test_every_numeric_error_is_one_failure_class():
         assert not issubclass(cls, ValueError), cls
 
 
-def test_numeric_failure_in_a_sample_names_identity_and_sample(capsys):
-    # 16 nodes cannot settle the growth probe's degree-3 sweep
-    code, out, err = run_cli(
+def test_numeric_failure_in_a_sample_names_identity_and_sample(
+        tmp_path, capsys):
+    # 16 nodes cannot settle the growth probe's degree-3 sweep; the probe is
+    # report-only, so the failure ends only its record: the gated records
+    # run, the report is written with the reason, and the exit is 3
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(
         ["verify", "--N", "3", "--r", "3", "--suite", "extended",
-         "--quad-nodes", "16", "--samples", "1"], capsys)
+         "--quad-nodes", "16", "--samples", "1", "--out", str(out)], capsys)
     assert code == 3
-    assert ("suite extended: extended.growth-probe.r3 sample 0: "
-            "radial quadrature did not settle") in err
-    assert out == ""
+    reason = ("suite extended: extended.growth-probe.r3 sample 0: "
+              "radial quadrature did not settle")
+    assert f"numeric failure: {reason}" in err
+    assert "[ERROR] extended.growth-probe.r3:" in err
+    assert stdout == ""
+    payload = json.loads(out.read_text())
+    assert payload["overall_pass"] is False
+    by_id = {r["identity_id"]: r for r in payload["records"]}
+    probe = by_id.pop("extended.growth-probe.r3")
+    assert probe["failure"] == reason
+    assert probe["report_only"] is True and probe["pass"] is False
+    assert probe["samples"] == 0
+    assert sorted(by_id) == [
+        "extended.b-closed.r3", "extended.crosspath.r3",
+        "extended.f-closed.r3", "extended.homotopy-identity",
+        "extended.restriction.r3", "extended.transgression.r3"]
+    for rec in by_id.values():
+        assert set(rec) == EXPECTED_RECORD_KEYS
+        assert rec["samples"] == 1
+        assert rec["pass"] is True
+        assert rec["max_residual"] <= rec["tolerance"]
 
 
 def test_verify_rejects_degree_one(capsys):

@@ -625,14 +625,15 @@ def test_symplectic_rank_certificate():
 def test_rank_certificate_evaluates_omega_on_the_kernel_frame_only(
         monkeypatch, count):
     # one omega call per point, on the (k, 1) x (1, k) grid of kernel rows;
-    # each chain term pushes the whole frame once, so the pushforwards per
-    # point do not grow with k: 2 per chain term (4g terms), 2 for the
-    # section, which takes all terms as one point batch, and one for the
-    # relator Jacobian
+    # the chain's one word map evaluates once and pushes once per tangent
+    # shape, so the pushforwards per point do not grow with k or the genus:
+    # 2 for the chain map, 2 for the section, which takes all cells as one
+    # point batch, and one for the relator Jacobian
     calls = []
     pushes = []
+    chain_evals = []
     goldman_form = md.goldman_form
-    push = wd.WordMap.push
+    push, evaluate = wd.WordMap.push, wd.WordMap.evaluate
 
     def counting(mcfg):
         om = goldman_form(mcfg)
@@ -647,22 +648,33 @@ def test_rank_certificate_evaluates_omega_on_the_kernel_frame_only(
         pushes.append(1)
         return push(self, mats, tangents)
 
+    def counting_evaluate(self, mats):
+        if {w for _, w in self.components} == chain_words:
+            chain_evals.append(1)
+        return evaluate(self, mats)
+
     monkeypatch.setattr(md, "goldman_form", counting)
     for genus in (2, 3):
         mcfg = md.ModuliConfig(genus=genus)
         config = su.RunConfig(genus=genus, sample_count=count, suites=("rank",))
+        chain_words = {w for cell in wd.fundamental_class(genus).terms
+                       for w in cell}
         tasks = su._suite_rank(config)
         calls.clear()
         monkeypatch.setattr(wd.WordMap, "push", counting_push)
+        monkeypatch.setattr(wd.WordMap, "evaluate", counting_evaluate)
         pushes.clear()
+        chain_evals.clear()
         for task in tasks:
             assert len(task.samples) == count
             for fn in task.samples:
                 fn()
         monkeypatch.setattr(wd.WordMap, "push", push)
+        monkeypatch.setattr(wd.WordMap, "evaluate", evaluate)
         k = (2 * genus - 1) * mcfg.algebra_dim
         assert calls == [((k, 1, 2, 2), (1, k, 2, 2))] * count
-        assert len(pushes) == count * (8 * genus + 3)
+        assert len(pushes) == count * 5
+        assert len(chain_evals) == len(calls)
 
 
 @pytest.mark.parametrize("N, genus, beta", [(2, 2, 1), (2, 3, 1), (3, 2, 1)])

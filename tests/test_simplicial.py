@@ -658,43 +658,65 @@ def _oracle_sum(terms, f):
         [(c, forms.pullback_equivariant(m, f, actions)) for c, m in terms])
 
 
-@pytest.mark.parametrize("equivariant", [True])
-def test_pullback_sum_matches_separate_pullbacks(equivariant):
-    # the slant pairing with the fundamental class and delta, each one call
-    # of the form, against the linear combination of one pullback per term
-    N, genus = 2, 2
+def _face_chain(n):
+    return wd.Chain((wd.face(generic_cell(n), i), (-1) ** (i + 1))
+                    for i in range(n + 1))
+
+
+def _repeated_word_chain():
+    """Cells on 3 generators that share words across cells and slots, with
+    inverse letters and the identity word."""
+    a, b = wd.Word.from_letters([1, -2]), wd.Word.from_letters([1, -2, 3])
+    c, one = wd.Word.from_letters([-3, 1]), wd.Word.identity()
+    return wd.Chain([((a, b), 2), ((b, a), -1), ((a, a), 3), ((c, b), 1),
+                     ((one, c), -2)])
+
+
+@pytest.mark.parametrize("case", ["fundamental-g2", "fundamental-g3",
+                                  "faces", "delta", "repeated-words"])
+def test_pullback_sum_matches_separate_pullbacks(case):
+    # the slant pairing of a chain with the level-2 form, one call of the
+    # form through the chain's one word map, against the linear combination
+    # of one pullback per cell; delta is the slant with the face chain
+    N = 2
     Q = lc.chern_polynomial(N, 2)
-    level = sp.bott_shulman_equivariant
-    chain = wd.fundamental_class(genus)
-    slant_terms = [
-        (c, wd.WordMap.from_words([a, b], 2 * genus).geometry(N))
-        for (a, b), c in chain.terms.items()]
-    delta_terms = [
-        ((-1) ** (i + 1),
-         wd.WordMap.from_words(wd.face(generic_cell(3), i), 3).geometry(N))
-        for i in range(4)]
-
-    def summed(terms, f):
-        return forms.pullback_sum_equivariant(
-            terms, f, ("conjugation",) * len(terms[0][1].domain))
-
-    slant = wd.slant_form_equivariant(chain, level(2, Q), 2 * genus)
-    delta = sp.simplicial_delta_equivariant(level(2, Q))
-    rng = lc.as_rng(440 + equivariant)
-    for got, want in (
-            (summed(slant_terms, level(2, Q)),
-             _oracle_sum(slant_terms, level(2, Q))),
-            (slant, _oracle_sum(slant_terms, level(2, Q))),
-            (summed(delta_terms, level(2, Q)),
-             _oracle_sum(delta_terms, level(2, Q))),
-            (delta, _oracle_sum(delta_terms, level(2, Q)))):
-        pt = forms.random_point(got.shape, rng)
-        phi = lc.random_algebra(N, rng)
-        for p in got.arities:
-            vs = [forms.random_tangent(got.shape, rng) for _ in range(p)]
-            a, b = got(phi, pt, *vs), want(phi, pt, *vs)
-            assert type(a) is complex
-            assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+    level = sp.bott_shulman_equivariant(2, Q)
+    chain, ng = {
+        "fundamental-g2": (wd.fundamental_class(2), 4),
+        "fundamental-g3": (wd.fundamental_class(3), 6),
+        "faces": (_face_chain(3), 3),
+        "delta": (_face_chain(3), 3),
+        "repeated-words": (_repeated_word_chain(), 3),
+    }[case]
+    terms = [(c, wd.WordMap.from_words(cell, ng).geometry(N))
+             for cell, c in chain.terms.items()]
+    want = _oracle_sum(terms, level)
+    got = (sp.simplicial_delta_equivariant(level) if case == "delta"
+           else wd.slant_form_equivariant(chain, level, ng))
+    assert got.shape == want.shape and got.arities == want.arities
+    rng = lc.as_rng(440 + len(case))
+    pt = forms.random_point(got.shape, rng)
+    phi = lc.random_algebra(N, rng)
+    for p in got.arities:
+        vs = [forms.random_tangent(got.shape, rng) for _ in range(p)]
+        a, b = got(phi, pt, *vs), want(phi, pt, *vs)
+        assert type(a) is complex
+        assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+        if not p:
+            continue
+        # a (2, 1) batch on the first tangent against a (1, 3) point batch
+        more = [forms.random_tangent(got.shape, rng) for _ in range(2)]
+        batch = forms.Tangent(tuple(np.stack(x)[:, None] for x in zip(
+            *(v.parts for v in more))))
+        pts = [forms.random_point(got.shape, rng) for _ in range(3)]
+        pbatch = forms.Point(tuple(np.stack(x)[None] for x in zip(
+            *(q.parts for q in pts))))
+        vals = got(phi, pbatch, batch, *vs[1:])
+        assert vals.shape == (2, 3)
+        for i, v in enumerate(more):
+            for j, q in enumerate(pts):
+                b = want(phi, q, v, *vs[1:])
+                assert abs(vals[i, j] - b) <= 1e-13 * max(1.0, abs(b))
 
 
 def test_plain_forms_are_phi_free_top_components():

@@ -269,6 +269,116 @@ def test_pushforward_matches_finite_differences(n):
         assert np.max(np.abs(push - fd)) < 1e-6
 
 
+def _push_word_oracle(word, mats, tangents):
+    """The pushforward of one word by suffix conjugation: letter x_j adds
+    xi_j and x_j^-1 adds -Ad(A_j) xi_j, each conjugated back through the
+    suffix after it."""
+    suffix = np.eye(mats[0].shape[-1], dtype=complex)
+    total = np.zeros(np.broadcast_shapes(
+        *(m.shape for m in mats), *(x.shape for x in tangents)), dtype=complex)
+    for l in reversed(word.letters):
+        m, xi = mats[abs(l) - 1], tangents[abs(l) - 1]
+        d = xi if l > 0 else -lc.adjoint(m, xi)
+        total += lc.adjoint(suffix.conj().mT, d)
+        suffix = (m if l > 0 else m.conj().mT) @ suffix
+    return total
+
+
+def _left_to_right(word, mats):
+    g = np.eye(mats[0].shape[-1], dtype=complex)
+    for l in word.letters:
+        g = g @ (mats[l - 1] if l > 0 else mats[-l - 1].conj().mT)
+    return g
+
+
+SHARED_PREFIX_WORDS = [parse_word(t) for t in (
+    "x1 x2^-1 x3", "x1 x2^-1", "x1 x2^-1 x3 x1^-1", "1", "x2^-1",
+    "x3^-1 x1 x2", "x3^-1 x1", "x1", "x1 x2^-1 x3")]
+
+
+@pytest.mark.parametrize("batch", ["plain", "points-vs-tangents"])
+def test_push_matches_the_suffix_oracle(batch):
+    # one map over words with inverse letters, shared prefixes, a repeated
+    # word and the identity word; the prefix recurrence against the suffix
+    # conjugation of each word on its own
+    rng = np.random.default_rng(31)
+    m = wd.WordMap.from_words(SHARED_PREFIX_WORDS, 3)
+    mats = tuple(lc.random_group(3, rng) for _ in range(3))
+    xis = tuple(lc.random_algebra(3, rng) for _ in range(3))
+    if batch == "points-vs-tangents":
+        mats = tuple(np.stack([lc.random_group(3, rng) for _ in range(4)])[
+            :, None] for _ in range(3))
+        xis = tuple(np.stack([lc.random_algebra(3, rng) for _ in range(2)])[
+            None] for _ in range(3))
+    got = m.push(mats, xis)
+    for w, d in zip(SHARED_PREFIX_WORDS, got, strict=True):
+        want = _push_word_oracle(w, mats, xis)
+        assert d.shape == want.shape
+        assert np.max(np.abs(d - want)) <= 1e-13 * max(
+            1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_relator_push_matches_the_suffix_oracle(genus):
+    rng = np.random.default_rng(40 + genus)
+    R = wd.surface_relator(genus)
+    mats = tuple(lc.random_group(2, rng) for _ in range(2 * genus))
+    xis = tuple(np.stack([lc.random_algebra(2, rng) for _ in range(5)])
+                for _ in range(2 * genus))
+    (got,) = wd.WordMap.from_words([R], 2 * genus).push(mats, xis)
+    want = _push_word_oracle(R, mats, xis)
+    assert got.shape == want.shape == (5, 2, 2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_push_makes_one_adjoint_per_prefix(monkeypatch):
+    # each distinct nonempty prefix costs one adjoint, except a prefix of
+    # one plain letter, whose pushforward is xi itself
+    calls = []
+    adjoint = lc.adjoint
+
+    def counting(g, x):
+        calls.append(1)
+        return adjoint(g, x)
+
+    monkeypatch.setattr(lc, "adjoint", counting)
+    m = wd.WordMap.from_words(SHARED_PREFIX_WORDS, 3)
+    rng = np.random.default_rng(54)
+    m.push(tuple(lc.random_group(2, rng) for _ in range(3)),
+           tuple(lc.random_algebra(2, rng) for _ in range(3)))
+    prefixes = {w.letters[:i + 1] for w in SHARED_PREFIX_WORDS
+                for i in range(len(w))}
+    assert len(calls) == len(
+        [p for p in prefixes if len(p) > 1 or p[0] < 0]) == 7
+
+
+def test_evaluate_is_the_left_to_right_product_bit_for_bit():
+    rng = np.random.default_rng(52)
+    m = wd.WordMap.from_words(SHARED_PREFIX_WORDS, 3)
+    for mats in (tuple(lc.random_group(2, rng) for _ in range(3)),
+                 tuple(np.stack([lc.random_group(2, rng) for _ in range(3)])
+                       for _ in range(3))):
+        for w, g in zip(SHARED_PREFIX_WORDS, m.evaluate(mats), strict=True):
+            assert np.array_equal(g, _left_to_right(w, mats))
+
+
+def test_push_returns_fresh_arrays():
+    # no component, a one-letter word's included, is or views a tangent
+    rng = np.random.default_rng(53)
+    m = wd.WordMap.from_words(
+        [parse_word("x1"), parse_word("x2^-1"), Word.identity(),
+         parse_word("x1 x2")], 2)
+    mats = tuple(lc.random_group(2, rng) for _ in range(2))
+    xis = tuple(lc.random_algebra(2, rng) for _ in range(2))
+    kept = tuple(x.copy() for x in xis)
+    out = m.push(mats, xis)
+    for d in out:
+        assert d.flags.writeable
+        assert not any(np.shares_memory(d, x) for x in xis)
+        d[...] = 7.0
+    assert all(np.array_equal(x, k) for x, k in zip(xis, kept))
+
+
 def test_evaluation_map_conjugation_equivariance():
     w = wd.random_word(4, 11, 23)
     m = wd.WordMap.from_words([w], 4)
