@@ -306,30 +306,36 @@ def sample_chart_points(config, seed, count, margin=0.7):
 # reduced tangent frames
 
 def _orthonormal_rows(rows):
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    keep = s > 1e-8 * s[0] if s[0] > 0 else []
-    return vt[keep]
+    """An orthonormal basis of the span of rows that depends on the span
+    alone: its projector's rows orthonormalised in coordinate order, each
+    kept while the basis is short and its residual passes 1/(2 sqrt(D))."""
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    out = vt[s > 1e-8 * s[0]] if s[0] > 0 else vt[:0]
+    k, tol = 0, 0.5 / math.sqrt(out.shape[1])
+    for row in out.T @ out:
+        if k == len(out):
+            break
+        row = row - (out[:k] @ row) @ out[:k]
+        norm = math.sqrt(row @ row)
+        if norm > tol:
+            out[k], k = row / norm, k + 1
+    return out
 
 
 def reduced_frame(config, pt):
     """Split tangent coordinates into constraint kernel, conjugation orbit,
     and their quotient complement; a constraint rank gap below 1e-6 raises
     NonGenericPointError."""
-    J = relator_jacobian(config, pt)
-    u, s, vt = np.linalg.svd(J)
+    _, s, vt = np.linalg.svd(relator_jacobian(config, pt))
     d = config.algebra_dim
     if s[d - 1] <= 1e-6 * s[0]:
         raise NonGenericPointError("constraint rank drops at this point")
-    kernel = vt[d:]
-    orbit_rows = []
-    for phi in lc.algebra_basis(config.N):
-        gen = forms.generating_field(
-            config.shape, ("conjugation",) * config.num_generators, phi, pt
-        )
-        orbit_rows.append(tangent_to_coords(config, gen))
-    orbit = _orthonormal_rows(np.stack(orbit_rows))
-    proj = kernel - (kernel @ orbit.T) @ orbit if len(orbit) else kernel
-    quotient = _orthonormal_rows(proj)
+    kernel = _orthonormal_rows(vt[d:])
+    actions = ("conjugation",) * config.num_generators
+    orbit = _orthonormal_rows(np.stack([tangent_to_coords(
+        config, forms.generating_field(config.shape, actions, phi, pt))
+        for phi in lc.algebra_basis(config.N)]))
+    quotient = _orthonormal_rows(kernel - (kernel @ orbit.T) @ orbit)
     return ReducedTangentFrame(pt, kernel, orbit, quotient)
 
 

@@ -136,6 +136,24 @@ def test_reduced_frame_dimensions_and_inclusions():
     assert np.abs(frame.quotient @ frame.orbit.T).max() <= 1e-10
 
 
+@pytest.mark.parametrize("genus", [2, 3])
+def test_reduced_frame_is_stable_under_rounding(monkeypatch, genus):
+    # the kernel and quotient rows depend on the subspaces, not on the SVD's
+    # basis of them: a 1e-14 perturbation of the relator Jacobian moves
+    # them at rounding, where an arbitrary null-space basis rotates by O(1)
+    config = md.ModuliConfig(genus=genus, beta_index=1)
+    y = md.sample_Y(config, 11, 1)[0]
+    before = md.reduced_frame(config, y)
+    jacobian = md.relator_jacobian
+    noise = np.random.default_rng(3).standard_normal(
+        jacobian(config, y).shape)
+    monkeypatch.setattr(md, "relator_jacobian",
+                        lambda c, pt: jacobian(c, pt) + 1e-14 * noise)
+    after = md.reduced_frame(config, y)
+    assert np.abs(after.kernel - before.kernel).max() <= 1e-12
+    assert np.abs(after.quotient - before.quotient).max() <= 1e-12
+
+
 def test_reduced_frame_rejects_central_points():
     eye = np.eye(3, dtype=complex)
     pt = fo.Point((eye.copy(),) * 4)

@@ -203,22 +203,88 @@ def test_delta_is_dual_to_the_bar_boundary(level, N, Q):
 # quadrature and matchings
 
 # full-degree rules (n, 2r), and the fiber integrals' exact degrees
-# 2(r - n) - m for 0 <= m <= r - n and n <= r <= 4 (degree 0 at n = r)
+# 2(r - n) - m for 0 <= m <= r - n and n <= r <= 5 (degree 0 at n = r):
+# every rule the fiber integral builds up to N = 5
 QUADRATURE_CASES = sorted(
     {(1, 2), (1, 4), (2, 4), (2, 6), (3, 6)}
-    | {(n, d) for r in range(1, 5) for n in range(1, r + 1)
+    | {(n, d) for r in range(1, 6) for n in range(1, r + 1)
        for d in range(r - n, 2 * (r - n) + 1)})
 
 
-@pytest.mark.parametrize("n,degree", QUADRATURE_CASES)
-def test_quadrature_exact_on_monomials(n, degree):
-    nodes, weights = sp.simplex_rule(n, degree)
+def _lattice_rule(n, degree):
+    """The principal-lattice rule of the same degree: collocation on the
+    lattice {alpha/d} against the Bernstein basis, whose basis integrals all
+    equal d!/(n+d)!; degree 0 is the barycentre. Kept here as an oracle
+    that shares no code with the Gauss rule."""
+    d = degree
+    alphas = []
+
+    def build(prefix, remaining, slots):
+        if slots == 1:
+            alphas.append(prefix + [remaining])
+            return
+        for k in range(remaining + 1):
+            build(prefix + [k], remaining - k, slots - 1)
+
+    build([], d, n + 1)
+    alphas = np.array(alphas)            # (M, n+1)
+    nodes = alphas / d if d else np.full(alphas.shape, 1 / (n + 1))
+    coeff = np.array([
+        math.factorial(d) // math.prod(math.factorial(int(a)) for a in row)
+        for row in alphas
+    ], dtype=float)
+    # V[j, m] = B_{alpha_j}(node_m)
+    V = coeff[:, None] * np.prod(nodes[None, :, :] ** alphas[:, None, :],
+                                 axis=2)
+    rhs = np.full(len(alphas), math.factorial(d) / math.factorial(n + d))
+    return nodes, np.linalg.solve(V, rhs)
+
+
+def _assert_exact_on_monomials(rule, n, degree):
+    nodes, weights = rule
     rng = np.random.default_rng(5)
     for _ in range(12):
         alpha = rng.multinomial(degree, np.full(n + 1, 1 / (n + 1)))
         vals = np.prod(nodes ** alpha, axis=1)
         quad = float(weights @ vals)
         assert abs(quad - simplex_moment(alpha)) < 1e-12
+
+
+@pytest.mark.parametrize("n,degree", QUADRATURE_CASES)
+def test_quadrature_exact_on_monomials(n, degree):
+    nodes, weights = sp.simplex_rule(n, degree)
+    _assert_exact_on_monomials((nodes, weights), n, degree)
+    # a Gauss rule: d // 2 + 1 nodes a direction, every weight positive
+    assert len(weights) == (degree // 2 + 1) ** n
+    assert weights.min() > 0
+    assert np.abs(nodes.sum(axis=1) - 1).max() <= 1e-15
+    assert nodes.min() >= 0
+
+
+@pytest.mark.parametrize("n,degree", [(n, 2 * r) for r in range(1, 5)
+                                      for n in range(1, r + 1)])
+def test_lattice_oracle_exact_on_monomials(n, degree):
+    _assert_exact_on_monomials(_lattice_rule(n, degree), n, degree)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gauss_jacobi_legendre_matches_leggauss(k):
+    u, w = sp._gauss_jacobi(k, 0)
+    x, v = np.polynomial.legendre.leggauss(k)
+    assert np.abs(u - (x + 1) / 2).max() <= 1e-14
+    assert np.abs(w - v / 2).max() <= 1e-14
+
+
+@pytest.mark.parametrize("a", range(1, 5))
+def test_gauss_jacobi_integrates_the_moments_of_its_weight(a):
+    # int_0^1 u^j (1 - u)^a du = j! a! / (j + a + 1)!, exact to j = 2k - 1
+    for k in range(1, 7):
+        u, w = sp._gauss_jacobi(k, a)
+        assert w.min() > 0 and u.min() > 0 and u.max() < 1
+        for j in range(2 * k):
+            want = (math.factorial(j) * math.factorial(a)
+                    / math.factorial(j + a + 1))
+            assert abs(w @ u ** j - want) <= 1e-14 * want
 
 
 def test_quadrature_monte_carlo_cross_check():
@@ -593,17 +659,32 @@ def test_blocked_fiber_integral_matches_one_block(monkeypatch):
 @pytest.mark.parametrize("N, r", [(2, 2), (3, 2), (3, 3), (4, 3), (4, 4)])
 def test_exact_degree_rule_matches_the_full_degree_rule(monkeypatch, N, r):
     # every level and every moment order m (arity 2(r - m) - n) of the fiber
-    # integral, built on the rule of degree 2(r - n) - m, gives the values of
-    # the same form built on the full-degree rule simplex_rule(n, 2r), which
-    # this test keeps as its oracle: plain calls, and the same B entries on
-    # one point and tangent batch
+    # integral, built on the Gauss rule of degree 2(r - n) - m, gives the
+    # values of the same form built on the full-degree lattice rule
+    # _lattice_rule(n, 2r), which this test keeps as its oracle: plain calls,
+    # and the same B entries on one point and tangent batch. Each call hands
+    # the polynomial matchings x (d // 2 + 1)^n rows per batch entry.
     Q = lc.chern_polynomial(N, r)
     levels = range(1, 2 * r + 1)
     exact = [sp.bott_shulman_total_equivariant(n, Q) for n in levels]
-    rule = sp.simplex_rule
-    monkeypatch.setattr(sp, "simplex_rule", lambda n, degree: rule(n, 2 * r))
+    monkeypatch.setattr(sp, "simplex_rule",
+                        lambda n, degree: _lattice_rule(n, 2 * r))
     full = [sp.bott_shulman_total_equivariant(n, Q) for n in levels]
     monkeypatch.undo()
+    rows = []
+    batch = lc.InvariantPolynomial.eval_batch
+
+    def spy(self, stack):
+        rows.append(len(stack))
+        return batch(self, stack)
+
+    def counted(fn, *args):
+        rows.clear()
+        monkeypatch.setattr(lc.InvariantPolynomial, "eval_batch", spy)
+        out = fn(*args)
+        monkeypatch.undo()
+        return out, sum(rows)
+
     rng = lc.as_rng(450 + 10 * N + r)
     B = 2
     checked = []
@@ -617,8 +698,15 @@ def test_exact_degree_rule_matches_the_full_degree_rule(monkeypatch, N, r):
                              for pt, vs in zip(points, frames)])
             plain = np.array([ef(phi, pt, *vs)
                               for pt, vs in zip(points, frames)])
-            batched = ef(phi, _stacked_point(points),
-                         *(_stacked(slot) for slot in zip(*frames)))
+            batched, count = counted(
+                ef, phi, _stacked_point(points),
+                *(_stacked(slot) for slot in zip(*frames)))
+            # n simplex slots matched into the p tangent slots, the other
+            # p - n tangent slots paired among themselves
+            m = (2 * r - n - p) // 2
+            matchings = (math.perm(p, n) * math.prod(range(p - n - 1, 0, -2))
+                         if p >= n else 0)
+            assert count == B * matchings * ((2 * (r - n) - m) // 2 + 1) ** n
             tol = 1e-13 * np.abs(want).max()
             assert np.abs(plain - want).max() <= tol, (n, p)
             assert np.abs(batched - want).max() <= tol, (n, p)
