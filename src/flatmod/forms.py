@@ -18,7 +18,8 @@ of the broadcast batch shape instead of a complex number. Those forms, the
 chart-pulled ones included, take a point batch as well, broadcasting against
 the tangents'; phi never carries a batch. The FD derivative evaluates its
 whole stencil as one such batch, so it calls its operand once per
-evaluation.
+evaluation: one flow and one bracket call serve the stacked tangents, and
+each term gathers its tangent slots from an index table.
 
 A pullback pushes the tangents of one evaluation with one push per distinct
 tangent shape. A plain form is at_phi of an equivariant one: the component of
@@ -361,17 +362,6 @@ def _stack_parts(shape, group, rank):
                  for fac, parts in zip(shape, zip(*group)))
 
 
-def _stack_calls(shape, points, frames):
-    """Several calls of one form as one: the point parts and the tangent
-    tuples of each call, stacked on a new leading axis and padded to the
-    batch rank of the calls."""
-    slots = [[f[j].parts for f in frames] for j in range(len(frames[0]))]
-    rank = _batch_rank(
-        shape, list(points) + [v.parts for f in frames for v in f])
-    return (Point(_stack_parts(shape, points, rank)),
-            [Tangent(_stack_parts(shape, g, rank)) for g in slots])
-
-
 def _contract(coeffs, val):
     """Sum a value over its leading term axis with the coefficients; a form
     that reads neither point nor tangents returns no term axis."""
@@ -432,15 +422,9 @@ def frame_bracket(shape, u, v):
     Group components bracket in the algebra; vector and simplex frames are
     commuting coordinate frames, so those components vanish.
     """
-    parts = []
-    for fac, a, b in zip(shape, u.parts, v.parts):
-        if isinstance(fac, GroupFactor):
-            parts.append(lc.bracket(a, b))
-        elif isinstance(fac, VectorFactor):
-            parts.append(np.zeros(fac.dim))
-        else:
-            parts.append(np.zeros(fac.n + 1))
-    return Tangent(tuple(parts))
+    return Tangent(tuple(
+        lc.bracket(a, b) if isinstance(fac, GroupFactor) else np.zeros_like(a)
+        for fac, a, b in zip(shape, u.parts, v.parts)))
 
 
 def _check_margin(shape, pt, step):
@@ -457,6 +441,8 @@ def exterior_derivative(f, step=DEFAULT_FD_STEP):
     df(v_0..v_p) = sum_i (-1)^i D_{v_i} f(..no v_i..)
                  + sum_{i<j} (-1)^{i+j} f([v_i,v_j]_frame, ..no v_i, v_j..),
     directional derivatives by central differences along the factor flows.
+    One flow moves the point along the stacked tangents, one bracket call
+    pairs them, and each term gathers its tangents from an index table.
     The 2(p+1) flowed points and the C(p+1, 2) bracket terms reach f as one
     call, stacked on a leading batch axis, so f must accept a point batch;
     a value without that axis (f reads neither point nor tangents) stands
@@ -464,22 +450,31 @@ def exterior_derivative(f, step=DEFAULT_FD_STEP):
     """
     p = f.arity
     pairs = list(combinations(range(p + 1), 2))
+    left, right = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    # row t: the tangents of term t in [v_0..v_p, the pairs' brackets];
+    # terms 2i, 2i + 1 flow along +-v_i, term 2(p + 1) + k brackets pair k
+    table = np.array([[k for k in range(p + 1) if k != i]
+                      for i in range(p + 1) for _ in "+-"] + [
+        [p + 1 + n] + [k for k in range(p + 1) if k not in ij]
+        for n, ij in enumerate(pairs)], dtype=np.intp)
 
     def fn(pt, *vs):
         _check_margin(f.shape, pt, step)
-        points, frames = [], []
-        for i in range(p + 1):
-            moved = flow(f.shape, pt, vs[i], (step, -step))
-            points += [tuple(x[k] for x in moved.parts) for k in range(2)]
-            frames += [vs[:i] + vs[i + 1:]] * 2
-        for i, j in pairs:
-            points.append(pt.parts)
-            frames.append((frame_bracket(f.shape, vs[i], vs[j]),) + tuple(
-                vs[k] for k in range(p + 1) if k not in (i, j)))
-        image, tangents = _stack_calls(f.shape, points, frames)
-        val = np.asarray(f(image, *tangents))
+        rank = _batch_rank(f.shape, [pt.parts] + [v.parts for v in vs])
+        stack = _stack_parts(f.shape, [v.parts for v in vs], rank)
+        moved = flow(f.shape, pt, Tangent(stack), (step, -step))
+        brackets = frame_bracket(
+            f.shape, *(Tangent(tuple(x[idx] for x in stack))
+                       for idx in (left, right)))
+        image = Point(tuple(
+            np.concatenate([np.swapaxes(m, 0, 1).reshape((-1,) + m.shape[2:]),
+                            np.broadcast_to(x, (len(pairs),) + m.shape[2:])])
+            for m, x in zip(moved.parts, pt.parts)))
+        frames = [np.concatenate(x) for x in zip(stack, brackets.parts)]
+        val = np.asarray(f(image, *(Tangent(tuple(x[col] for x in frames))
+                                    for col in table.T)))
         if val.ndim == 0:
-            val = np.broadcast_to(val, (len(points),))
+            val = np.broadcast_to(val, (len(table),))
         total = 0j
         for i in range(p + 1):
             total += (-1) ** i * (val[2 * i] - val[2 * i + 1]) / (2 * step)

@@ -83,7 +83,6 @@ class ReducedTangentFrame:
     inside the kernel.
     """
 
-    point: forms.Point
     kernel: np.ndarray
     orbit: np.ndarray
     quotient: np.ndarray
@@ -92,8 +91,9 @@ class ReducedTangentFrame:
 # ---------------------------------------------------------------------------
 # the relator map and coordinates on tangent spaces
 
+@lru_cache(maxsize=None)
 def epsilon_R(config):
-    """The relator evaluation K^(2g) -> K as a word map."""
+    """The relator evaluation K^(2g) -> K as a word map, one per config."""
     return wd.WordMap.from_words(
         [wd.surface_relator(config.genus)], config.num_generators)
 
@@ -336,7 +336,7 @@ def reduced_frame(config, pt):
         config, forms.generating_field(config.shape, actions, phi, pt))
         for phi in lc.algebra_basis(config.N)]))
     quotient = _orthonormal_rows(kernel - (kernel @ orbit.T) @ orbit)
-    return ReducedTangentFrame(pt, kernel, orbit, quotient)
+    return ReducedTangentFrame(kernel, orbit, quotient)
 
 
 def frame_matrix(config, form, pt, rows):

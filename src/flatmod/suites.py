@@ -62,8 +62,8 @@ class RunConfig(md.ModuliConfig):
             ("tol_quad", self.tol_quad), ("tol_fd", self.tol_fd),
             ("quad_nodes", self.quad_nodes),
         ):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.quad_nodes < 16:
             # the radial quadrature compares an 8-node pass with a 16-node one
             raise ValueError("quad_nodes must be at least 16")
@@ -82,6 +82,8 @@ class RunConfig(md.ModuliConfig):
             if not 2 <= r <= self.N:
                 raise ValueError("polynomial degree must satisfy 2 <= r <= N")
         for name, values in (("degree", self.r_list), ("suite", self.suites)):
+            if not values:
+                raise ValueError(f"the {name} list is empty")
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"{name} {value!r} is given twice")

@@ -434,6 +434,33 @@ def test_repeated_degrees_and_suites_are_rejected(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--r", ",", "--suite", "cocycle", "--samples", "1"],
+     "the degree list is empty"),
+    (["verify", "--config", "SUITES_EMPTY"], "the suite list is empty"),
+    (["eval", "--form", "sigma_Q", "--r", ","], "the degree list is empty"),
+    (["verify", "--suite", "cocycle", "--samples", "1", "--tol-fd", "nan"],
+     "tol_fd must be finite and positive"),
+    (["verify", "--suite", "cocycle", "--samples", "1", "--fd-step", "nan"],
+     "fd_step must be finite and positive"),
+    (["verify", "--suite", "cocycle", "--samples", "1", "--fd-step", "inf"],
+     "fd_step must be finite and positive"),
+    (["verify", "--suite", "extended", "--samples", "1", "--tol-quad",
+      "inf"], "tol_quad must be finite and positive"),
+])
+def test_empty_lists_and_non_finite_settings_are_config_errors(
+        argv, message, tmp_path, capsys):
+    # an empty list would pass vacuously or fail on its first entry, and a
+    # NaN setting slips through a plain comparison with zero
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"suites": []}))
+    argv = [str(config) if a == "SUITES_EMPTY" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_eval_form_ids_obey_the_degree_rule(capsys):
     for form in ("f_1", "a_1", "b_1_1", "extended_f_1"):
         code, out, err = run_cli(["eval", "--form", form], capsys)

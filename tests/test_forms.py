@@ -322,7 +322,9 @@ def _assert_close(got, want, rtol):
     assert abs(got - want) <= rtol * max(1.0, abs(want))
 
 
-def test_d_calls_its_operand_once_per_evaluation():
+def test_d_calls_its_operand_once_per_evaluation(monkeypatch):
+    # and moves the point with one flow and pairs the tangents with one
+    # bracket call
     Q = lc.chern_polynomial(2, 2)
     calls = []
 
@@ -332,11 +334,17 @@ def test_d_calls_its_operand_once_per_evaluation():
             return f(pt, *vs)
         return forms.FormField(f.shape, f.arity, fn)
 
+    for name in ("flow", "frame_bracket"):
+        def spy(*args, _orig=getattr(forms, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(forms, name, spy)
     B = lc.random_algebra(2, 200)
     fields = [
-        sp.bott_shulman(1, Q), sp.bott_shulman(2, Q),
+        sp.bott_shulman(1, Q), sp.bott_shulman(2, Q), _mixed_form(),
         forms.FormField(SU2, 0, lambda pt: np.trace(
             pt[0] @ B, axis1=-2, axis2=-1).real),
+        forms.FormField(SU2, 0, lambda pt: 1.0),
     ]
     for k, f in enumerate(fields):
         d = forms.exterior_derivative(spied(f))
@@ -345,7 +353,7 @@ def test_d_calls_its_operand_once_per_evaluation():
               for i in range(f.arity + 1)]
         calls.clear()
         d(pt, *vs)
-        assert calls == [f.arity]
+        assert calls == ["flow", "frame_bracket", f.arity]
 
 
 def test_d_matches_the_term_by_term_stencil_on_fiber_integrals():
@@ -422,6 +430,79 @@ def test_homotopy_and_constant_forms_take_the_stencil_batch():
     d_one = forms.exterior_derivative(one)
     pt, v = forms.random_point(SU2, 251), forms.random_tangent(SU2, 252)
     assert d_one(pt, v) == 0
+
+
+def _tangent_batch(shape, rng, batch):
+    """Random tangents on the batch shape batch, as one Tangent."""
+    vs = [forms.random_tangent(shape, rng) for _ in range(int(np.prod(batch)))]
+    return forms.Tangent(tuple(np.stack(x).reshape(batch + x[0].shape)
+                               for x in zip(*(v.parts for v in vs))))
+
+
+def _mixed_form():
+    """An arity-2 form on K x R^3 x Delta^2 that reads every factor of the
+    point and of both tangents; point and tangents may carry a batch."""
+    shape = (forms.GroupFactor(2), forms.VectorFactor(3),
+             forms.SimplexFactor(2))
+
+    def fn(pt, u, v):
+        g, x, t = pt.parts
+        return (lc.inner(lc.adjoint(g, u[0]), v[0]) * np.sum(x * x, axis=-1)
+                + np.sum(u[1] * x, axis=-1) * np.sum(v[2] * t, axis=-1)
+                - np.sum(v[1] * x, axis=-1) * np.sum(u[2] * t, axis=-1))
+
+    return forms.FormField(shape, 2, fn, name="mixed")
+
+
+@pytest.mark.parametrize("batches", [
+    ((3, 1), ()), ((1, 3), ()), ((3, 1), (1, 3))])
+def test_d_matches_the_oracle_on_broadcast_first_tangents(batches):
+    # the stencil stacks tangents of different batch shapes, so the stack
+    # and the brackets must broadcast them as the term-by-term calls do
+    f = sp.bott_shulman(2, lc.chern_polynomial(2, 2))
+    rng = lc.as_rng(280 + sum(map(len, batches)))
+    pt = forms.random_point(f.shape, rng)
+    vs = [_tangent_batch(f.shape, rng, b) for b in batches]
+    vs += [forms.random_tangent(f.shape, rng) for _ in range(3 - len(vs))]
+    oracle = _d_term_by_term(f, forms.DEFAULT_FD_STEP)
+    _assert_matches_per_point(
+        forms.exterior_derivative(f)(pt, *vs), oracle(pt, *vs))
+
+
+def test_d_matches_the_oracle_on_a_nodes_by_entries_point_batch():
+    # homotopy_h's integrand call: a (nodes, entries) point batch against
+    # tangents that carry only the entries axis
+    d = 3
+    shape = (forms.VectorFactor(d),)
+    rng = lc.as_rng(290)
+    field = su._polynomial_field(
+        shape, *(rng.standard_normal(d) for _ in range(4)),
+        rng.standard_normal((d, d)), lc.random_algebra(2, rng))
+    phi = lc.random_algebra(2, rng)
+    pt = forms.Point((rng.standard_normal((4, 2, d)),))
+    for p in (1, 2):
+        f = forms.at_phi(field, phi, p)
+        vs = [_tangent_batch(shape, rng, (2,)) for _ in range(p + 1)]
+        got = forms.exterior_derivative(f)(pt, *vs)
+        assert got.shape == (4, 2)
+        _assert_matches_per_point(
+            got, _d_term_by_term(f, forms.DEFAULT_FD_STEP)(pt, *vs))
+
+
+def test_d_matches_the_oracle_at_arity_zero_and_on_mixed_factors():
+    B = lc.random_algebra(2, 300)
+    zero_form = forms.FormField(SU2, 0, lambda pt: np.trace(
+        pt[0] @ B, axis1=-2, axis2=-1).real)
+    rng = lc.as_rng(301)
+    for f in (zero_form, _mixed_form()):
+        oracle = _d_term_by_term(f, forms.DEFAULT_FD_STEP)
+        d = forms.exterior_derivative(f)
+        pt = forms.random_point(f.shape, rng)
+        vs = [forms.random_tangent(f.shape, rng) for _ in range(f.arity + 1)]
+        _assert_matches_per_point(np.array(d(pt, *vs)), oracle(pt, *vs))
+        # the same with a batch on the first tangent
+        vs[0] = _tangent_batch(f.shape, rng, (2,))
+        _assert_matches_per_point(d(pt, *vs), oracle(pt, *vs))
 
 
 # ---------------------------------------------------------------------------
