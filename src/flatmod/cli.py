@@ -270,6 +270,8 @@ def _cmd_sample(args):
     config = _load_config(args)
     if args.count < 0:
         raise ValueError("count must be nonnegative")
+    if not np.isfinite(args.perturbation):
+        raise ValueError("perturbation must be finite")
     eps, beta = md.epsilon_R(config), config.beta.matrix()
 
     def residual(pt, target):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -121,39 +121,46 @@ def point(shape, *parts):
 
 def random_point(shape, seed):
     """Haar group factors, Gaussian vectors and Dirichlet(2) simplex points
-    at least 0.05 from every face."""
+    at least 0.05 from every face; each run of equal group factors is one
+    stacked draw, the same bytes as one draw per factor."""
     rng = lc.as_rng(seed)
     parts = []
-    for fac in shape:
+    for fac, run in groupby(shape):
+        k = len(list(run))
         if isinstance(fac, GroupFactor):
-            parts.append(lc.random_group(fac.n, rng))
+            parts.extend(lc.random_group(fac.n, rng, count=k))
         elif isinstance(fac, VectorFactor):
-            parts.append(rng.standard_normal(fac.dim))
+            parts.extend(rng.standard_normal(fac.dim) for _ in range(k))
         else:
-            t = rng.dirichlet(np.full(fac.n + 1, 2.0))
-            while t.min() < 0.05:
+            for _ in range(k):
                 t = rng.dirichlet(np.full(fac.n + 1, 2.0))
-            parts.append(t)
+                while t.min() < 0.05:
+                    t = rng.dirichlet(np.full(fac.n + 1, 2.0))
+                parts.append(t)
     return Point(tuple(parts))
 
 
 def random_tangent(shape, seed):
-    """A Gaussian tangent, each part scaled to unit norm."""
+    """A Gaussian tangent, each part scaled to unit norm; each run of equal
+    group factors is one stacked draw, normalised by one stacked inner."""
     rng = lc.as_rng(seed)
     parts = []
-    for fac in shape:
+    for fac, run in groupby(shape):
+        k = len(list(run))
         if isinstance(fac, GroupFactor):
-            x = lc.random_algebra(fac.n, rng)
-            parts.append(x / math.sqrt(lc.inner(x, x)))
-        elif isinstance(fac, VectorFactor):
-            v = rng.standard_normal(fac.dim)
-            parts.append(v / np.linalg.norm(v))
-        else:
-            tau = rng.standard_normal(fac.n + 1)
-            tau -= tau.mean()
-            if np.linalg.norm(tau) > 0:
-                tau = tau / np.linalg.norm(tau)
-            parts.append(tau)
+            x = lc.random_algebra(fac.n, rng, count=k)
+            parts.extend(x / np.sqrt(lc.inner(x, x))[:, None, None])
+            continue
+        for _ in range(k):
+            if isinstance(fac, VectorFactor):
+                v = rng.standard_normal(fac.dim)
+                parts.append(v / np.linalg.norm(v))
+            else:
+                tau = rng.standard_normal(fac.n + 1)
+                tau -= tau.mean()
+                if np.linalg.norm(tau) > 0:
+                    tau = tau / np.linalg.norm(tau)
+                parts.append(tau)
     return Tangent(tuple(parts))
 
 

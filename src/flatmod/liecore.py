@@ -358,28 +358,37 @@ def chern_polynomial(n, r):
 # ---------------------------------------------------------------------------
 # sampling
 
-def random_algebra(n, seed, scale=1.0):
-    """Deterministic pseudo-random algebra element (Gaussian entries)."""
-    rng = as_rng(seed)
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    x = 0.5 * (a - a.conj().T)
-    x -= (np.trace(x) / n) * np.eye(n)
+def _complex_normal(n, rng, count):
+    """One n x n complex Gaussian, or a stack of count, from one draw of
+    the real and then the imaginary parts of each matrix in turn; the
+    generator fills in C order, so a stack holds the numbers of count
+    single draws."""
+    z = rng.standard_normal((() if count is None else (count,)) + (2, n, n))
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+
+
+def random_algebra(n, seed, scale=1.0, count=None):
+    """Deterministic pseudo-random algebra element (Gaussian entries), or a
+    stack of count of them, the same bytes as count single draws."""
+    a = _complex_normal(n, as_rng(seed), count)
+    x = 0.5 * (a - a.conj().mT)
+    x -= (np.trace(x, axis1=-2, axis2=-1)[..., None, None] / n) * np.eye(n)
     return scale * x
 
 
-def random_group(n, seed):
-    """Approximately Haar-distributed special unitary matrix.
+def random_group(n, seed, count=None):
+    """Approximately Haar-distributed special unitary matrix, or a stack of
+    count of them, the same bytes as count single draws.
 
     QR of a complex Gaussian with the R-diagonal phase fix, then a final
     determinant correction into SU(n).
     """
-    rng = as_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    z = _complex_normal(n, as_rng(seed), count) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    q = q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d / np.abs(d))[..., None, :]
     det = np.linalg.det(q)
-    q = q * np.exp(-np.log(det) / n)
+    q = q * np.exp(-np.log(det) / n)[..., None, None]
     return q
 
 

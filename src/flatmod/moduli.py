@@ -120,18 +120,21 @@ def relator_residual(config, pt):
     return lc.log_group(config.beta.matrix().conj().T @ val)
 
 
-def _chart_jacobian(config, push):
+def _chart_jacobian(config, pt, push):
     """Real Jacobian of the chart coordinates from the chart's pushforward
-    at a point; columns index the tangent basis, which goes through push as
-    one batch of tangents."""
+    at a point or point batch; columns index the tangent basis, which goes
+    through push as one batch of tangents on a leading axis, padded to the
+    batch rank of pt, so a batch's Jacobians lie on its batch axes."""
+    dim = config.num_generators * config.algebra_dim
+    rank = pt.parts[0].ndim - 2
     basis = tangent_from_coords(
-        config, np.eye(config.num_generators * config.algebra_dim))
-    return push(basis)[0].T
+        config, np.eye(dim).reshape((dim,) + (1,) * rank + (dim,)))
+    return np.moveaxis(push(basis)[0], 0, -1)
 
 
 def relator_jacobian(config, pt):
     """Real Jacobian of the chart coordinates at pt."""
-    return _chart_jacobian(config, chart_map(config).at(pt)[1])
+    return _chart_jacobian(config, pt, chart_map(config).at(pt)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -167,66 +170,122 @@ def seed_point(config):
     return forms.Point((clock, shift) + rest)
 
 
-def project_to_level(config, pt):
-    """Damped Gauss-Newton projection onto the relator level set, to a
-    residual of LEVEL_TOL within 60 steps.
+def _level_rows(config, pts):
+    """The chart residual and Jacobian of each point of a batch, or None for
+    a point whose evaluation hits the logarithm cut. log_group raises for a
+    whole stack, so a batch that raises is evaluated again as batches of
+    one."""
+    try:
+        image, push = chart_map(config).at(pts)
+        return list(zip(image[0], _chart_jacobian(config, pts, push)))
+    except lc.BranchCutError:
+        if len(pts[0]) == 1:
+            return [None]
+        return [rows for i in range(len(pts[0])) for rows in _level_rows(
+            config, forms.Point(tuple(x[i:i + 1] for x in pts.parts)))]
 
-    One chart evaluation per point gives its residual and, once the point
-    is accepted, the Jacobian of the next step.
-    """
-    chart = chart_map(config)
-    current = pt
-    image, push = chart.at(current)
-    res = image[0]
+
+def _descent(current, rows):
+    """One point's damped Gauss-Newton projection onto the relator level
+    set, to a residual of LEVEL_TOL within 60 steps. It yields each step to
+    try as (point, step coordinates) and is sent back the moved point with
+    its chart rows; it returns the point reached, or None when the chart
+    hits the cut, the line search stalls or the steps run out."""
+    if rows is None:
+        return None
+    res, J = rows
     norm = float(np.linalg.norm(res))
     for _ in range(60):
         if norm <= LEVEL_TOL:
             return current
-        J = _chart_jacobian(config, push)
         step_coords = -np.linalg.lstsq(J, res, rcond=None)[0]
         lam = 1.0
         for _ in range(10):
-            cand_tan = tangent_from_coords(config, lam * step_coords)
-            cand = forms.flow(config.shape, current, cand_tan, 1.0)
-            image, cand_push = chart.at(cand)
-            cand_norm = float(np.linalg.norm(image[0]))
+            cand, rows = yield current, lam * step_coords
+            if rows is None:
+                return None
+            cand_norm = float(np.linalg.norm(rows[0]))
             if cand_norm < norm * (1 - 1e-4) or cand_norm <= LEVEL_TOL:
-                current, res, norm, push = cand, image[0], cand_norm, cand_push
+                current, (res, J), norm = cand, rows, cand_norm
                 break
             lam *= 0.5
         else:
-            raise ConvergenceError("line search stalled in the level projection")
-    if norm <= LEVEL_TOL:
-        return current
-    raise ConvergenceError("level projection did not converge")
+            return None
+    return current if norm <= LEVEL_TOL else None
+
+
+def _unstack(pts):
+    """The entries of a point batch as points."""
+    return [forms.Point(parts) for parts in zip(*pts.parts)]
+
+
+def project_to_level(config, pts):
+    """Project a point batch (one leading axis on every part) onto the
+    relator level set; returns one point per entry, None where it failed.
+
+    Each point runs its own damped Gauss-Newton descent (_descent), with
+    its own step length, acceptance and failure. A round moves every open
+    point to its next candidate with one flow and evaluates all candidates
+    with one chart call, whose push of the tangent basis gives each
+    accepted point's next Jacobian.
+    """
+    out = [None] * len(pts[0])
+    moves = {}  # open entry -> its descent, the point and the step it tries
+
+    def advance(i, descent, sent):
+        try:
+            moves[i] = (descent, *descent.send(sent))
+        except StopIteration as stop:
+            out[i] = stop.value
+
+    for i, (start, rows) in enumerate(
+            zip(_unstack(pts), _level_rows(config, pts))):
+        advance(i, _descent(start, rows), None)
+    while moves:
+        open_ = list(moves)
+        descents, points, steps = zip(*(moves.pop(i) for i in open_))
+        base = forms.Point(forms._stack_parts(
+            config.shape, [p.parts for p in points], 0))
+        cands = forms.flow(config.shape, base,
+                           tangent_from_coords(config, np.stack(steps)), 1.0)
+        for i, descent, cand, rows in zip(open_, descents, _unstack(cands),
+                                          _level_rows(config, cands)):
+            advance(i, descent, (cand, rows))
+    return out
 
 
 def sample_Y(config, seed, count, perturbation=0.25, stats=None):
     """Perturb the shipped seed and project back; all outputs satisfy the
     relator constraint to LEVEL_TOL.
 
-    When stats is a dict it receives the attempt and failure counts.
+    Rounds draw the perturbations of every point still missing, in order,
+    and project them as one batch; a point that fails is counted and
+    redrawn in the next round. The projection draws nothing, so the points
+    drawn and kept are those of one attempt at a time. When stats is a
+    dict it receives the attempt and failure counts, in points.
     """
     rng = lc.as_rng(seed)
     base = seed_point(config)
     out = []
     attempts = failures = 0
+    cap = 20 * count + 10
     while len(out) < count:
-        attempts += 1
-        if attempts > 20 * count + 10:
+        k = min(count - len(out), cap - attempts)
+        if not k:
             raise ConvergenceError("sampling kept failing to converge")
+        attempts += k
         if perturbation == 0:
-            out.append(base)
+            out.extend([base] * k)
             continue
-        parts = tuple(
-            g @ lc.exp_alg(perturbation * lc.random_algebra(config.N, rng))
-            for g in base.parts
-        )
-        try:
-            out.append(project_to_level(config, forms.Point(parts)))
-        except (ConvergenceError, lc.BranchCutError):
-            failures += 1
-            continue
+        draws = lc.random_algebra(config.N, rng, perturbation,
+                                  count=k * config.num_generators)
+        draws = draws.reshape(k, config.num_generators, config.N, config.N)
+        parts = tuple(g @ lc.exp_alg(draws[:, j])
+                      for j, g in enumerate(base.parts))
+        kept = [p for p in project_to_level(config, forms.Point(parts))
+                if p is not None]
+        failures += k - len(kept)
+        out.extend(kept)
     if stats is not None:
         stats["attempts"] = attempts
         stats["failures"] = failures
@@ -275,11 +334,13 @@ def chart_map(config):
 
 
 def cut_margin(config, pt):
-    """Distance of the relator value's eigenphases from the logarithm cut."""
+    """Distance of the relator value's eigenphases from the logarithm cut;
+    a point batch gives the array of its entries' margins."""
     val = epsilon_R(config).evaluate(pt.parts)[0]
     m = config.beta.matrix().conj().T @ val
     phases = np.angle(np.linalg.eigvals(m))
-    return float(np.min(np.pi - np.abs(phases)))
+    margin = np.min(np.pi - np.abs(phases), axis=-1)
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def sample_chart_points(config, seed, count, margin=0.7):
@@ -287,18 +348,23 @@ def sample_chart_points(config, seed, count, margin=0.7):
 
     The chart is singular where an eigenphase of beta^-1 relator(h) reaches
     the cut at pi; rejection keeps points at least margin away so derivative
-    estimates of chart-composed forms are trustworthy.
+    estimates of chart-composed forms are trustworthy. Rounds draw as many
+    candidates as points are missing and test them with one cut_margin
+    call, so the points drawn and kept are those of one draw at a time.
     """
     rng = lc.as_rng(seed)
     out = []
-    attempts = 0
+    attempts, cap = 0, 200 * count + 50
     while len(out) < count:
-        attempts += 1
-        if attempts > 200 * count + 50:
+        k = min(count - len(out), cap - attempts)
+        if not k:
             raise ConvergenceError("chart sampling kept hitting the cut")
-        pt = forms.random_point(config.shape, rng)
-        if cut_margin(config, pt) >= margin:
-            out.append(pt)
+        attempts += k
+        cands = [forms.random_point(config.shape, rng) for _ in range(k)]
+        batch = forms.Point(forms._stack_parts(
+            config.shape, [p.parts for p in cands], 0))
+        out.extend(p for p, m in zip(cands, cut_margin(config, batch))
+                   if m >= margin)
     return out
 
 
@@ -422,9 +488,41 @@ def goldman_form(config):
 RADIAL_RTOL = 1e-11
 
 
+def _legendre_series(x, c):
+    """The Legendre series with coefficients c at x by Clenshaw's recurrence,
+    in the steps of numpy.polynomial.legendre.legval."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _gauss_legendre_01(n):
-    x, w = np.polynomial.legendre.leggauss(n)
+    """The n-node Gauss-Legendre rule on [0, 1], bit for bit that of
+    numpy.polynomial.legendre.leggauss, in its steps: the eigenvalues of
+    the symmetric companion matrix of P_n, one Newton step, weights from
+    P_n' and P_(n-1), then symmetrisation. numpy.polynomial itself is not
+    imported, which costs several ms on a run's first quadrature."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    k = np.arange(n)
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    dc = np.where(k % 2 == (n - 1) % 2, 2.0 * k + 1, 0.0)
+    dy = _legendre_series(x, c)
+    df = _legendre_series(x, dc)
+    x -= dy / df
+    fm = _legendre_series(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.setflags(write=False)
     weights.setflags(write=False)

@@ -322,9 +322,10 @@ def slant_form_equivariant(chain, eform, num_generators):
             parts = [image.parts] + [
                 v.parts for v in forms._push_all(geo.domain, pt, push, vs)]
             rank = forms._batch_rank(geo.codomain, parts)
-            image, *pushed = [tuple(stack[col] for col in table) for stack in (
-                forms._pad(np.stack(np.broadcast_arrays(*p)), eform.shape[0],
-                           rank) for p in parts)]
+            stacks = forms._stack_parts(eform.shape[:1] * len(parts),
+                                        list(zip(*parts)), rank)
+            image, *pushed = [tuple(stack[col] for col in table)
+                              for stack in stacks]
             return forms._contract(coeffs, fn(
                 phi, forms.Point(image), *map(forms.Tangent, pushed)))
         return g

@@ -219,6 +219,17 @@ def test_sample_zero_count(capsys):
     assert payload["points"] == []
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_sample_rejects_a_non_finite_perturbation(value, capsys):
+    # numpy's LinAlgError, after overflow warnings, used to be the only
+    # refusal
+    code, out, err = run_cli(
+        ["sample", "--space", "Y", f"--perturbation={value}"], capsys)
+    assert code == 2
+    assert "perturbation must be finite" in err
+    assert out == ""
+
+
 def test_verify_n3_beta1_rank_exits_zero(capsys):
     code, out, err = run_cli(
         ["verify", "--N", "3", "--beta", "1", "--suite", "rank",

@@ -1,5 +1,7 @@
 """Form engine: flows, d, pullback, Cartan model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,59 @@ def test_random_point_margin_and_determinism():
     b = forms.random_point(shape, 200)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     assert a[1].min() >= 0.05
+
+
+def _point_factor_by_factor(shape, rng):
+    parts = []
+    for fac in shape:
+        if isinstance(fac, forms.GroupFactor):
+            parts.append(lc.random_group(fac.n, rng))
+        elif isinstance(fac, forms.VectorFactor):
+            parts.append(rng.standard_normal(fac.dim))
+        else:
+            t = rng.dirichlet(np.full(fac.n + 1, 2.0))
+            while t.min() < 0.05:
+                t = rng.dirichlet(np.full(fac.n + 1, 2.0))
+            parts.append(t)
+    return parts
+
+
+def _tangent_factor_by_factor(shape, rng):
+    parts = []
+    for fac in shape:
+        if isinstance(fac, forms.GroupFactor):
+            x = lc.random_algebra(fac.n, rng)
+            parts.append(x / math.sqrt(lc.inner(x, x)))
+        elif isinstance(fac, forms.VectorFactor):
+            v = rng.standard_normal(fac.dim)
+            parts.append(v / np.linalg.norm(v))
+        else:
+            tau = rng.standard_normal(fac.n + 1)
+            tau -= tau.mean()
+            parts.append(tau / np.linalg.norm(tau))
+    return parts
+
+
+@pytest.mark.parametrize("shape", [
+    forms.group_power(2, 6),
+    forms.group_power(3, 3),
+    (forms.GroupFactor(2), forms.GroupFactor(2), forms.VectorFactor(3),
+     forms.GroupFactor(3), forms.SimplexFactor(2), forms.GroupFactor(3),
+     forms.GroupFactor(3), forms.VectorFactor(2)),
+])
+def test_random_point_and_tangent_are_the_bytes_of_factor_draws(shape):
+    # each run of equal group factors is one stacked draw; a one-draw-per-
+    # factor loop gives the same bytes and leaves the generator in the same
+    # state
+    rng, oracle = lc.as_rng(17), lc.as_rng(17)
+    for _ in range(3):
+        for draw, loop in ((forms.random_point, _point_factor_by_factor),
+                           (forms.random_tangent, _tangent_factor_by_factor)):
+            got, want = draw(shape, rng).parts, loop(shape, oracle)
+            assert len(got) == len(shape)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert rng.standard_normal() == oracle.standard_normal()
 
 
 # ---------------------------------------------------------------------------

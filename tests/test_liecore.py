@@ -395,6 +395,24 @@ def test_sampling_determinism_and_invariants():
     lc.check_group(g1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_draws_are_the_bytes_of_single_draws(n):
+    # one standard_normal call of shape (k, 2, n, n) fills the real and then
+    # the imaginary part of each matrix in turn, as k single draws do, and
+    # leaves the generator where they leave it
+    for draw in (lambda rng, **kw: lc.random_algebra(n, rng, 0.3, **kw),
+                 lambda rng, **kw: lc.random_group(n, rng, **kw)):
+        for k in (1, 4):
+            rng, again = lc.as_rng(n), lc.as_rng(n)
+            singles = [draw(rng) for _ in range(k)]
+            stack = draw(again, count=k)
+            assert singles[0].shape == (n, n)
+            assert stack.shape == (k, n, n)
+            for a, b in zip(singles, stack):
+                assert a.tobytes() == b.tobytes()
+            assert rng.standard_normal() == again.standard_normal()
+
+
 def test_haar_trace_mean_near_zero():
     # E[tr g] = 0 for Haar; with 10^4 samples the 5 sigma band is 0.05
     rng = np.random.default_rng(13)

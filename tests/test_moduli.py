@@ -752,20 +752,133 @@ def test_chart_residual_computed_once_per_evaluation(monkeypatch):
     assert len(calls) == 1
 
 
+def _point_bytes(points):
+    return [b"".join(x.tobytes() for x in p.parts) for p in points]
+
+
+def _entries(pt):
+    """The bytes of each entry of a point batch."""
+    return _point_bytes(fo.Point(parts) for parts in zip(*pt.parts))
+
+
 def test_level_projection_evaluates_the_chart_once_per_point(monkeypatch):
     # the residual of each point (start, line-search candidate) comes from
-    # one chart evaluation, which also serves the next step's Jacobian, so
-    # no point's residual is computed twice
+    # one chart evaluation of its round's batch, which also serves the next
+    # step's Jacobian, so no batch entry's residual is computed twice
     residual = md.relator_residual
-    seen = []
+    seen, sizes = [], []
 
     def spy(config, p):
-        seen.append(b"".join(g.tobytes() for g in p.parts))
+        sizes.append(len(p[0]))
+        seen.extend(_entries(p))
         return residual(config, p)
 
     monkeypatch.setattr(md, "relator_residual", spy)
     md.sample_Y(md.ModuliConfig(), 3, 5)
+    assert sizes[0] == 5
     assert seen and len(set(seen)) == len(seen)
+
+
+def _serial_projection(config, pt):
+    """Damped Gauss-Newton onto the level set, one point and one chart
+    evaluation at a time; None where the line search stalls or 60 steps do
+    not get there."""
+    chart = md.chart_map(config)
+    dim = config.num_generators * config.algebra_dim
+    basis = md.tangent_from_coords(config, np.eye(dim))
+    image, push = chart.at(pt)
+    res, norm = image[0], float(np.linalg.norm(image[0]))
+    for _ in range(60):
+        if norm <= md.LEVEL_TOL:
+            return pt
+        step = -np.linalg.lstsq(push(basis)[0].T, res, rcond=None)[0]
+        lam = 1.0
+        for _ in range(10):
+            cand = fo.flow(config.shape, pt,
+                           md.tangent_from_coords(config, lam * step), 1.0)
+            image, cand_push = chart.at(cand)
+            cand_norm = float(np.linalg.norm(image[0]))
+            if cand_norm < norm * (1 - 1e-4) or cand_norm <= md.LEVEL_TOL:
+                pt, res, norm, push = cand, image[0], cand_norm, cand_push
+                break
+            lam *= 0.5
+        else:
+            return None
+    return pt if norm <= md.LEVEL_TOL else None
+
+
+@pytest.mark.parametrize("config,count", [
+    (CFG, 4), (md.ModuliConfig(genus=3), 3), (md.ModuliConfig(N=3), 2),
+    (md.ModuliConfig(N=3, genus=3, beta_index=2), 2)])
+def test_level_sampling_matches_one_point_at_a_time(config, count):
+    # one perturbation draw per factor and one projection per point, with
+    # the perturbations of a batch drawn point by point, give the same bytes
+    rng, oracle = lc.as_rng(23), lc.as_rng(23)
+    stats = {}
+    got = md.sample_Y(config, rng, count, stats=stats)
+    base = md.seed_point(config)
+    want = []
+    while len(want) < count:
+        y = _serial_projection(config, fo.Point(tuple(
+            g @ lc.exp_alg(0.25 * lc.random_algebra(config.N, oracle))
+            for g in base.parts)))
+        assert y is not None
+        want.append(y)
+    assert stats == {"attempts": count, "failures": 0}
+    assert _point_bytes(got) == _point_bytes(want)
+    assert rng.standard_normal() == oracle.standard_normal()
+
+
+def test_a_point_that_fails_is_redrawn_alone(monkeypatch):
+    # the chart raises for a whole stack, so the round that holds the failing
+    # start is evaluated again as batches of one: only that point fails, is
+    # counted and is replaced by the next draw, and the others keep their
+    # bytes
+    ref = md.sample_Y(CFG, 8, 4)
+    residual = md.relator_residual
+    poisoned = []
+
+    def spy(config, p):
+        entries = _entries(p)
+        if not poisoned:
+            poisoned.append(entries[1])
+        if poisoned[0] in entries:
+            raise lc.BranchCutError("poisoned start")
+        return residual(config, p)
+
+    monkeypatch.setattr(md, "relator_residual", spy)
+    stats = {}
+    got = md.sample_Y(CFG, 8, 3, stats=stats)
+    assert stats == {"attempts": 4, "failures": 1}
+    assert _point_bytes(got) == _point_bytes([ref[0], ref[2], ref[3]])
+
+
+def test_chart_sampling_matches_one_draw_at_a_time():
+    # rounds of as many candidates as points are missing, tested by one
+    # stacked cut_margin call, keep the points of one draw at a time
+    for margin in (0.7, 2.0):
+        rng, oracle = lc.as_rng(5), lc.as_rng(5)
+        got = md.sample_chart_points(CFG, rng, 6, margin=margin)
+        want, tried = [], []
+        while len(want) < 6:
+            pt = fo.random_point(CFG.shape, oracle)
+            tried.append(pt)
+            if md.cut_margin(CFG, pt) >= margin:
+                want.append(pt)
+        assert _point_bytes(got) == _point_bytes(want)
+        assert rng.standard_normal() == oracle.standard_normal()
+    batch = fo.Point(tuple(np.stack(x) for x in zip(*(p.parts for p in tried))))
+    assert list(md.cut_margin(CFG, batch)) == [
+        md.cut_margin(CFG, p) for p in tried]
+
+
+def test_gauss_legendre_rule_is_that_of_leggauss():
+    # computed in leggauss's own steps, so numpy.polynomial is not imported
+    for n in (8, 16, 32, 64, 128, 256):
+        nodes, weights = md._gauss_legendre_01(n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, 0.5 * (x + 1.0))
+        assert np.array_equal(weights, 0.5 * w)
 
 
 def test_goldman_form_makes_one_fiber_call_per_evaluation(monkeypatch):
