@@ -87,7 +87,9 @@ def _build_parser():
     add_config_flags(sa)
     sa.add_argument("--space", choices=("Y", "X"), default="Y")
     sa.add_argument("--count", type=int, default=5)
-    sa.add_argument("--perturbation", type=float, default=0.25)
+    sa.add_argument("--perturbation", type=float,
+                    help="size of the random step off the seed point before "
+                    "projecting back to Y (default 0.25; --space Y only)")
     return parser
 
 
@@ -270,8 +272,11 @@ def _cmd_sample(args):
     config = _load_config(args)
     if args.count < 0:
         raise ValueError("count must be nonnegative")
-    if not np.isfinite(args.perturbation):
-        raise ValueError("perturbation must be finite")
+    if args.perturbation is not None:
+        if args.space == "X":
+            raise ValueError("space X does not take --perturbation")
+        if not np.isfinite(args.perturbation):
+            raise ValueError("perturbation must be finite")
     eps, beta = md.epsilon_R(config), config.beta.matrix()
 
     def residual(pt, target):
@@ -279,8 +284,9 @@ def _cmd_sample(args):
 
     if args.space == "Y":
         stats = {}
-        pts = md.sample_Y(config, config.seed, args.count,
-                          perturbation=args.perturbation, stats=stats)
+        step = {} if args.perturbation is None else {
+            "perturbation": args.perturbation}
+        pts = md.sample_Y(config, config.seed, args.count, stats=stats, **step)
         entries = [{"matrices": md.point_to_json(p),
                     "residual": residual(p, beta)} for p in pts]
         failures = stats.get("failures", 0)

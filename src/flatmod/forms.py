@@ -16,10 +16,15 @@ adjoint and bracket (the closed-form anchors), pullbacks and linear
 combinations carry such a batch through, and a form then returns an ndarray
 of the broadcast batch shape instead of a complex number. Those forms, the
 chart-pulled ones included, take a point batch as well, broadcasting against
-the tangents'; phi never carries a batch. The FD derivative evaluates its
-whole stencil as one such batch, so it calls its operand once per
-evaluation: one flow and one bracket call serve the stacked tangents, and
-each term gathers its tangent slots from an index table.
+the tangents'. phi may carry a batch too, an (..., n, n) stack whose leading
+dimensions broadcast against those of the point and tangents; a form that
+does not read phi ignores them. Wherever an axis is stacked ahead of a
+batch (the FD stencil's terms, a chain's cells), it is padded to the batch
+rank of phi as well, so one phi stack with an unbatched point gives one
+value per phi. The FD derivative evaluates its whole stencil as one such
+batch, so it calls its operand once per evaluation: one flow and one
+bracket call serve the stacked tangents, and each term gathers its tangent
+slots from an index table.
 
 A pullback pushes the tangents of one evaluation with one push per distinct
 tangent shape. A plain form is at_phi of an equivariant one: the component of
@@ -347,11 +352,13 @@ def _core_ndim(fac):
     return 2 if isinstance(fac, GroupFactor) else 1
 
 
-def _batch_rank(shape, parts_list):
-    """The largest batch rank among the parts of points or tangents."""
+def _batch_rank(shape, parts_list, phi=None):
+    """The largest batch rank among the parts of points or tangents and,
+    when given, of phi."""
     cores = [_core_ndim(fac) for fac in shape]
-    return max(x.ndim - c for parts in parts_list
-               for c, x in zip(cores, parts))
+    return max([x.ndim - c for parts in parts_list
+                for c, x in zip(cores, parts)]
+               + ([] if phi is None else [np.ndim(phi) - 2]))
 
 
 def _pad(x, fac, rank):
@@ -503,6 +510,12 @@ def cartan_differential(ef, step=DEFAULT_FD_STEP):
     for q in sorted(targets):
         def make(q):
             def fn(phi, pt, *vs):
+                # unit axes ahead of pt's batch up to phi's batch rank, so
+                # the stencil's terms stack ahead of phi's batch too
+                lift = (_batch_rank(ef.shape, [pt.parts], phi)
+                        - _batch_rank(ef.shape, [pt.parts]))
+                if lift > 0:
+                    pt = Point(tuple(x[(None,) * lift] for x in pt.parts))
                 val = 0j
                 if q - 1 in ef.components:
                     val += exterior_derivative(

@@ -243,7 +243,9 @@ class InvariantPolynomial:
     """Symmetric r-linear Ad-invariant form on the algebra.
 
     Carries both a per-call evaluator and a batched one; the batched path
-    takes a stack of slot matrices of shape (batch, r, n, n).
+    takes a stack of slot matrices of shape (batch, r, n, n). A call takes
+    one matrix or one stack per slot; stacks broadcast, and the value is an
+    ndarray of their batch shape.
     """
 
     def __init__(self, degree, n, batch_eval, name=""):
@@ -260,8 +262,13 @@ class InvariantPolynomial:
                 f"{self.name or 'polynomial'} of degree {self.degree} "
                 f"got {len(mats)} arguments"
             )
-        stack = np.stack([np.asarray(m, dtype=complex) for m in mats])[None]
-        return complex(self._batch(self._checked(stack))[0])
+        mats = np.broadcast_arrays(
+            *(np.asarray(m, dtype=complex) for m in mats))
+        batch = mats[0].shape[:-2]
+        stack = np.stack(mats, axis=-3).reshape(
+            (-1, self.degree) + mats[0].shape[-2:])
+        vals = self._batch(self._checked(stack))
+        return vals.reshape(batch) if batch else complex(vals[0])
 
     def eval_batch(self, stack):
         return self._batch(self._checked(np.asarray(stack, dtype=complex)))

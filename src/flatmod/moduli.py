@@ -408,10 +408,13 @@ def reduced_frame(config, pt):
 def frame_matrix(config, form, pt, rows):
     """The matrix form(u_a, u_b) of a plain arity-2 form on the tangents of
     the coordinate rows u, as one call on the (k, 1) x (1, k) grid;
-    form(u_a, u_b) and form(u_b, u_a) stay separate evaluations."""
+    form(u_a, u_b) and form(u_b, u_a) stay separate evaluations. A point
+    batch of shape B takes rows of shape B + (k, D) and gives the matrices
+    as one call on the B + (1, 1) x (k, 1) x (1, k) grid."""
     u = tangent_from_coords(config, rows)
-    return form(pt, forms.Tangent(tuple(x[:, None] for x in u.parts)),
-                forms.Tangent(tuple(x[None, :] for x in u.parts)))
+    return form(forms.Point(tuple(x[..., None, None, :, :] for x in pt.parts)),
+                forms.Tangent(tuple(x[..., :, None, :, :] for x in u.parts)),
+                forms.Tangent(tuple(x[..., None, :, :, :] for x in u.parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +540,11 @@ def homotopy_h(field, max_nodes=256):
     agree to RADIAL_RTOL, so max_nodes below 16 never settles.
 
     A pass is one call of f on the (nodes, entries) point batch t_k Lam of
-    the open entries, against their (entries,) tangents; a plain call is a
-    batch of one. An entry keeps the pass at which its own two passes agree
-    and later passes run on the open entries only, so each entry gets the
-    nodes and the value of a call at its point alone. QuadratureError is
-    raised if any entry is still open at max_nodes.
+    the open entries, against their (entries,) tangents and phis; a plain
+    call is a batch of one. An entry keeps the pass at which its own two
+    passes agree and later passes run on the open entries only, so each
+    entry gets the nodes and the value of a call at its point alone.
+    QuadratureError is raised if any entry is still open at max_nodes.
     """
     if len(field.shape) != 1 or not isinstance(field.shape[0], forms.VectorFactor):
         raise ValueError("the homotopy acts on forms over a single vector factor")
@@ -554,14 +557,18 @@ def homotopy_h(field, max_nodes=256):
             def out(phi, pt, *ws):
                 lam = np.asarray(pt[0], dtype=float)
                 batch = np.broadcast_shapes(
-                    lam.shape[:-1], *(w[0].shape[:-1] for w in ws))
+                    lam.shape[:-1], *(w[0].shape[:-1] for w in ws),
+                    *([] if phi is None else [phi.shape[:-2]]))
                 rows = [np.broadcast_to(x, batch + x.shape[-1:]).reshape(
                     -1, x.shape[-1]) for x in (lam, *(w[0] for w in ws))]
+                phis = None if phi is None else np.broadcast_to(
+                    phi, batch + phi.shape[-2:]).reshape((-1,) + phi.shape[-2:])
 
                 def quad(n, idx):
                     ts, wts = _gauss_legendre_01(n)
                     x = [r[idx] for r in rows]
-                    vals = fn(phi, forms.Point((ts[:, None, None] * x[0],)),
+                    vals = fn(None if phis is None else phis[idx],
+                              forms.Point((ts[:, None, None] * x[0],)),
                               *(forms.Tangent((r,)) for r in x))
                     terms = (wts * ts ** (p - 1))[:, None] * np.broadcast_to(
                         vals, (n, len(idx)))
@@ -720,9 +727,7 @@ def omega_bar(config):
 def moment_linear_coefficients(config, ob, pt):
     """Coordinates of the arity-0 part of the omega-bar field ob as a linear
     functional of phi, together with the chart coordinate Lam at pt."""
-    comp0 = ob.components[0]
-    coeffs = np.array([
-        complex(comp0(phi, pt)).real for phi in lc.algebra_basis(config.N)])
+    coeffs = ob.components[0](lc.algebra_basis(config.N), pt).real
     lam = lc.to_coords(relator_residual(config, pt), config.N)
     return coeffs, lam
 
@@ -753,15 +758,17 @@ def sigma_coefficient_sweep(config, Q, radii, seed=0, max_nodes=256):
     pts = forms.Point((radii[:, None, None] * np.stack(dirs),))
     half = len(radii) // 2
     sups, slopes = {}, {}
+    batch = pts[0].shape[:-1]
     for p in sig.arities:
-        if p == 0:
-            vals = [sig(phi, pts) for phi in phis]
-        else:
-            vals = [sig(phis[0], pts, *tangents[:p]),
-                    sig(phis[1], pts, *tangents[1:p + 1])]
         # a value without the batch stands for every entry; np.max, unlike
         # max, keeps a NaN wherever it falls
-        vals = [np.broadcast_to(np.abs(v), pts[0].shape[:-1]) for v in vals]
+        if p == 0:
+            # every basis phi on a leading axis of one call
+            vals = np.broadcast_to(np.abs(sig(phis[:, None, None], pts)),
+                                   (len(phis),) + batch)
+        else:
+            vals = [np.broadcast_to(np.abs(sig(phi, pts, *tangents[a:a + p])),
+                                    batch) for a, phi in enumerate(phis[:2])]
         sups[p] = row = np.max(vals, axis=(0, 2))
         slopes[p] = float(np.polyfit(
             np.log(radii[half:]), np.log(np.maximum(row[half:], 1e-300)), 1

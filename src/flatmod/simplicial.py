@@ -24,7 +24,7 @@ from .words import Chain, Word, WordMap, face, slant_form_equivariant
 
 # the most polynomial rows one fiber-integral evaluation hands to
 # InvariantPolynomial.eval_batch at once; larger batches go in blocks
-ROW_CAP = 2 ** 13
+ROW_CAP = 2 ** 10
 # the most batch entries one block copies tangents and builds rows for,
 # whatever their row count: a one-node rule gives few rows per entry
 ENTRY_CAP = 2 ** 9
@@ -144,12 +144,12 @@ def _component_evaluator(n, Q, m):
     over the simplex of the signed-matching expansion of
     Q(F,..,F,mu,..,mu) contracted with (v_1..v_p, e_1-e_0, .., e_n-e_0).
 
-    The point and the tangents may carry leading batch dimensions that
-    broadcast against each other; the value is then an ndarray of the
-    broadcast batch shape, each entry the value at the corresponding point
-    and tangents. Without a batch it is a complex number. Batches are
-    evaluated in flat blocks of at most ENTRY_CAP entries, so no polynomial
-    call gets more than ROW_CAP rows.
+    The point, the tangents and, for m > 0, phi may carry leading batch
+    dimensions that broadcast against each other; the value is then an
+    ndarray of the broadcast batch shape, each entry the value at the
+    corresponding phi, point and tangents. Without a batch it is a complex
+    number. Batches are evaluated in flat blocks of at most ENTRY_CAP
+    entries, so no polynomial call gets more than ROW_CAP rows.
 
     The simplex rule has the integrand's exact degree in the barycentric t.
     A pair of two simplex slots has no curvature term, so every kept
@@ -175,7 +175,7 @@ def _component_evaluator(n, Q, m):
         S = [np.einsum("mi,...iuv->...muv", nodes, x) for x in Xi]
         mu = None
         if m:
-            ad = lc.adjoint(G.conj().mT, phi)
+            ad = lc.adjoint(G.conj().mT, phi[:, None])
             mu = -np.einsum("mi,...iuv->...muv", nodes, ad)
         cache = {}
 
@@ -205,8 +205,10 @@ def _component_evaluator(n, Q, m):
         return (vals @ weights) @ signs
 
     def fn(phi, pt, *vs):
+        # phi's batch counts only where the moment slots read it
         batch = np.broadcast_shapes(
-            *(x.shape[:-2] for v in (pt, *vs) for x in v.parts))
+            *(x.shape[:-2] for v in (pt, *vs) for x in v.parts),
+            *([phi.shape[:-2]] if m else []))
         if not matchings:
             return np.zeros(batch) if batch else 0.0
         # flat blocks of the batch, a plain call as a batch of one; fancy
@@ -214,14 +216,17 @@ def _component_evaluator(n, Q, m):
         flat, core = batch or (1,), (n + 1, N, N)
         Xi = [np.broadcast_to(np.stack(v.parts, axis=-3), flat + core)
               for v in vs]
-        G = np.broadcast_to(np.stack(np.broadcast_arrays(*pt.parts), axis=-3),
-                            flat + core) if m else None
-        parts = []
-        for start, stop in _blocks(math.prod(flat), per_entry):
+        if m:
+            G = np.broadcast_to(np.stack(np.broadcast_arrays(*pt.parts),
+                                         axis=-3), flat + core)
+            phi = np.broadcast_to(phi, flat + (N, N))
+        total = np.empty(math.prod(flat), dtype=complex)
+        for start, stop in _blocks(len(total), per_entry):
             idx = np.unravel_index(np.arange(start, stop), flat)
-            parts.append(
-                block(phi, [x[idx] for x in Xi], G[idx] if m else None))
-        total = np.concatenate(parts).reshape(batch)
+            total[start:stop] = block(phi[idx] if m else None,
+                                      [x[idx] for x in Xi],
+                                      G[idx] if m else None)
+        total = total.reshape(batch)
         return coeff * (total if batch else complex(total))
 
     return p, fn

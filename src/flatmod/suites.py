@@ -3,9 +3,16 @@
 Each suite builds a list of identity tasks; a task carries per-sample
 residual callables whose inputs are pre-generated from the run seed. Every
 vanishing or agreement identity takes one path: `_identity` draws each
-sample's argument tuples, and `_worst` compares lhs with rhs (or with zero)
-over them. The samples run one after another on the calling thread, so
-reports are bit-identical across repeated runs.
+sample's argument tuples, and a sample's residual is the worst, over its
+tuples, of lhs against rhs (or against zero). The tuples of all samples are
+evaluated together: tuples that share their slot signature (the same forms
+by identity, the same part shapes) form a group, whose points, tangents and
+phis are stacked on a new leading axis, so lhs and rhs are called once per
+group. The first sample's callable evaluates every group; each callable
+then reads its own entry. A group whose stacked call raises a numeric
+failure is evaluated again as batches of one, so the failure is raised by
+the sample it belongs to. Everything runs on the calling thread, so reports
+are bit-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -153,29 +160,98 @@ def _call(f, *args):
     return f(*args)
 
 
-def _worst(lhs, rhs, calls):
-    """Worst residual of one sample over its argument tuples: |lhs| when rhs
-    is None, else |lhs - rhs| / max(1, |rhs|). A non-finite residual is
-    returned as soon as one appears."""
-    worst = 0.0
-    for args in calls:
+def _signature(args):
+    """The slot signature of an argument tuple: the part shapes of each
+    point and tangent, the shape of each array (phi), and any other slot (a
+    form) by identity."""
+    return tuple(
+        (type(a), tuple(x.shape for x in a.parts))
+        if isinstance(a, (forms.Point, forms.Tangent))
+        else a.shape if isinstance(a, np.ndarray) else id(a) for a in args)
+
+
+def _stack(slots):
+    """One slot of a group's tuples: points, tangents and arrays stacked on
+    a new leading axis, a slot shared by identity as it is."""
+    first = slots[0]
+    if isinstance(first, (forms.Point, forms.Tangent)):
+        return type(first)(tuple(
+            np.stack(parts) for parts in zip(*(x.parts for x in slots))))
+    if isinstance(first, np.ndarray):
+        return np.stack(slots)
+    return first
+
+
+def _modulus(z):
+    """|z| entrywise by hypot, which is Python's abs of a complex; numpy's
+    complex absolute can differ from it in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _group_residuals(lhs, rhs, group):
+    """The residual at each tuple of a group, |lhs| when rhs is None, else
+    |lhs - rhs| / max(1, |rhs|), from one call of each on the stacked
+    tuples. A group whose call raises a numeric failure is evaluated again
+    as batches of one, and a tuple that raises alone gets its failure."""
+    try:
+        args = [_stack(slots) for slots in zip(*group)]
+        got = np.broadcast_to(lhs(*args), (len(group),))
         if rhs is None:
-            value = abs(lhs(*args))
-        else:
-            want = rhs(*args)
-            value = abs(lhs(*args) - want) / max(1.0, abs(want))
-        if not np.isfinite(value):
-            return value
-        worst = max(worst, value)
-    return worst
+            return list(_modulus(got))
+        want = np.broadcast_to(rhs(*args), (len(group),))
+        return list(_modulus(got - want) / np.maximum(1.0, _modulus(want)))
+    except lc.NumericalFailure as exc:
+        if len(group) == 1:
+            return [exc]
+        return [out for args in group
+                for out in _group_residuals(lhs, rhs, [args])]
+
+
+def _sample_residuals(lhs, rhs, calls):
+    """Each sample's worst residual over its argument tuples (calls holds
+    one list of tuples per sample), all tuples evaluated group by group.
+    Taking the tuples in order, a sample's first failure or non-finite
+    residual stands for it."""
+    table = [[None] * len(tuples) for tuples in calls]
+    groups = {}
+    for i, tuples in enumerate(calls):
+        for j, args in enumerate(tuples):
+            groups.setdefault(_signature(args), []).append((i, j))
+    for members in groups.values():
+        values = _group_residuals(lhs, rhs, [calls[i][j] for i, j in members])
+        for (i, j), value in zip(members, values):
+            table[i][j] = value
+    out = []
+    for row in table:
+        bad = [v for v in row
+               if isinstance(v, lc.NumericalFailure) or not np.isfinite(v)]
+        out.append(bad[0] if bad else max(row, default=0.0))
+    return out
+
+
+def _entries(compute, count):
+    """One callable per entry of compute()'s list of count entries; the
+    first call computes them all, and each callable returns its entry or
+    raises the numeric failure that stands in its place."""
+    results = []
+
+    def entry(i):
+        if not results:
+            results.extend(compute())
+        if isinstance(results[i], lc.NumericalFailure):
+            raise results[i]
+        return results[i]
+
+    return [partial(entry, i) for i in range(count)]
 
 
 def _identity(config, ident, reference, tolerance, draws, lhs, rhs=None):
     """A vanishing (rhs None) or agreement identity. draws(rng) yields one
-    list of argument tuples per sample from the identity's own generator."""
-    rng = _rng_for(config, ident)
-    samples = [partial(_worst, lhs, rhs, calls) for calls in draws(rng)]
-    return IdentityTask(ident, reference, tolerance, samples)
+    list of argument tuples per sample from the identity's own generator;
+    the first sample's callable evaluates them all."""
+    calls = list(draws(_rng_for(config, ident)))
+    return IdentityTask(ident, reference, tolerance, _entries(
+        partial(_sample_residuals, lhs, rhs, calls), len(calls)))
 
 
 def _plain_draws(shape, arity, count):
@@ -413,45 +489,58 @@ def _suite_goldman(config):
 # ---------------------------------------------------------------------------
 # rank suite: the symplectic certificate on the reduced frame
 
+def _certificates(config, om, points):
+    """The rank certificate at each point: omega's skew residual and its
+    singular values on the kernel and on the quotient rows, or the numeric
+    failure the point's frame raised. omega is one frame_matrix call on the
+    stacked points and kernel rows."""
+    out = []
+    for y in points:
+        try:
+            out.append(md.reduced_frame(config, y))
+        except lc.NumericalFailure as exc:
+            out.append(exc)
+    ok = [i for i, f in enumerate(out) if isinstance(f, md.ReducedTangentFrame)]
+    if not ok:
+        return out
+    pts = forms.Point(forms._stack_parts(
+        config.shape, [points[i].parts for i in ok], 0))
+    # omega(u_a, u_b) and omega(u_b, u_a) are separate: skew tests both
+    vals = md.frame_matrix(config, om, pts,
+                           np.stack([out[i].kernel for i in ok]))
+    for i, v in zip(ok, vals):
+        np.fill_diagonal(v, 0.0)
+        skew = float(np.abs(v + v.T).max())
+        s = np.linalg.svd(0.5 * (v - v.T).real, compute_uv=False)
+        # the quotient rows lie in the span of the orthonormal kernel rows,
+        # so omega's quotient block follows from v by linearity
+        C = out[i].quotient @ out[i].kernel.T
+        out[i] = (skew, s, np.linalg.svd(C @ v.real @ C.T, compute_uv=False))
+    return out
+
+
 def _suite_rank(config):
     om = md.goldman_form(config)
     n_y = min(config.sample_count, 10)
     rng = _rng_for(config, "rank")
     points = md.sample_Y(config, rng, n_y)
-    cache = {}
-
-    def certificate(i):
-        if i not in cache:
-            y = points[i]
-            frame = md.reduced_frame(config, y)
-            # omega(u_a, u_b) and omega(u_b, u_a) are separate: skew tests both
-            vals = md.frame_matrix(config, om, y, frame.kernel)
-            np.fill_diagonal(vals, 0.0)
-            skew = float(np.abs(vals + vals.T).max())
-            s = np.linalg.svd(0.5 * (vals - vals.T).real, compute_uv=False)
-            # the quotient rows lie in the span of the orthonormal kernel
-            # rows, so omega's quotient block follows from vals by linearity
-            C = frame.quotient @ frame.kernel.T
-            sq = np.linalg.svd(C @ vals.real @ C.T, compute_uv=False)
-            cache[i] = (skew, s, sq)
-        return cache[i]
-
+    certificate = _entries(partial(_certificates, config, om, points), n_y)
     rank = (2 * config.genus - 2) * (config.N ** 2 - 1)
     tasks = []
     tasks.append(IdentityTask(
         "rank.skew", "omega is antisymmetric on the reduced frame", 1e-8,
-        [lambda i=i: certificate(i)[0] for i in range(n_y)]))
+        [lambda i=i: certificate[i]()[0] for i in range(n_y)]))
     tasks.append(IdentityTask(
         "rank.gap",
         f"omega has numerical rank (2g-2)(N^2-1) = {rank} with gap >= 1e3",
         1e-3,
         [lambda i=i: float(
-            certificate(i)[1][rank] / certificate(i)[1][rank - 1])
+            certificate[i]()[1][rank] / certificate[i]()[1][rank - 1])
          for i in range(n_y)]))
     tasks.append(IdentityTask(
         "rank.quotient-condition",
         "omega restricted to the quotient frame has condition <= 1e3", 1e3,
-        [lambda i=i: float(certificate(i)[2][0] / certificate(i)[2][-1])
+        [lambda i=i: float(certificate[i]()[2][0] / certificate[i]()[2][-1])
          for i in range(n_y)]))
     return tasks
 
@@ -461,7 +550,7 @@ def _suite_rank(config):
 
 def _polynomial_field(shape, a1, b1, c1, a2, M, x0):
     """A 1- plus 2-form on a vector factor, polynomial in Lambda and phi;
-    the point and the tangents may carry a batch."""
+    phi, the point and the tangents may carry a batch."""
     def comp1(phi, pt, w):
         lam = pt[0]
         scale = 1.0 + lc.inner(phi, x0)

@@ -321,7 +321,7 @@ def slant_form_equivariant(chain, eform, num_generators):
             image, push = geo.at(pt)
             parts = [image.parts] + [
                 v.parts for v in forms._push_all(geo.domain, pt, push, vs)]
-            rank = forms._batch_rank(geo.codomain, parts)
+            rank = forms._batch_rank(geo.codomain, parts, phi)
             stacks = forms._stack_parts(eform.shape[:1] * len(parts),
                                         list(zip(*parts)), rank)
             image, *pushed = [tuple(stack[col] for col in table)

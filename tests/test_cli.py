@@ -219,6 +219,24 @@ def test_sample_zero_count(capsys):
     assert payload["points"] == []
 
 
+def test_sample_space_x_refuses_the_perturbation(capsys):
+    # chart lifts are not perturbed: the flag used to be accepted and
+    # ignored there
+    code, out, err = run_cli(
+        ["sample", "--space", "X", "--count", "2", "--perturbation", "5"],
+        capsys)
+    assert code == 2
+    assert "space X does not take --perturbation" in err
+    assert out == ""
+    code, out, _ = run_cli(
+        ["sample", "--space", "Y", "--count", "2", "--perturbation", "0.25"],
+        capsys)
+    assert code == 0
+    code, default, _ = run_cli(["sample", "--space", "Y", "--count", "2"],
+                               capsys)
+    assert code == 0 and default == out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_sample_rejects_a_non_finite_perturbation(value, capsys):
     # numpy's LinAlgError, after overflow warnings, used to be the only

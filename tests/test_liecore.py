@@ -383,6 +383,26 @@ def test_batch_evaluation_agrees_with_scalar():
         assert vals[b] == pytest.approx(q(stack[b, 0], stack[b, 1]), abs=1e-14)
 
 
+def test_polynomial_call_on_stacks_matches_per_item_calls():
+    # one stack per slot, or a stack against single matrices, broadcasts;
+    # the value has the batch shape
+    rng = np.random.default_rng(13)
+    for q in (lc.inner_polynomial(3), lc.chern_polynomial(3, 3)):
+        x = lc.random_algebra(3, rng, count=4).reshape(2, 2, 3, 3)
+        y = lc.random_algebra(3, rng)
+        mats = [x] + [y] * (q.degree - 1)
+        got = q(*mats)
+        assert got.shape == (2, 2)
+        want = np.array([[q(x[i, j], *mats[1:]) for j in range(2)]
+                         for i in range(2)])
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        diag = q(*([x[0]] * q.degree))
+        want = [q(*([x[0, j]] * q.degree)) for j in range(2)]
+        assert np.abs(diag - want).max() <= 1e-14 * np.abs(want).max()
+    with pytest.raises(ValueError):
+        lc.inner_polynomial(3)(x[0], lc.random_algebra(3, rng, count=3))
+
+
 def test_sampling_determinism_and_invariants():
     a1 = lc.random_algebra(3, 123)
     a2 = lc.random_algebra(3, 123)

@@ -603,6 +603,41 @@ def test_moment_linear_part_measures_plus_two_lambda():
     assert np.linalg.norm(coeffs - (-2.0) * lam) > 1e-2
 
 
+def test_phi_only_batches_at_an_unbatched_point_match_per_phi_calls():
+    # a stack of phis against one point and one frame: the chain's cell
+    # axis, the FD stencil's term axis and the radial quadrature's entries
+    # are padded below phi's batch, so each phi gets the value of its own
+    # call (omega-bar's arity-0 part is how moment_linear_coefficients
+    # reads all basis phis at once)
+    rng = lc.as_rng(660)
+    phis = lc.algebra_basis(2)
+    pt = md.sample_chart_points(CFG, rng, 1)[0]
+    comp0 = md.omega_bar(CFG).components[0]
+    want = np.array([comp0(phi, pt) for phi in phis])
+    assert np.array_equal(comp0(phis, pt), want)
+    coeffs, _ = md.moment_linear_coefficients(CFG, md.omega_bar(CFG), pt)
+    assert np.array_equal(coeffs, want.real)
+    for ef in (md.generator_form(CFG, "b", 2, j=1), md.omega_bar(CFG)):
+        dk = fo.cartan_differential(ef, step=1e-5)
+        for p in dk.arities:
+            vs = [fo.random_tangent(CFG.shape, rng) for _ in range(p)]
+            want = np.array([dk(phi, pt, *vs) for phi in phis])
+            # a component that reads no phi gives one value for all
+            got = np.broadcast_to(dk(phis, pt, *vs), (len(phis),))
+            assert np.abs(got - want).max() <= 1e-12 * max(
+                1.0, np.abs(want).max())
+    sig = md.sigma_Q(CFG3, lc.chern_polynomial(3, 3))
+    lam = fo.Point((np.stack([0.4 * rng.standard_normal(8)] * 2)
+                    * np.array([[1.0], [2.0]]),))
+    phis = lc.algebra_basis(3)
+    for p in sig.arities:
+        vs = [fo.Tangent((rng.standard_normal(8),)) for _ in range(p)]
+        want = np.array([sig(phi, lam, *vs) for phi in phis])
+        got = sig(phis[:, None], lam, *vs)
+        assert got.shape == (len(phis), 2)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_moment_suite_builds_no_radial_quadrature(monkeypatch):
     # omega-bar and omega-tilde use Q = <.,.>, whose sigma is closed-form
     calls = _homotopy_spy(monkeypatch)
@@ -642,11 +677,11 @@ def test_symplectic_rank_certificate():
 @pytest.mark.parametrize("count", [1, 2])
 def test_rank_certificate_evaluates_omega_on_the_kernel_frame_only(
         monkeypatch, count):
-    # one omega call per point, on the (k, 1) x (1, k) grid of kernel rows;
-    # the chain's one word map evaluates once and pushes once per tangent
-    # shape, so the pushforwards per point do not grow with k or the genus:
-    # 2 for the chain map, 2 for the section, which takes all cells as one
-    # point batch, and one for the relator Jacobian
+    # one omega call for all points, on the (count, k, 1) x (count, 1, k)
+    # grid of their kernel rows; the chain's one word map evaluates once and
+    # pushes once per tangent shape, so the pushforwards do not grow with k
+    # or the genus: 2 for the chain map, 2 for the section, which takes all
+    # cells as one point batch, and one per point for the relator Jacobian
     calls = []
     pushes = []
     chain_evals = []
@@ -690,8 +725,8 @@ def test_rank_certificate_evaluates_omega_on_the_kernel_frame_only(
         monkeypatch.setattr(wd.WordMap, "push", push)
         monkeypatch.setattr(wd.WordMap, "evaluate", evaluate)
         k = (2 * genus - 1) * mcfg.algebra_dim
-        assert calls == [((k, 1, 2, 2), (1, k, 2, 2))] * count
-        assert len(pushes) == count * 5
+        assert calls == [((count, k, 1, 2, 2), (count, 1, k, 2, 2))]
+        assert len(pushes) == 4 + count
         assert len(chain_evals) == len(calls)
 
 

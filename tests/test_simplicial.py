@@ -618,6 +618,35 @@ def test_fiber_integral_on_a_point_batch_matches_per_point_calls(N, r):
         for n in range(1, 2 * r + 1))
 
 
+@pytest.mark.parametrize("N, r", [(2, 2), (3, 2), (3, 3)])
+def test_fiber_integral_on_a_phi_stack_matches_per_phi_calls(N, r):
+    # every component with a moment slot (m > 0) at every level, a stack of
+    # S phis against one point and against S stacked points; S = n + 1 is
+    # the stack that could line up with the n + 1 simplex vertices
+    Q = lc.chern_polynomial(N, r)
+    rng = lc.as_rng(440 + 10 * N + r)
+    checked = []
+    for n in range(1, 2 * r + 1):
+        ef = sp.bott_shulman_total_equivariant(n, Q)
+        for p in (p for p in ef.arities if p < 2 * r - n):
+            for S in sorted({2, n + 1}):
+                phis = lc.random_algebra(N, rng, count=S)
+                points = [forms.random_point(ef.shape, rng) for _ in range(S)]
+                vs = [forms.random_tangent(ef.shape, rng) for _ in range(p)]
+                want = np.array([ef(phi, points[0], *vs) for phi in phis])
+                got = ef(phis, points[0], *vs)
+                assert got.shape == (S,)
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(got - want).max() <= 1e-14 * scale
+                want = np.array([ef(phi, q, *vs)
+                                 for phi, q in zip(phis, points)])
+                got = ef(phis, _stacked_point(points), *vs)
+                scale = max(1.0, np.abs(want).max())
+                assert np.abs(got - want).max() <= 1e-14 * scale
+                checked.append((n, S))
+    assert {(1, 2), (2, 3)} <= set(checked)
+
+
 def test_blocked_fiber_integral_matches_one_block(monkeypatch):
     # row and entry caps far below one call's rows and entries force blocks
     # of the batch (and of one entry's rows); the values match the unblocked
