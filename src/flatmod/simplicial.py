@@ -6,9 +6,11 @@ total space is Delta^n x K^(n+1) with the sum connection theta(t) = sum_i
 t_i theta_i. Its curvature and moment map have closed forms, so the fiber
 integral over the simplex reduces to a polynomial quadrature, a collapsed
 Gauss-Jacobi rule of the integrand's exact degree, paired with signed
-perfect matchings of the tangent slots. No finite differences enter any
-evaluation here; d and the cocycle identities are checked against the
-form engine's FD derivative only in tests.
+perfect matchings of the tangent slots. The curvature is a sum of vertex
+commutators weighted by t_i t_j; at level one it is t_0 t_1 times one
+commutator, and the rule takes (t_0 t_1)^k as its weight. No finite
+differences enter any evaluation here; d and the cocycle identities are
+checked against the form engine's FD derivative only in tests.
 """
 
 from __future__ import annotations
@@ -53,35 +55,44 @@ def simplicial_delta_equivariant(field):
 # ---------------------------------------------------------------------------
 # simplex quadrature
 
-def _gauss_jacobi(k, a):
-    """The k-node Gauss rule on [0, 1] for the weight (1 - u)^a, exact to
-    degree 2k - 1, from the Jacobi matrix of P^(a, 0) on [0, 1] (Golub-
+def _gauss_jacobi(k, a, b=0):
+    """The k-node Gauss rule on [0, 1] for the weight (1 - u)^a u^b, exact
+    to degree 2k - 1, from the Jacobi matrix of P^(a, b) on [0, 1] (Golub-
     Welsch). eigh reads its lower triangle, as a complex matrix: liecore's
     eigh loads that LAPACK solver; a real one pages in 0.2 MB more."""
     j = np.arange(1, k)
-    s = 2 * j + a
-    diag = np.r_[1 / (a + 2), (2 * j * (j + a) + s) / (s * (s + 2.0))]
-    off = j * (j + a) / (s * np.sqrt(s * s - 1.0))
+    s = 2 * j + a + b
+    diag = np.r_[(b + 1) / (a + b + 2),
+                 (2 * j * (j + a + b) + b * (a + b) + s) / (s * (s + 2.0))]
+    off = (np.sqrt(j * (j + a) * (j + b) * (j + a + b))
+           / (s * np.sqrt(s * s - 1.0)))
     u, vecs = np.linalg.eigh(np.diag(diag + 0j) + np.diag(off, -1))
-    return u, np.abs(vecs[0]) ** 2 / (a + 1)
+    # the weight's mass is B(a + 1, b + 1) = 1 / ((a + b + 1) C(a + b, a))
+    return u, np.abs(vecs[0]) ** 2 / ((a + b + 1) * math.comb(a + b, a))
 
 
 @lru_cache(maxsize=None)
-def simplex_rule(n, degree):
-    """Nodes (barycentric) and weights integrating degree-d polynomials exactly.
+def simplex_rule(n, degree, power=0):
+    """Nodes (barycentric) and weights integrating (t_0 t_1)^power f exactly
+    for every polynomial f of degree d.
 
     Stroud's conical product (collapsed Gauss-Jacobi) rule: x_j = (1 - x_1 -
     ... - x_(j-1)) u_j maps the unit cube onto the simplex with Jacobian
     prod_j (1 - u_j)^(n-j), and u_j takes the (d // 2 + 1)-node Gauss rule of
     its weight: each direction splits the mass left, the last barycentric
-    coordinate, in two. (d // 2 + 1)^n nodes, all weights positive; degree 0
-    is the barycentre. The measure is Lebesgue, total volume 1/n!.
+    coordinate, in two. t_0 = u_1 and t_1 = (1 - u_1) u_2 (t_1 = 1 - u_1 at
+    n = 1), so (t_0 t_1)^power puts u^power (1 - u)^power on the first
+    direction's weight and u^power on the second's. (d // 2 + 1)^n nodes,
+    all weights positive; degree 0 without a power is the barycentre. The
+    measure is Lebesgue, total volume 1/n!.
     """
-    if n < 1 or degree < 0:
-        raise ValueError("need n >= 1 and degree >= 0")
+    if n < 1 or degree < 0 or power < 0:
+        raise ValueError("need n >= 1, degree >= 0 and power >= 0")
     nodes, weights = np.ones((1, 1)), np.ones(1)
     for a in range(n - 1, -1, -1):
-        u, w = _gauss_jacobi(degree // 2 + 1, a)
+        first, second = a == n - 1, a == n - 2
+        u, w = _gauss_jacobi(degree // 2 + 1, a + power * first,
+                             power * (first or second))
         split = nodes[:, -1:, None] * np.stack([u, 1 - u], axis=-1)
         head = np.repeat(nodes[:, None, :-1], len(u), axis=1)
         nodes = np.concatenate([head, split], 2).reshape(-1, nodes.shape[1] + 1)
@@ -131,7 +142,8 @@ def _fiber_sign(n):
 def _blocks(size, per_entry):
     """Flat [start, stop) ranges of a batch of size entries, each at most
     ENTRY_CAP entries and, where one entry's per_entry rows allow, ROW_CAP
-    rows."""
+    rows. An entry counts its polynomial rows, or the other matrices it
+    holds at once in rows of deg Q matrices, whichever is more."""
     step = max(1, min(ENTRY_CAP, ROW_CAP // per_entry))
     return [(start, min(start + step, size))
             for start in range(0, size, step)]
@@ -148,84 +160,131 @@ def _component_evaluator(n, Q, m):
     dimensions that broadcast against each other; the value is then an
     ndarray of the broadcast batch shape, each entry the value at the
     corresponding phi, point and tangents. Without a batch it is a complex
-    number. Batches are evaluated in flat blocks of at most ENTRY_CAP
-    entries, so no polynomial call gets more than ROW_CAP rows.
+    number. Batches are evaluated in flat blocks (`_blocks`), so no
+    polynomial call gets more than ROW_CAP rows and no block holds more
+    than ROW_CAP rows' worth of other matrices; a batch that fits one
+    block is read in place.
 
-    The simplex rule has the integrand's exact degree in the barycentric t.
     A pair of two simplex slots has no curvature term, so every kept
-    matching pairs each of the n simplex slots with a tangent slot, an edge
-    term Xi_0 - Xi_i constant in t. The other p - n tangent slots pair
-    among themselves into curvature entries of degree <= 2, and the m
-    moment slots are linear: the degree is p - n + m = 2(r - n) - m.
+    matching pairs each of the n simplex slots with a tangent slot a, the
+    edge Xa_0 - Xa_i, constant in t. The other p - n tangent slots pair
+    among themselves into k = (p - n) / 2 curvature entries. As sum t_i =
+    1, F_ab(t) = -sum_(i<j) t_i t_j [Xa_i - Xa_j, Xb_i - Xb_j]: C(n+1, 2)
+    commutators per tangent pair, computed once and not per node. The m
+    moment slots, mu(t) = -sum_i t_i Ad(g_i^-1) phi, are linear. So the
+    integrand has degree 2k + m = 2(r - n) - m, and the rule has that
+    degree; at level one F_ab(t) = -t_0 t_1 [edge_a, edge_b], the rule
+    takes (t_0 t_1)^k as its weight and the degree drops to m.
+
+    Each entry's slot values sit in one pool: curvatures at the nodes,
+    vertex differences (the edges among them), vertex moments and moments
+    at the nodes, all with the minus signs taken into the coefficient. The
+    rows are one gather from the pool by a (matchings x nodes, r) table, and
+    the quadrature and the matching signs are one fixed-order sum, so an
+    entry's value does not depend on the batch it shares.
     """
     r, N = Q.degree, Q.n
     p = 2 * (r - m) - n
     kept = [(pairs, sgn) for pairs, sgn in signed_pairings(p + n)
             if all(a < p for a, _ in pairs)]
-    # a component that keeps no matching needs no rule
-    nodes, weights = simplex_rule(n, p - n + m) if kept else (None, ())
-    matchings = [pairs for pairs, _ in kept]
-    signs = np.array([sgn for _, sgn in kept], dtype=float)
-    coeff = math.comb(r, m) * math.factorial(r - m) * _fiber_sign(n)
-    M = len(weights)
-    per_entry = len(matchings) * M
 
-    def block(phi, Xi, G):
-        """The quadrature sums at a flat block of batch entries."""
-        S = [np.einsum("mi,...iuv->...muv", nodes, x) for x in Xi]
-        mu = None
-        if m:
-            ad = lc.adjoint(G.conj().mT, phi[:, None])
-            mu = -np.einsum("mi,...iuv->...muv", nodes, ad)
-        cache = {}
-
-        def F(a, b):
-            if (a, b) not in cache:
-                if b < p:
-                    comm = np.matmul(Xi[a], Xi[b]) - np.matmul(Xi[b], Xi[a])
-                    val = -np.einsum("mi,...iuv->...muv", nodes, comm)
-                    val += np.matmul(S[a], S[b]) - np.matmul(S[b], S[a])
-                else:
-                    i = b - p + 1
-                    edge = Xi[a][..., 0, :, :] - Xi[a][..., i, :, :]
-                    val = edge[..., None, :, :]
-                cache[(a, b)] = val
-            return cache[(a, b)]
-
-        # every slot broadcasts into its place in one array of rows
-        rows = np.empty((len(Xi[0]), len(matchings), M, r, N, N),
-                        dtype=complex)
-        for s, pairs in enumerate(matchings):
-            for j, slot in enumerate([F(a, b) for a, b in pairs] + [mu] * m):
-                rows[..., s, :, j, :, :] = slot
-        rows = rows.reshape(-1, r, N, N)
-        vals = np.concatenate([Q.eval_batch(rows[i:i + ROW_CAP])
-                               for i in range(0, len(rows), ROW_CAP)])
-        vals = vals.reshape(-1, len(matchings), M)
-        return (vals @ weights) @ signs
-
-    def fn(phi, pt, *vs):
+    def batch_of(phi, pt, vs):
         # phi's batch counts only where the moment slots read it
-        batch = np.broadcast_shapes(
+        return np.broadcast_shapes(
             *(x.shape[:-2] for v in (pt, *vs) for x in v.parts),
             *([phi.shape[:-2]] if m else []))
-        if not matchings:
+
+    if not kept:
+        # a component that keeps no matching is zero and needs no rule
+        def zero(phi, pt, *vs):
+            batch = batch_of(phi, pt, vs)
             return np.zeros(batch) if batch else 0.0
-        # flat blocks of the batch, a plain call as a batch of one; fancy
-        # indexing copies only the block
-        flat, core = batch or (1,), (n + 1, N, N)
-        Xi = [np.broadcast_to(np.stack(v.parts, axis=-3), flat + core)
-              for v in vs]
+        return p, zero
+
+    k = (p - n) // 2
+    power = k if n == 1 else 0
+    nodes, weights = simplex_rule(n, 2 * (k - power) + m, power)
+    M = len(weights)
+    curved = sorted({(a, b) for pairs, _ in kept for a, b in pairs if b < p})
+    # vertex pairs (i, j), the edges (0, i) first; the others serve only
+    # the commutators
+    vpairs = [(0, i) for i in range(1, n + 1)]
+    if curved:
+        vpairs += [(i, j) for i in range(1, n + 1)
+                   for j in range(i + 1, n + 1)]
+    P = len(vpairs)
+    # t_i t_j at the nodes, pair by pair; at level one the rule's weight
+    # holds t_0 t_1, and each curvature is one node-free entry
+    tt = np.ones((1, 1)) if power else np.prod(nodes[:, vpairs], axis=-1)
+    tt, t = tt.astype(complex), nodes.astype(complex)
+    # the pool: [curvatures (pair, node), differences (slot, vertex pair),
+    # vertex moments, moments at the nodes]
+    diff0 = len(curved) * len(tt)
+    ad0 = diff0 + p * P
+    mu0 = ad0 + n + 1
+    width = mu0 + M if m else ad0
+    ia, ib = np.array(curved, dtype=int).reshape(-1, 2).T
+    curvature = {ab: c for c, ab in enumerate(curved)}
+
+    def slot(a, b, q):
+        if b < p:
+            return curvature[a, b] * len(tt) + q % len(tt)
+        return diff0 + a * P + b - p       # the edge (0, b - p + 1) of a
+
+    table = np.array([[slot(a, b, q) for a, b in pairs] + [mu0 + q] * m
+                      for pairs, _ in kept for q in range(M)])
+    signs = np.array([sgn for _, sgn in kept], dtype=float)
+    weight = (signs[:, None] * weights).ravel().astype(complex)
+    coeff = (math.comb(r, m) * math.factorial(r - m) * _fiber_sign(n)
+             * (-1) ** (k + m))
+    # the rows, or the pool and the brackets' five temporaries counted in
+    # rows of r matrices, whichever is more
+    per_entry = max(len(table), -(-(width + 5 * len(curved) * P) // r))
+
+    def slots(lead, take, phi, pt, vs):
+        """The pools of a block of batch entries of shape lead, one row
+        each; take(x) reads the block's entries of an input array."""
+        pool = np.empty(lead + (width, N, N), dtype=complex)
+        for a, v in enumerate(vs):
+            X = [take(x) for x in v.parts]
+            for c, (i, j) in enumerate(vpairs, diff0 + a * P):
+                np.subtract(X[i], X[j], out=pool[..., c, :, :])
         if m:
-            G = np.broadcast_to(np.stack(np.broadcast_arrays(*pt.parts),
-                                         axis=-3), flat + core)
-            phi = np.broadcast_to(phi, flat + (N, N))
-        total = np.empty(math.prod(flat), dtype=complex)
-        for start, stop in _blocks(len(total), per_entry):
-            idx = np.unravel_index(np.arange(start, stop), flat)
-            total[start:stop] = block(phi[idx] if m else None,
-                                      [x[idx] for x in Xi],
-                                      G[idx] if m else None)
+            for c, g in enumerate(pt.parts, ad0):
+                pool[..., c, :, :] = lc.adjoint(take(g).conj().mT, take(phi))
+        pool = pool.reshape(-1, width, N, N)
+        if curved:
+            d = pool[:, diff0:ad0].reshape(-1, p, P, N, N)
+            np.einsum("qP,ecPuv->ecquv", tt, lc.bracket(d[:, ia], d[:, ib]),
+                      out=pool[:, :diff0].reshape(-1, len(ia), len(tt), N, N))
+        if m:
+            np.einsum("qi,eiuv->equv", t, pool[:, ad0:mu0], out=pool[:, mu0:])
+        return pool
+
+    def block(lead, take, phi, pt, vs):
+        """The weighted sums at a block of batch entries; an entry with
+        more than ROW_CAP rows gathers them ROW_CAP at a time."""
+        pool = slots(lead, take, phi, pt, vs)
+        vals = np.concatenate([
+            Q.eval_batch(np.take(pool, table[i:i + ROW_CAP], axis=1)
+                         .reshape(-1, r, N, N)).reshape(len(pool), -1)
+            for i in range(0, len(table), ROW_CAP)], axis=1)
+        return np.einsum("ej,j->e", vals, weight)
+
+    def fn(phi, pt, *vs):
+        batch = batch_of(phi, pt, vs)
+        flat = batch or (1,)
+        spans = _blocks(math.prod(flat), per_entry)
+        if len(spans) == 1:
+            total = block(flat, lambda x: x, phi, pt, vs)
+        else:
+            total = np.empty(math.prod(flat), dtype=complex)
+            for start, stop in spans:
+                idx = np.unravel_index(np.arange(start, stop), flat)
+                total[start:stop] = block(
+                    (stop - start,),
+                    lambda x: np.broadcast_to(x, flat + x.shape[-2:])[idx],
+                    phi, pt, vs)
         total = total.reshape(batch)
         return coeff * (total if batch else complex(total))
 

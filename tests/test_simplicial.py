@@ -240,6 +240,13 @@ def _lattice_rule(n, degree):
     return nodes, np.linalg.solve(V, rhs)
 
 
+def _weighted(rule, power):
+    """A rule's nodes, with the weight (t_0 t_1)^power folded into its
+    weights."""
+    nodes, weights = rule
+    return nodes, weights * (nodes[:, 0] * nodes[:, 1]) ** power
+
+
 def _assert_exact_on_monomials(rule, n, degree):
     nodes, weights = rule
     rng = np.random.default_rng(5)
@@ -285,6 +292,56 @@ def test_gauss_jacobi_integrates_the_moments_of_its_weight(a):
             want = (math.factorial(j) * math.factorial(a)
                     / math.factorial(j + a + 1))
             assert abs(w @ u ** j - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 1), (2, 3), (3, 0), (4, 4)])
+def test_gauss_jacobi_with_both_exponents_integrates_beta_moments(a, b):
+    # int_0^1 u^j (1 - u)^a u^b du = B(j + b + 1, a + 1), exact to j = 2k - 1
+    for k in range(1, 7):
+        u, w = sp._gauss_jacobi(k, a, b)
+        assert w.min() > 0 and u.min() > 0 and u.max() < 1
+        for j in range(2 * k):
+            want = (math.factorial(j + b) * math.factorial(a)
+                    / math.factorial(j + a + b + 1))
+            assert abs(w @ u ** j - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gauss_jacobi_matches_scipy_roots_jacobi(k):
+    # scipy's rule is on [-1, 1] for (1 - x)^a (1 + x)^b: u = (x + 1) / 2
+    # takes it to [0, 1], and the weights shrink by 2^(a + b + 1)
+    from scipy.special import roots_jacobi
+    for a in range(4):
+        for b in range(4):
+            u, w = sp._gauss_jacobi(k, a, b)
+            x, v = roots_jacobi(k, a, b)
+            assert np.abs(u - (x + 1) / 2).max() <= 1e-14
+            assert np.abs(w / (v / 2 ** (a + b + 1)) - 1).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weighted_simplex_rule_exact_on_monomials(n):
+    # the rule for (t_0 t_1)^power integrates (t_0 t_1)^power t^alpha for
+    # |alpha| <= d on (d // 2 + 1)^n nodes, every weight positive; power 0
+    # is the plain rule
+    rng = np.random.default_rng(17 + n)
+    for power in range(5):
+        for degree in range(7):
+            nodes, weights = sp.simplex_rule(n, degree, power)
+            assert len(weights) == (degree // 2 + 1) ** n
+            assert weights.min() > 0 and nodes.min() >= 0
+            assert np.abs(nodes.sum(axis=1) - 1).max() <= 1e-15
+            for _ in range(6):
+                alpha = rng.multinomial(degree, np.full(n + 1, 1 / (n + 1)))
+                full = alpha + np.r_[power, power, np.zeros(n - 1, int)]
+                want = simplex_moment(full)
+                quad = weights @ np.prod(nodes ** alpha, axis=1)
+                assert abs(quad - want) <= 1e-13 * want
+    plain = sp.simplex_rule(n, 4)
+    assert all(np.array_equal(x, y)
+               for x, y in zip(sp.simplex_rule(n, 4, 0), plain))
+    with pytest.raises(ValueError):
+        sp.simplex_rule(n, 2, -1)
 
 
 def test_quadrature_monte_carlo_cross_check():
@@ -692,12 +749,13 @@ def test_exact_degree_rule_matches_the_full_degree_rule(monkeypatch, N, r):
     # values of the same form built on the full-degree lattice rule
     # _lattice_rule(n, 2r), which this test keeps as its oracle: plain calls,
     # and the same B entries on one point and tangent batch. Each call hands
-    # the polynomial matchings x (d // 2 + 1)^n rows per batch entry.
+    # the polynomial matchings x (d // 2 + 1)^n rows per batch entry, and
+    # at level one, where the rule's weight holds (t_0 t_1)^k, d = m.
     Q = lc.chern_polynomial(N, r)
     levels = range(1, 2 * r + 1)
     exact = [sp.bott_shulman_total_equivariant(n, Q) for n in levels]
-    monkeypatch.setattr(sp, "simplex_rule",
-                        lambda n, degree: _lattice_rule(n, 2 * r))
+    monkeypatch.setattr(sp, "simplex_rule", lambda n, degree, power=0:
+                        _weighted(_lattice_rule(n, 2 * r), power))
     full = [sp.bott_shulman_total_equivariant(n, Q) for n in levels]
     monkeypatch.undo()
     rows = []
@@ -735,7 +793,8 @@ def test_exact_degree_rule_matches_the_full_degree_rule(monkeypatch, N, r):
             m = (2 * r - n - p) // 2
             matchings = (math.perm(p, n) * math.prod(range(p - n - 1, 0, -2))
                          if p >= n else 0)
-            assert count == B * matchings * ((2 * (r - n) - m) // 2 + 1) ** n
+            d = m if n == 1 else 2 * (r - n) - m
+            assert count == B * matchings * (d // 2 + 1) ** n
             tol = 1e-13 * np.abs(want).max()
             assert np.abs(plain - want).max() <= tol, (n, p)
             assert np.abs(batched - want).max() <= tol, (n, p)
@@ -745,6 +804,136 @@ def test_exact_degree_rule_matches_the_full_degree_rule(monkeypatch, N, r):
     # every level up to r has its moment orders 0..r - n
     for n in range(1, r + 1):
         assert {m for k, m in checked if k == n} >= set(range(r - n + 1))
+
+
+def _per_node_component(n, Q, m, phi, pt, vs):
+    """The arity 2(r - m) - n component as the per-node formula computes
+    it: each curvature entry at each node of the full-degree rule from the
+    vertex commutators and the node sums S_a = sum_i t_i Xa_i, cached per
+    slot pair, the moment at each node, and one signed quadrature sum per
+    matching. An oracle that shares no slot algebra with the engine."""
+    r, N = Q.degree, Q.n
+    p = 2 * (r - m) - n
+    kept = [(pairs, sgn) for pairs, sgn in sp.signed_pairings(p + n)
+            if all(a < p for a, _ in pairs)]
+    batch = np.broadcast_shapes(
+        *(x.shape[:-2] for v in (pt, *vs) for x in v.parts),
+        *([phi.shape[:-2]] if m else []))
+
+    def flat(x, core):
+        return np.broadcast_to(x, batch + core).reshape((-1,) + core)
+
+    core = (n + 1, N, N)
+    Xi = [flat(np.stack(np.broadcast_arrays(*v.parts), axis=-3), core)
+          for v in vs]
+    nodes, weights = sp.simplex_rule(n, p - n + m)
+    S = [np.einsum("mi,biuv->bmuv", nodes, x) for x in Xi]
+    mu = None
+    if m:
+        G = flat(np.stack(np.broadcast_arrays(*pt.parts), axis=-3), core)
+        ad = lc.adjoint(G.conj().mT, flat(phi, (N, N))[:, None])
+        mu = -np.einsum("mi,biuv->bmuv", nodes, ad)
+    cache = {}
+
+    def F(a, b):
+        if (a, b) not in cache:
+            if b < p:
+                comm = Xi[a] @ Xi[b] - Xi[b] @ Xi[a]
+                val = -np.einsum("mi,biuv->bmuv", nodes, comm)
+                val += S[a] @ S[b] - S[b] @ S[a]
+            else:
+                i = b - p + 1
+                val = (Xi[a][:, 0] - Xi[a][:, i])[:, None]
+            cache[(a, b)] = val
+        return cache[(a, b)]
+
+    total = 0
+    for pairs, sgn in kept:
+        slots = [F(a, b) for a, b in pairs] + [mu] * m
+        rows = np.stack(np.broadcast_arrays(*slots), axis=2)
+        vals = Q.eval_batch(rows.reshape(-1, r, N, N))
+        total = total + sgn * (vals.reshape(len(rows), -1) @ weights)
+    coeff = math.comb(r, m) * math.factorial(r - m) * sp._fiber_sign(n)
+    return coeff * np.reshape(total, batch)
+
+
+def _grid_inputs(shape, N, p, rng, K=2):
+    """phi on a (1, K) batch, the point on (K, 1), the first tangent on
+    (K, 1) and the others on (1, K): the rank grid's broadcast."""
+    def tangents(lead):
+        return forms.Tangent(tuple(
+            x.reshape(lead + x.shape[1:]) for x in _stacked(
+                [forms.random_tangent(shape, rng) for _ in range(K)]).parts))
+
+    phi = lc.random_algebra(N, rng, count=K).reshape(1, K, N, N)
+    pt = _stacked_point([forms.random_point(shape, rng) for _ in range(K)])
+    pt = forms.Point(tuple(x[:, None] for x in pt.parts))
+    vs = [tangents((K, 1))] + [tangents((1, K)) for _ in range(p - 1)]
+    return phi, pt, vs
+
+
+def _every_component(N):
+    """(Q, n, m) for every Chern degree r <= N, level n <= r and moment
+    order m <= r - n: every component that keeps a matching."""
+    return [(lc.chern_polynomial(N, r), n, m) for r in range(1, N + 1)
+            for n in range(1, r + 1) for m in range(r - n + 1)]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_component_matches_the_per_node_formula(N):
+    # every (n, m) at r <= N, on a phi, point and (K, 1) x (1, K) tangent
+    # batch, against the per-node formula on its full-degree rule
+    rng = lc.as_rng(480 + N)
+    for Q, n, m in _every_component(N):
+        p, fn = sp._component_evaluator(n, Q, m)
+        phi, pt, vs = _grid_inputs(forms.group_power(N, n + 1), N, p, rng)
+        got = fn(phi, pt, *vs)
+        want = _per_node_component(n, Q, m, phi, pt, vs)
+        assert got.shape == want.shape == ((2, 1) if p == 1 and not m
+                                           else (2, 2))
+        scale = np.abs(want).max()
+        assert scale > 0, (Q.degree, n, m)
+        assert np.abs(got - want).max() <= 1e-13 * scale, (Q.degree, n, m)
+
+
+def test_level_one_without_its_weight_fails(monkeypatch):
+    # negative control: a level-one rule that drops the (t_0 t_1)^k weight
+    # misses the per-node formula wherever a curvature slot (k > 0) exists
+    N = 3
+    rng = lc.as_rng(490)
+    rule = sp.simplex_rule
+    monkeypatch.setattr(sp, "simplex_rule",
+                        lambda n, degree, power=0: rule(n, degree))
+    checked = 0
+    for Q, n, m in _every_component(N):
+        if n != 1 or Q.degree - m - 1 == 0:
+            continue
+        p, fn = sp._component_evaluator(n, Q, m)
+        phi, pt, vs = _grid_inputs(forms.group_power(N, 2), N, p, rng)
+        got = fn(phi, pt, *vs)
+        want = _per_node_component(n, Q, m, phi, pt, vs)
+        assert np.abs(got - want).max() > 1e-2 * np.abs(want).max()
+        checked += 1
+    assert checked == 3
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_fiber_value_does_not_depend_on_its_batch(N):
+    # an entry's value is bit-identical alone and as the first of a stack of
+    # 2..5 entries (phi, point and tangents stacked), for every component
+    rng = lc.as_rng(495 + N)
+    for Q, n, m in _every_component(N):
+        p, fn = sp._component_evaluator(n, Q, m)
+        shape = forms.group_power(N, n + 1)
+        phis = lc.random_algebra(N, rng, count=5)
+        points = [forms.random_point(shape, rng) for _ in range(5)]
+        frames = [[forms.random_tangent(shape, rng) for _ in range(p)]
+                  for _ in range(5)]
+        alone = fn(phis[0], points[0], *frames[0])
+        for size in range(2, 6):
+            got = fn(phis[:size], _stacked_point(points[:size]),
+                     *(_stacked(slot) for slot in zip(*frames[:size])))
+            assert got[0] == alone, (Q.degree, n, m, size)
 
 
 @pytest.mark.parametrize("n", [3, 4])
