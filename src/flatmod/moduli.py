@@ -13,7 +13,8 @@ beta*exp radially in Lam, in closed form for degree-2 polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +51,8 @@ class ModuliConfig:
     beta_index: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            check_type(f.name, getattr(self, f.name), f.type)
         if self.N < 2:
             raise ValueError("group size must be at least 2: SU(1) is trivial")
         if self.genus < 2:
@@ -72,6 +75,13 @@ class ModuliConfig:
     @property
     def shape(self):
         return forms.group_power(self.N, self.num_generators)
+
+
+def check_type(name, value, kind):
+    """Name an int or float config field holding a bool or another type."""
+    want = {"int": numbers.Integral, "float": numbers.Real}.get(kind)
+    if want and (isinstance(value, bool) or not isinstance(value, want)):
+        raise ValueError(f"{name} must be {kind}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -185,72 +195,49 @@ def _level_rows(config, pts):
             config, forms.Point(tuple(x[i:i + 1] for x in pts.parts)))]
 
 
-def _descent(current, rows):
-    """One point's damped Gauss-Newton projection onto the relator level
-    set, to a residual of LEVEL_TOL within 60 steps. It yields each step to
-    try as (point, step coordinates) and is sent back the moved point with
-    its chart rows; it returns the point reached, or None when the chart
-    hits the cut, the line search stalls or the steps run out."""
-    if rows is None:
-        return None
-    res, J = rows
-    norm = float(np.linalg.norm(res))
-    for _ in range(60):
-        if norm <= LEVEL_TOL:
-            return current
-        step_coords = -np.linalg.lstsq(J, res, rcond=None)[0]
-        lam = 1.0
-        for _ in range(10):
-            cand, rows = yield current, lam * step_coords
-            if rows is None:
-                return None
-            cand_norm = float(np.linalg.norm(rows[0]))
-            if cand_norm < norm * (1 - 1e-4) or cand_norm <= LEVEL_TOL:
-                current, (res, J), norm = cand, rows, cand_norm
-                break
-            lam *= 0.5
-        else:
-            return None
-    return current if norm <= LEVEL_TOL else None
-
-
-def _unstack(pts):
-    """The entries of a point batch as points."""
-    return [forms.Point(parts) for parts in zip(*pts.parts)]
-
-
 def project_to_level(config, pts):
     """Project a point batch (one leading axis on every part) onto the
     relator level set; returns one point per entry, None where it failed.
 
-    Each point runs its own damped Gauss-Newton descent (_descent), with
-    its own step length, acceptance and failure. A round moves every open
-    point to its next candidate with one flow and evaluates all candidates
-    with one chart call, whose push of the tangent basis gives each
-    accepted point's next Jacobian.
+    Each entry runs its own damped Gauss-Newton descent: a candidate is
+    accepted when it lowers the residual norm by a factor 1 - 1e-4 or
+    reaches LEVEL_TOL, the step halves after each rejection, and an entry
+    fails when its chart hits the cut or ten step lengths or 60 steps run
+    out. A round moves every open entry with one flow and evaluates all
+    candidates with one chart call, which also gives their Jacobians.
     """
     out = [None] * len(pts[0])
-    moves = {}  # open entry -> its descent, the point and the step it tries
+    open_ = {}  # entry -> its point, residual norm, steps taken, step, lam
 
-    def advance(i, descent, sent):
-        try:
-            moves[i] = (descent, *descent.send(sent))
-        except StopIteration as stop:
-            out[i] = stop.value
+    def accept(i, pt, rows, steps):
+        res, J = rows
+        norm = float(np.linalg.norm(res))
+        if norm <= LEVEL_TOL:
+            out[i] = forms.Point(pt)
+        elif steps < 60:
+            step = -np.linalg.lstsq(J, res, rcond=None)[0]
+            open_[i] = (pt, norm, steps, step, 1.0)
 
     for i, (start, rows) in enumerate(
-            zip(_unstack(pts), _level_rows(config, pts))):
-        advance(i, _descent(start, rows), None)
-    while moves:
-        open_ = list(moves)
-        descents, points, steps = zip(*(moves.pop(i) for i in open_))
+            zip(zip(*pts.parts), _level_rows(config, pts))):
+        if rows is not None:
+            accept(i, start, rows, 0)
+    while open_:
+        tries = list(open_.items())
+        open_.clear()
         base = forms.Point(forms._stack_parts(
-            config.shape, [p.parts for p in points], 0))
-        cands = forms.flow(config.shape, base,
-                           tangent_from_coords(config, np.stack(steps)), 1.0)
-        for i, descent, cand, rows in zip(open_, descents, _unstack(cands),
-                                          _level_rows(config, cands)):
-            advance(i, descent, (cand, rows))
+            config.shape, [t[0] for _, t in tries], 0))
+        cands = forms.flow(config.shape, base, tangent_from_coords(
+            config, np.stack([t[4] * t[3] for _, t in tries])), 1.0)
+        for (i, (pt, norm, steps, step, lam)), cand, rows in zip(
+                tries, zip(*cands.parts), _level_rows(config, cands)):
+            if rows is None:
+                continue
+            cand_norm = float(np.linalg.norm(rows[0]))
+            if cand_norm < norm * (1 - 1e-4) or cand_norm <= LEVEL_TOL:
+                accept(i, cand, rows, steps + 1)
+            elif lam > 0.5 ** 9:  # step lengths 1, 1/2, .., 2^-9
+                open_[i] = (pt, norm, steps, step, 0.5 * lam)
     return out
 
 
@@ -491,52 +478,12 @@ def goldman_form(config):
 RADIAL_RTOL = 1e-11
 
 
-def _legendre_series(x, c):
-    """The Legendre series with coefficients c at x by Clenshaw's recurrence,
-    in the steps of numpy.polynomial.legendre.legval."""
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
-                  c0 + c1 * x * ((2 * nd - 1) / nd))
-    return c0 + c1 * x
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre_01(n):
-    """The n-node Gauss-Legendre rule on [0, 1], bit for bit that of
-    numpy.polynomial.legendre.leggauss, in its steps: the eigenvalues of
-    the symmetric companion matrix of P_n, one Newton step, weights from
-    P_n' and P_(n-1), then symmetrisation. numpy.polynomial itself is not
-    imported, which costs several ms on a run's first quadrature."""
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:n - 1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    k = np.arange(n)
-    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
-    dc = np.where(k % 2 == (n - 1) % 2, 2.0 * k + 1, 0.0)
-    dy = _legendre_series(x, c)
-    df = _legendre_series(x, dc)
-    x -= dy / df
-    fm = _legendre_series(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def homotopy_h(field, max_nodes=256):
     """Radial contraction: components of arity p >= 1 drop to p - 1.
 
     (h f)(phi) at Lam on (w_1..w_{p-1}) integrates t^(p-1) f(phi) at t Lam
-    on (Lam, w_1..w_{p-1}); node counts double from 8 until two passes
+    on (Lam, w_1..w_{p-1}) by the n-node Gauss-Legendre rule of the
+    segment, simplex_rule(1, 2n - 1); n doubles from 8 until two passes
     agree to RADIAL_RTOL, so max_nodes below 16 never settles.
 
     A pass is one call of f on the (nodes, entries) point batch t_k Lam of
@@ -565,7 +512,8 @@ def homotopy_h(field, max_nodes=256):
                     phi, batch + phi.shape[-2:]).reshape((-1,) + phi.shape[-2:])
 
                 def quad(n, idx):
-                    ts, wts = _gauss_legendre_01(n)
+                    nodes, wts = sp.simplex_rule(1, 2 * n - 1)
+                    ts = nodes[:, 0]
                     x = [r[idx] for r in rows]
                     vals = fn(None if phis is None else phis[idx],
                               forms.Point((ts[:, None, None] * x[0],)),

@@ -84,7 +84,9 @@ def simplex_rule(n, degree, power=0):
     n = 1), so (t_0 t_1)^power puts u^power (1 - u)^power on the first
     direction's weight and u^power on the second's. (d // 2 + 1)^n nodes,
     all weights positive; degree 0 without a power is the barycentre. The
-    measure is Lebesgue, total volume 1/n!.
+    measure is Lebesgue, total volume 1/n!. At n = 1 without a power it is
+    the Gauss-Legendre rule of [0, 1] in t_0, which the radial quadrature
+    of moduli.homotopy_h takes as well.
     """
     if n < 1 or degree < 0 or power < 0:
         raise ValueError("need n >= 1, degree >= 0 and power >= 0")

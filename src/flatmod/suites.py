@@ -64,6 +64,7 @@ class RunConfig(md.ModuliConfig):
     def __post_init__(self):
         object.__setattr__(self, "r_list", tuple(self.r_list))
         object.__setattr__(self, "suites", tuple(self.suites))
+        super().__post_init__()
         for name, value in (
             ("sample_count", self.sample_count), ("fd_step", self.fd_step),
             ("tol_quad", self.tol_quad), ("tol_fd", self.tol_fd),
@@ -81,8 +82,8 @@ class RunConfig(md.ModuliConfig):
         for s in self.suites:
             if s not in SUITE_NAMES:
                 raise ValueError(f"unknown suite {s!r}")
-        super().__post_init__()
         for r in self.r_list:
+            md.check_type("r_list entry", r, "int")
             if r == 1:
                 raise ValueError("polynomial degree 1 gives no generators: "
                                  "c_1 = (i/2pi) tr X vanishes on su(N)")

@@ -490,6 +490,31 @@ def test_empty_lists_and_non_finite_settings_are_config_errors(
     assert out == ""
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"tol_fd": True}, "tol_fd must be float, not True"),
+    ({"sample_count": True}, "sample_count must be int, not True"),
+    ({"quad_nodes": 16.5}, "quad_nodes must be int, not 16.5"),
+    ({"N": 2.0}, "N must be int, not 2.0"),
+    ({"genus": True}, "genus must be int, not True"),
+    ({"beta_index": "1"}, "beta_index must be int, not '1'"),
+    ({"seed": 1.0}, "seed must be int, not 1.0"),
+    ({"sample_count": 2.5}, "sample_count must be int, not 2.5"),
+    ({"r_list": [2.0]}, "r_list entry must be int, not 2.0"),
+    ({"fd_step": "1e-4"}, "fd_step must be float, not '1e-4'"),
+    ({"tol_quad": None}, "tol_quad must be float, not None"),
+])
+def test_config_file_values_of_the_wrong_type_are_named(
+        setting, message, tmp_path, capsys):
+    # JSON true is an int to Python and 2.0 is no index, so without a type
+    # check a bool ran as 1 and a float failed without naming its field
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"suites": ["fox-symbolic"], **setting}))
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_eval_form_ids_obey_the_degree_rule(capsys):
     for form in ("f_1", "a_1", "b_1_1", "extended_f_1"):
         code, out, err = run_cli(["eval", "--form", form], capsys)
@@ -546,6 +571,21 @@ def test_importing_the_cli_does_not_import_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert out.stdout.strip() == "False"
+
+
+def test_radial_quadrature_imports_neither_numpy_polynomial_nor_scipy():
+    # numpy.polynomial costs about 3 ms and 0.9 MB on a run's first import;
+    # the radial rules come from simplex_rule's Jacobi matrices instead
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; from flatmod import cli; "
+            "code = cli.main(['eval', '--form', 'sigma_Q', '--N', '3', "
+            "'--r', '3']); "
+            "print(code, [m for m in sys.modules if m.startswith("
+            "('numpy.polynomial', 'scipy'))])")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"

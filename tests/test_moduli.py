@@ -814,10 +814,11 @@ def test_level_projection_evaluates_the_chart_once_per_point(monkeypatch):
     assert seen and len(set(seen)) == len(seen)
 
 
-def _serial_projection(config, pt):
+def _serial_projection(config, pt, trace=None):
     """Damped Gauss-Newton onto the level set, one point and one chart
     evaluation at a time; None where the line search stalls or 60 steps do
-    not get there."""
+    not get there. A trace list receives (step length, accepted) for every
+    candidate tried."""
     chart = md.chart_map(config)
     dim = config.num_generators * config.algebra_dim
     basis = md.tangent_from_coords(config, np.eye(dim))
@@ -833,7 +834,11 @@ def _serial_projection(config, pt):
                            md.tangent_from_coords(config, lam * step), 1.0)
             image, cand_push = chart.at(cand)
             cand_norm = float(np.linalg.norm(image[0]))
-            if cand_norm < norm * (1 - 1e-4) or cand_norm <= md.LEVEL_TOL:
+            accepted = (cand_norm < norm * (1 - 1e-4)
+                        or cand_norm <= md.LEVEL_TOL)
+            if trace is not None:
+                trace.append((lam, accepted))
+            if accepted:
                 pt, res, norm, push = cand, image[0], cand_norm, cand_push
                 break
             lam *= 0.5
@@ -888,6 +893,131 @@ def test_a_point_that_fails_is_redrawn_alone(monkeypatch):
     assert _point_bytes(got) == _point_bytes([ref[0], ref[2], ref[3]])
 
 
+def _perturbed_starts(config, seed, count, perturbation=0.25):
+    """count points of the seed point, each factor moved by exp of a random
+    algebra element, as one batch."""
+    rng = lc.as_rng(seed)
+    base = md.seed_point(config)
+    return fo.Point(tuple(np.stack([
+        g @ lc.exp_alg(lc.random_algebra(config.N, rng, perturbation))
+        for _ in range(count)]) for g in base.parts))
+
+
+def _projection_against_oracle(config, starts):
+    """The batch projection of starts, and the serial oracle's result and
+    trace for each entry; the bytes agree entry by entry (None for None)."""
+    got = md.project_to_level(config, starts)
+    traces, want = [], []
+    for parts in zip(*starts.parts):
+        traces.append([])
+        want.append(_serial_projection(config, fo.Point(parts), traces[-1]))
+    assert [p is None for p in got] == [p is None for p in want]
+    assert (_point_bytes(p for p in got if p is not None)
+            == _point_bytes(p for p in want if p is not None))
+    return got, traces
+
+
+def _scaled_residual(monkeypatch, scale, spread):
+    """Scale the chart residual by scale + spread x^2, x = Re h_1[0, 0], a
+    function of each point; the Jacobian stays that of the true residual,
+    so every Gauss-Newton step is that many times too long."""
+    residual = md.relator_residual
+
+    def scaled(config, p):
+        x = p.parts[0][..., 0, 0].real
+        return (scale + spread * x * x)[..., None, None] * residual(config, p)
+
+    monkeypatch.setattr(md, "relator_residual", scaled)
+
+
+@pytest.mark.parametrize("scale, lam", [(2.1, 0.5), (600.0, 0.5 ** 9)])
+def test_projection_line_search_halves_like_the_oracle(monkeypatch, scale,
+                                                      lam):
+    # steps 2.1-2.5 times too long overshoot at full length and are taken
+    # at half length; 600-700 times too long, only at the tenth and last
+    # step length 2^-9
+    _scaled_residual(monkeypatch, scale, scale / 5)
+    for config in (CFG, md.ModuliConfig(N=3, genus=2, beta_index=1)):
+        got, traces = _projection_against_oracle(
+            config, _perturbed_starts(config, 3, 4))
+        assert all(p is not None for p in got)
+        assert all((lam, True) in t and (2 * lam, False) in t for t in traces)
+
+
+def test_projection_entry_whose_candidates_are_all_rejected_fails_alone(
+        monkeypatch):
+    # points with Re h_1[0, 0] > 0.7 all read one tiny residual, so no
+    # candidate of the entry that starts there lowers its norm: that entry
+    # alone fails after ten step lengths, and the others keep their bytes
+    starts = _perturbed_starts(CFG, 4, 3)
+    ref = md.project_to_level(CFG, starts)
+    special = [x[0] for x in starts.parts]
+    special[0] = special[0] @ lc.exp_alg(np.diag([-1.2j, 1.2j]))
+    starts = fo.Point(tuple(np.insert(x, 1, y, axis=0)
+                            for x, y in zip(starts.parts, special)))
+    residual = md.relator_residual
+    frozen = 1e-6 * lc.algebra_basis(2)[0]
+
+    def stuck(config, p):
+        inside = p.parts[0][..., 0, 0].real > 0.7
+        return np.where(inside[..., None, None], frozen, residual(config, p))
+
+    monkeypatch.setattr(md, "relator_residual", stuck)
+    got, traces = _projection_against_oracle(CFG, starts)
+    assert got[1] is None and all(p is not None for p in got[:1] + got[2:])
+    assert traces[1] == [(0.5 ** k, False) for k in range(10)]
+    assert _point_bytes(got[:1] + got[2:]) == _point_bytes(ref)
+
+
+@pytest.mark.parametrize("how", ["tolerance", "overshoot"])
+def test_projection_that_stalls_fails(monkeypatch, how):
+    # below rounding the residual stops falling, and steps 1200-1440 times
+    # too long overshoot even at the last step length 2^-9: either way ten
+    # step lengths fail
+    if how == "tolerance":
+        monkeypatch.setattr(md, "LEVEL_TOL", 1e-300)
+    else:
+        _scaled_residual(monkeypatch, 1200.0, 240.0)
+    got, traces = _projection_against_oracle(CFG, _perturbed_starts(CFG, 5, 3))
+    assert got == [None] * 3
+    for t in traces:
+        assert t[-10:] == [(0.5 ** k, False) for k in range(10)]
+
+
+@pytest.mark.parametrize("scale", [1.9995, 1.99995])
+def test_projection_accepts_a_candidate_like_the_oracle(monkeypatch, scale):
+    # near the level set a step scale times too long leaves about
+    # scale - 1 of the residual norm. 0.9995 is below 1 - 1e-4, so all 60
+    # steps are taken at full length and run out; 0.99995 is not, and is
+    # taken only where it reaches LEVEL_TOL, put just below the norm of the
+    # first start
+    _scaled_residual(monkeypatch, scale, 0.0)
+    starts = _perturbed_starts(CFG, 6, 3, 1e-6)
+    if scale == 1.99995:
+        image, _ = md.chart_map(CFG).at(
+            fo.Point(tuple(x[0] for x in starts.parts)))
+        monkeypatch.setattr(md, "LEVEL_TOL",
+                            0.99997 * float(np.linalg.norm(image[0])))
+    got, traces = _projection_against_oracle(CFG, starts)
+    if scale == 1.9995:
+        assert got == [None] * 3
+        assert traces == [[(1.0, True)] * 60] * 3
+    else:
+        assert got[0] is not None and traces[0] == [(1.0, True)]
+
+
+def test_projection_counts_its_sixty_steps_like_the_oracle(monkeypatch):
+    # steps about 0.31 of full length contract the residual by about 0.69
+    # each, so the entries of this batch need 56 to more than 60 steps:
+    # one that gets there at the 60th step is kept, one that needs a 61st
+    # fails
+    _scaled_residual(monkeypatch, 0.306, 0.05)
+    got, traces = _projection_against_oracle(CFG, _perturbed_starts(CFG, 5, 6))
+    steps = [sum(a for _, a in t) for t in traces]
+    assert {(p is None, n) for p, n in zip(got, steps)} >= {
+        (False, 60), (True, 60)}
+
+
 def test_chart_sampling_matches_one_draw_at_a_time():
     # rounds of as many candidates as points are missing, tested by one
     # stacked cut_margin call, keep the points of one draw at a time
@@ -905,15 +1035,6 @@ def test_chart_sampling_matches_one_draw_at_a_time():
     batch = fo.Point(tuple(np.stack(x) for x in zip(*(p.parts for p in tried))))
     assert list(md.cut_margin(CFG, batch)) == [
         md.cut_margin(CFG, p) for p in tried]
-
-
-def test_gauss_legendre_rule_is_that_of_leggauss():
-    # computed in leggauss's own steps, so numpy.polynomial is not imported
-    for n in (8, 16, 32, 64, 128, 256):
-        nodes, weights = md._gauss_legendre_01(n)
-        x, w = np.polynomial.legendre.leggauss(n)
-        assert np.array_equal(nodes, 0.5 * (x + 1.0))
-        assert np.array_equal(weights, 0.5 * w)
 
 
 def test_goldman_form_makes_one_fiber_call_per_evaluation(monkeypatch):

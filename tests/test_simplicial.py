@@ -274,12 +274,18 @@ def test_lattice_oracle_exact_on_monomials(n, degree):
     _assert_exact_on_monomials(_lattice_rule(n, degree), n, degree)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", [*range(1, 9), 16, 32, 64, 128, 256])
 def test_gauss_jacobi_legendre_matches_leggauss(k):
+    # the radial quadrature's rules: a rule's error moves by at most
+    # sum |dw| max |f|, so the weights are bounded in sum
     u, w = sp._gauss_jacobi(k, 0)
     x, v = np.polynomial.legendre.leggauss(k)
-    assert np.abs(u - (x + 1) / 2).max() <= 1e-14
-    assert np.abs(w - v / 2).max() <= 1e-14
+    if k <= 8:
+        assert np.abs(u - (x + 1) / 2).max() <= 1e-14
+        assert np.abs(w - v / 2).max() <= 1e-14
+    if k >= 8:
+        assert np.abs(u - (x + 1) / 2).max() <= 1e-15
+        assert np.abs(w - v / 2).sum() <= 1e-13
 
 
 @pytest.mark.parametrize("a", range(1, 5))
