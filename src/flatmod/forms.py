@@ -124,49 +124,143 @@ def point(shape, *parts):
     return Point(tuple(fixed))
 
 
-def random_point(shape, seed):
-    """Haar group factors, Gaussian vectors and Dirichlet(2) simplex points
-    at least 0.05 from every face; each run of equal group factors is one
-    stacked draw, the same bytes as one draw per factor."""
-    rng = lc.as_rng(seed)
-    parts = []
-    for fac, run in groupby(shape):
-        k = len(list(run))
-        if isinstance(fac, GroupFactor):
-            parts.extend(lc.random_group(fac.n, rng, count=k))
-        elif isinstance(fac, VectorFactor):
-            parts.extend(rng.standard_normal(fac.dim) for _ in range(k))
-        else:
-            for _ in range(k):
+def _factor_size(fac):
+    """Normals per factor: 2 n^2 for a group, dim for a vector, and n + 1
+    for a simplex (a tangent's normals, or a point's Dirichlet values)."""
+    if isinstance(fac, GroupFactor):
+        return 2 * fac.n * fac.n
+    return fac.dim if isinstance(fac, VectorFactor) else fac.n + 1
+
+
+def _slot_size(slot):
+    kind, spec = slot[:2]
+    if kind == "phi":
+        return 2 * spec * spec
+    if kind == "normal":
+        return math.prod(spec)
+    return sum(map(_factor_size, spec))
+
+
+def _simplex_point(slot):
+    return slot[0] == "point" and any(
+        isinstance(fac, SimplexFactor) for fac in slot[1])
+
+
+def _normals(rng, layouts, total):
+    """The numbers of every sample in turn: one standard_normal call, or,
+    when a layout holds a simplex point, whose Dirichlet draw (rejected
+    until at least 0.05 from every face) falls between the normals around
+    it, one call per slot and one per factor of such a point."""
+    if not any(map(_simplex_point, {s for lay in set(layouts) for s in lay})):
+        return rng.standard_normal(total)
+    out = []
+    for slot in (slot for layout in layouts for slot in layout):
+        for fac in slot[1] if _simplex_point(slot) else (None,):
+            if isinstance(fac, SimplexFactor):
                 t = rng.dirichlet(np.full(fac.n + 1, 2.0))
                 while t.min() < 0.05:
                     t = rng.dirichlet(np.full(fac.n + 1, 2.0))
-                parts.append(t)
-    return Point(tuple(parts))
+                out.append(t)
+            else:
+                out.append(rng.standard_normal(
+                    _slot_size(slot) if fac is None else _factor_size(fac)))
+    return np.concatenate(out)
+
+
+def _carve(slot, z):
+    """One slot from its numbers z of shape (..., size), every leading axis
+    a batch axis. Group factors are Haar points or unit algebra tangents,
+    vectors Gaussian points or unit tangents, simplex tangents zero-sum
+    unit vectors; a phi is an algebra element, a normal slot z times its
+    scale. Each run of equal factors is one stacked operation."""
+    kind, spec = slot[:2]
+    batch = z.shape[:-1]
+    if kind == "phi":
+        return lc._algebra(z.reshape(batch + (2, spec, spec)))
+    if kind == "normal":
+        return slot[2] * z.reshape(batch + spec)
+    parts, at = [], 0
+    for fac, run in groupby(spec):
+        k, size = len(list(run)), _factor_size(fac)
+        x = z[..., at:at + k * size].reshape(batch + (k, size))
+        at += k * size
+        if isinstance(fac, GroupFactor):
+            x = x.reshape(batch + (k, 2, fac.n, fac.n))
+            if kind == "point":
+                x = lc._haar(x)
+            else:
+                x = lc._algebra(x)
+                x = x / np.sqrt(lc.inner(x, x))[..., None, None]
+        elif kind == "tangent":
+            if isinstance(fac, SimplexFactor):
+                x = x - x.mean(axis=-1, keepdims=True)
+            norm = np.sqrt(np.vecdot(x, x))[..., None]
+            x = x / np.where(norm > 0, norm, 1.0)
+        parts.extend(_split(x, len(batch), k))
+    return (Point if kind == "point" else Tangent)(tuple(parts))
+
+
+def _split(x, axis, k):
+    """The k entries of x along axis, each a contiguous array."""
+    return [np.ascontiguousarray(x[(slice(None),) * axis + (j,)])
+            for j in range(k)]
+
+
+def random_samples(layouts, seed):
+    """Random inputs for a list of samples, each of its own layout, drawn
+    in turn with one standard_normal call (see _normals for simplex
+    points). A layout is a tuple of slots: ("point", shape) and ("tangent",
+    shape) as random_point and random_tangent draw them, ("phi", n) an
+    algebra element of su(n), and ("normal", dims, scale) a Gaussian array
+    times scale. Since the generator fills in C order, the numbers are
+    those of one call per sample, slot and factor run.
+
+    Returns (samples, slots) for each distinct layout in order of first
+    appearance: the indices of its samples, in order, and per slot the
+    value of every such sample stacked on a leading axis. A run of equal
+    slots is carved as one stacked operation.
+    """
+    rng = lc.as_rng(seed)
+    layouts = [tuple(layout) for layout in layouts]
+    sizes = {layout: sum(map(_slot_size, layout))
+             for layout in dict.fromkeys(layouts)}
+    starts = np.cumsum([0] + [sizes[layout] for layout in layouts])
+    z = _normals(rng, layouts, starts[-1])
+    groups = {}
+    for i, layout in enumerate(layouts):
+        groups.setdefault(layout, []).append(i)
+    out = []
+    for layout, samples in groups.items():
+        size = sizes[layout]
+        rows = (z.reshape(len(samples), size) if len(groups) == 1 else
+                z[starts[samples][:, None] + np.arange(size)])
+        slots, at = [], 0
+        for slot, run in groupby(layout):
+            k, width = len(list(run)), _slot_size(slot)
+            block = rows[:, at:at + k * width].reshape(len(samples), k, width)
+            at += k * width
+            value = _carve(slot, block)
+            if isinstance(value, np.ndarray):
+                slots.extend(_split(value, 1, k))
+            else:
+                slots.extend(map(type(value), zip(*(
+                    _split(x, 1, k) for x in value.parts))))
+        out.append((samples, tuple(slots)))
+    return out
+
+
+def random_point(shape, seed):
+    """Haar group factors, Gaussian vectors and Dirichlet(2) simplex points
+    at least 0.05 from every face: the one-sample case of random_samples."""
+    ((_, (pt,)),) = random_samples([(("point", tuple(shape)),)], seed)
+    return Point(tuple(x[0] for x in pt.parts))
 
 
 def random_tangent(shape, seed):
-    """A Gaussian tangent, each part scaled to unit norm; each run of equal
-    group factors is one stacked draw, normalised by one stacked inner."""
-    rng = lc.as_rng(seed)
-    parts = []
-    for fac, run in groupby(shape):
-        k = len(list(run))
-        if isinstance(fac, GroupFactor):
-            x = lc.random_algebra(fac.n, rng, count=k)
-            parts.extend(x / np.sqrt(lc.inner(x, x))[:, None, None])
-            continue
-        for _ in range(k):
-            if isinstance(fac, VectorFactor):
-                v = rng.standard_normal(fac.dim)
-                parts.append(v / np.linalg.norm(v))
-            else:
-                tau = rng.standard_normal(fac.n + 1)
-                tau -= tau.mean()
-                if np.linalg.norm(tau) > 0:
-                    tau = tau / np.linalg.norm(tau)
-                parts.append(tau)
-    return Tangent(tuple(parts))
+    """A Gaussian tangent, each part scaled to unit norm: the one-sample
+    case of random_samples."""
+    ((_, (v,)),) = random_samples([(("tangent", tuple(shape)),)], seed)
+    return Tangent(tuple(x[0] for x in v.parts))
 
 
 # ---------------------------------------------------------------------------

@@ -366,37 +366,43 @@ def chern_polynomial(n, r):
 # sampling
 
 def _complex_normal(n, rng, count):
-    """One n x n complex Gaussian, or a stack of count, from one draw of
-    the real and then the imaginary parts of each matrix in turn; the
-    generator fills in C order, so a stack holds the numbers of count
-    single draws."""
-    z = rng.standard_normal((() if count is None else (count,)) + (2, n, n))
+    """The real Gaussian blocks of one n x n complex Gaussian, or of a stack
+    of count: the real and then the imaginary parts of each matrix in turn,
+    in one draw of shape (..., 2, n, n); the generator fills in C order, so
+    a stack holds the numbers of count single draws."""
+    return rng.standard_normal((() if count is None else (count,)) + (2, n, n))
+
+
+def _complex(z):
     return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def random_algebra(n, seed, scale=1.0, count=None):
-    """Deterministic pseudo-random algebra element (Gaussian entries), or a
-    stack of count of them, the same bytes as count single draws."""
-    a = _complex_normal(n, as_rng(seed), count)
+def _algebra(z, scale=1.0):
+    """The algebra elements of real Gaussian blocks z of shape (..., 2, n, n):
+    the anti-Hermitian, traceless part of the complex Gaussian, times scale."""
+    n = z.shape[-1]
+    a = _complex(z)
     x = 0.5 * (a - a.conj().mT)
     x -= (np.trace(x, axis1=-2, axis2=-1)[..., None, None] / n) * np.eye(n)
     return scale * x
 
 
-def random_group(n, seed, count=None):
-    """Approximately Haar-distributed special unitary matrix, or a stack of
-    count of them, the same bytes as count single draws.
-
-    QR of a complex Gaussian with the R-diagonal phase fix, then a final
-    determinant correction into SU(n).
-    """
-    z = _complex_normal(n, as_rng(seed), count) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+def _haar(z):
+    """The special unitary matrices of real Gaussian blocks z of shape
+    (..., 2, n, n): QR of the complex Gaussian with the R-diagonal phase
+    fix, then a final determinant correction into SU(n)."""
+    n = z.shape[-1]
+    q, r = np.linalg.qr(_complex(z) / math.sqrt(2.0))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d / np.abs(d))[..., None, :]
     det = np.linalg.det(q)
-    q = q * np.exp(-np.log(det) / n)[..., None, None]
-    return q
+    return q * np.exp(-np.log(det) / n)[..., None, None]
+
+
+def random_algebra(n, seed, scale=1.0, count=None):
+    """Deterministic pseudo-random algebra element (Gaussian entries), or a
+    stack of count of them, the same bytes as count single draws."""
+    return _algebra(_complex_normal(n, as_rng(seed), count), scale)
 
 
 # ---------------------------------------------------------------------------

@@ -336,8 +336,9 @@ def sample_chart_points(config, seed, count, margin=0.7):
     The chart is singular where an eigenphase of beta^-1 relator(h) reaches
     the cut at pi; rejection keeps points at least margin away so derivative
     estimates of chart-composed forms are trustworthy. Rounds draw as many
-    candidates as points are missing and test them with one cut_margin
-    call, so the points drawn and kept are those of one draw at a time.
+    candidates as points are missing with one random_samples call and test
+    them with one cut_margin call, so the points drawn and kept are those
+    of one draw at a time.
     """
     rng = lc.as_rng(seed)
     out = []
@@ -347,10 +348,10 @@ def sample_chart_points(config, seed, count, margin=0.7):
         if not k:
             raise ConvergenceError("chart sampling kept hitting the cut")
         attempts += k
-        cands = [forms.random_point(config.shape, rng) for _ in range(k)]
-        batch = forms.Point(forms._stack_parts(
-            config.shape, [p.parts for p in cands], 0))
-        out.extend(p for p, m in zip(cands, cut_margin(config, batch))
+        ((_, (cands,)),) = forms.random_samples(
+            [(("point", config.shape),)] * k, rng)
+        out.extend(forms.Point(tuple(x[i] for x in cands.parts))
+                   for i, m in enumerate(cut_margin(config, cands))
                    if m >= margin)
     return out
 

@@ -153,34 +153,16 @@ def _rng_for(config, identity_id):
     return np.random.default_rng([config.seed, zlib.crc32(identity_id.encode())])
 
 
-def _tangents(shape, rng, k):
-    return [forms.random_tangent(shape, rng) for _ in range(k)]
-
-
 def _call(f, *args):
     return f(*args)
 
 
-def _signature(args):
-    """The slot signature of an argument tuple: the part shapes of each
-    point and tangent, the shape of each array (phi), and any other slot (a
-    form) by identity."""
-    return tuple(
-        (type(a), tuple(x.shape for x in a.parts))
-        if isinstance(a, (forms.Point, forms.Tangent))
-        else a.shape if isinstance(a, np.ndarray) else id(a) for a in args)
-
-
-def _stack(slots):
-    """One slot of a group's tuples: points, tangents and arrays stacked on
-    a new leading axis, a slot shared by identity as it is."""
-    first = slots[0]
-    if isinstance(first, (forms.Point, forms.Tangent)):
-        return type(first)(tuple(
-            np.stack(parts) for parts in zip(*(x.parts for x in slots))))
-    if isinstance(first, np.ndarray):
-        return np.stack(slots)
-    return first
+def _take(slot, idx):
+    """The entries idx of a stacked slot's leading axis; a slot shared by
+    the whole group (a form) as it is."""
+    if isinstance(slot, (forms.Point, forms.Tangent)):
+        return type(slot)(tuple(x[idx] for x in slot.parts))
+    return slot[idx] if isinstance(slot, np.ndarray) else slot
 
 
 def _modulus(z):
@@ -189,41 +171,38 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _group_residuals(lhs, rhs, group):
-    """The residual at each tuple of a group, |lhs| when rhs is None, else
-    |lhs - rhs| / max(1, |rhs|), from one call of each on the stacked
-    tuples. A group whose call raises a numeric failure is evaluated again
-    as batches of one, and a tuple that raises alone gets its failure."""
+def _group_residuals(lhs, rhs, args, size):
+    """The residual at each of a group's size entries, |lhs| when rhs is
+    None, else |lhs - rhs| / max(1, |rhs|), from one call of each on its
+    stacked argument tuple. A group whose call raises a numeric failure is
+    evaluated again as batches of one, and an entry that raises alone gets
+    its failure."""
     try:
-        args = [_stack(slots) for slots in zip(*group)]
-        got = np.broadcast_to(lhs(*args), (len(group),))
+        got = np.broadcast_to(lhs(*args), (size,))
         if rhs is None:
             return list(_modulus(got))
-        want = np.broadcast_to(rhs(*args), (len(group),))
+        want = np.broadcast_to(rhs(*args), (size,))
         return list(_modulus(got - want) / np.maximum(1.0, _modulus(want)))
     except lc.NumericalFailure as exc:
-        if len(group) == 1:
+        if size == 1:
             return [exc]
-        return [out for args in group
-                for out in _group_residuals(lhs, rhs, [args])]
+        return [out for k in range(size) for out in _group_residuals(
+            lhs, rhs, tuple(_take(a, slice(k, k + 1)) for a in args), 1)]
 
 
-def _sample_residuals(lhs, rhs, calls):
-    """Each sample's worst residual over its argument tuples (calls holds
-    one list of tuples per sample), all tuples evaluated group by group.
-    Taking the tuples in order, a sample's first failure or non-finite
-    residual stands for it."""
-    table = [[None] * len(tuples) for tuples in calls]
-    groups = {}
-    for i, tuples in enumerate(calls):
-        for j, args in enumerate(tuples):
-            groups.setdefault(_signature(args), []).append((i, j))
-    for members in groups.values():
-        values = _group_residuals(lhs, rhs, [calls[i][j] for i, j in members])
-        for (i, j), value in zip(members, values):
-            table[i][j] = value
+def _sample_residuals(lhs, rhs, groups, count):
+    """Each of count samples' worst residual over its argument tuples, all
+    evaluated group by group. Taking the tuples in order, a sample's first
+    failure or non-finite residual stands for it."""
+    table = {}
+    for members, args in groups:
+        table.update(zip(members, _group_residuals(lhs, rhs, args,
+                                                   len(members))))
+    rows = [[] for _ in range(count)]
+    for i, j in sorted(table):
+        rows[i].append(table[i, j])
     out = []
-    for row in table:
+    for row in rows:
         bad = [v for v in row
                if isinstance(v, lc.NumericalFailure) or not np.isfinite(v)]
         out.append(bad[0] if bad else max(row, default=0.0))
@@ -247,31 +226,63 @@ def _entries(compute, count):
 
 
 def _identity(config, ident, reference, tolerance, draws, lhs, rhs=None):
-    """A vanishing (rhs None) or agreement identity. draws(rng) yields one
-    list of argument tuples per sample from the identity's own generator;
-    the first sample's callable evaluates them all."""
-    calls = list(draws(_rng_for(config, ident)))
+    """A vanishing (rhs None) or agreement identity. draws(rng) gives the
+    groups of all samples from the identity's own generator: the (sample,
+    tuple position) of each member, and their argument tuple, its points,
+    tangents and phis stacked on a leading axis in member order. The first
+    sample's callable evaluates them all."""
+    groups = draws(_rng_for(config, ident))
+    count = 1 + max((i for members, _ in groups for i, _ in members),
+                    default=-1)
     return IdentityTask(ident, reference, tolerance, _entries(
-        partial(_sample_residuals, lhs, rhs, calls), len(calls)))
+        partial(_sample_residuals, lhs, rhs, groups, count), count))
+
+
+def _groups(drawn, tuples, key=None):
+    """Identity groups from random_samples' groups: tuples(*slots) gives the
+    stacked argument tuple of each tuple position of their samples. key(i),
+    when given, splits the samples further, its value a form that leads
+    the tuple. Groups are ordered by their first member, samples and then
+    positions in turn."""
+    out = []
+    for samples, slots in drawn:
+        parts = {}
+        for k, i in enumerate(samples):
+            parts.setdefault(None if key is None else key(i), []).append(k)
+        for form, ks in parts.items():
+            part = slots if len(ks) == len(samples) else tuple(
+                _take(x, ks) for x in slots)
+            out += [([(samples[k], j) for k in ks],
+                     args if form is None else (form, *args))
+                    for j, args in enumerate(tuples(*part))]
+    return sorted(out, key=lambda group: group[0][0])
+
+
+def _frame(shape, arity):
+    return (("tangent", shape),) * arity
 
 
 def _plain_draws(shape, arity, count):
     """One random point and tangent frame per sample."""
-    def draws(rng):
-        for _ in range(count):
-            pt = forms.random_point(shape, rng)
-            yield [(pt, *_tangents(shape, rng, arity))]
-    return draws
+    layout = (("point", shape),) + _frame(shape, arity)
+    return lambda rng: _groups(forms.random_samples([layout] * count, rng),
+                               lambda pt, *vs: [(pt, *vs)])
 
 
 def _equivariant_draws(N, shape, arities, count):
     """One phi and point per sample, with a fresh frame for each arity."""
-    def draws(rng):
-        for _ in range(count):
-            phi = lc.random_algebra(N, rng)
-            pt = forms.random_point(shape, rng)
-            yield [(phi, pt, *_tangents(shape, rng, p)) for p in arities]
-    return draws
+    layout = (("phi", N), ("point", shape)) + _frame(shape, sum(arities))
+
+    def tuples(phi, pt, *vs):
+        ends = np.cumsum((0,) + tuple(arities))
+        return [(phi, pt, *vs[a:b]) for a, b in zip(ends, ends[1:])]
+
+    return lambda rng: _groups(
+        forms.random_samples([layout] * count, rng), tuples)
+
+
+def _stacked_points(shape, points):
+    return forms.Point(forms._stack_parts(shape, [p.parts for p in points], 0))
 
 
 def _chart_draws(config, arities, count):
@@ -279,13 +290,13 @@ def _chart_draws(config, arities, count):
     arity cycles through arities."""
     def draws(rng):
         pts = md.sample_chart_points(config, rng, count)
-        for i, pt in enumerate(pts):
-            phi = lc.random_algebra(config.N, rng)
-            p = arities[i % len(arities)]
-            yield [(phi, pt, *_tangents(config.shape, rng, p))]
+        drawn = forms.random_samples(
+            [(("phi", config.N),) + _frame(config.shape, arities[i % len(arities)])
+             for i in range(count)], rng)
+        return _groups([(samples, (phi, _stacked_points(
+            config.shape, [pts[i] for i in samples]), *vs))
+            for samples, (phi, *vs) in drawn], lambda *args: [args])
     return draws
-
-
 # ---------------------------------------------------------------------------
 # cocycle suite: simplicial identities of the plain fiber integrals
 
@@ -302,12 +313,14 @@ def _suite_cocycle(config):
         higher = [sp.bott_shulman(k, Q) for k in range(r + 1, 2 * r + 1)]
 
         def vanishing_draws(rng):
-            for _ in range(n):
-                calls = []
-                for f in higher:
-                    pt = forms.random_point(f.shape, rng)
-                    calls.append((f, pt, *_tangents(f.shape, rng, f.arity)))
-                yield calls
+            # per sample, a point and frame for each form in turn
+            def tuples(*slots):
+                ends = np.cumsum([0] + [1 + f.arity for f in higher])
+                return [(f, *slots[a:b])
+                        for f, a, b in zip(higher, ends, ends[1:])]
+            layout = sum(((("point", f.shape),) + _frame(f.shape, f.arity)
+                          for f in higher), ())
+            return _groups(forms.random_samples([layout] * n, rng), tuples)
 
         tasks += [
             _identity(
@@ -377,13 +390,10 @@ def _suite_anchors(config):
 
     def prefix_draws(shape, arities):
         # one frame of the top arity; the lower arities take its prefixes
-        def draws(rng):
-            for _ in range(n):
-                phi = lc.random_algebra(N, rng)
-                pt = forms.random_point(shape, rng)
-                vs = _tangents(shape, rng, arities[0])
-                yield [(phi, pt, *vs[:p]) for p in arities]
-        return draws
+        layout = (("phi", N), ("point", shape)) + _frame(shape, arities[0])
+        return lambda rng: _groups(
+            forms.random_samples([layout] * n, rng),
+            lambda phi, pt, *vs: [(phi, pt, *vs[:p]) for p in arities])
 
     # the plain integrals are the phi-free components of the closed forms
     return [
@@ -599,13 +609,14 @@ def _suite_extended(config):
         ]
 
         def b_draws(rng):
+            # sample i checks generator i mod 2g at the arity i mod its count
             arities = dks[0].arities
-            for i in range(n):
-                dkb = dks[i % len(dks)]
-                phi = lc.random_algebra(N, rng)
-                pt = forms.random_point(config.shape, rng)
-                vs = _tangents(config.shape, rng, arities[i % len(arities)])
-                yield [(dkb, phi, pt, *vs)]
+            drawn = forms.random_samples(
+                [(("phi", N), ("point", config.shape))
+                 + _frame(config.shape, arities[i % len(arities)])
+                 for i in range(n)], rng)
+            return _groups(drawn, lambda *args: [args],
+                           key=lambda i: dks[i % len(dks)])
 
         tasks.append(_identity(
             config, f"extended.b-closed.r{r}",
@@ -622,14 +633,22 @@ def _suite_extended(config):
         ]
 
         def restriction_draws(rng):
-            for y in md.sample_Y(config, rng, min(n, 10)):
+            # per point a frame for each field's arities in turn, then phi;
+            # every arity takes the first frame drawn for it
+            ys = md.sample_Y(config, rng, min(n, 10))
+            arities = [p for _, base in fields for p in base.arities]
+
+            def tuples(*slots):
+                ends = np.cumsum([0] + arities)
                 frames = {}
-                for _, base in fields:
-                    for p in base.arities:
-                        frames.setdefault(p, _tangents(config.shape, rng, p))
-                phi = lc.random_algebra(N, rng)
-                yield [(ext, base, phi, y, *frames[p])
-                       for ext, base in fields for p in base.arities]
+                for p, a, b in zip(arities, ends, ends[1:]):
+                    frames.setdefault(p, slots[a:b])
+                pts = _stacked_points(config.shape, ys)
+                return [(ext, base, slots[-1], pts, *frames[p])
+                        for ext, base in fields for p in base.arities]
+            layout = _frame(config.shape, sum(arities)) + (("phi", N),)
+            return _groups(forms.random_samples([layout] * len(ys), rng),
+                           tuples)
 
         tasks.append(_identity(
             config, f"extended.restriction.r{r}",
@@ -651,13 +670,15 @@ def _suite_extended(config):
             step=config.fd_step)
 
         def transgression_draws(rng):
+            # per sample a phi, a point Lam and a frame of raw Gaussian rows,
+            # the frame's arity cycling through those of d_K sigma
             arities = dks_sigma.arities
-            for i in range(min(n, 10)):
-                phi = lc.random_algebra(N, rng)
-                pt = forms.Point((rng.standard_normal(d) * 0.7,))
-                vs = [forms.Tangent((rng.standard_normal(d),))
-                      for _ in range(arities[i % len(arities)])]
-                yield [(phi, pt, *vs)]
+            drawn = forms.random_samples(
+                [(("phi", N), ("normal", (d,), 0.7))
+                 + (("normal", (d,), 1.0),) * arities[i % len(arities)]
+                 for i in range(min(n, 10))], rng)
+            return _groups(drawn, lambda phi, lam, *vs: [(
+                phi, forms.Point((lam,)), *(forms.Tangent((v,)) for v in vs))])
 
         tasks.append(_identity(
             config, f"extended.transgression.r{r}",
@@ -687,14 +708,20 @@ def _suite_extended(config):
     shape = (forms.VectorFactor(d),)
 
     def homotopy_draws(rng):
-        for _ in range(n):
-            f = _polynomial_field(
-                shape, *(rng.standard_normal(d) for _ in range(4)),
-                rng.standard_normal((d, d)), lc.random_algebra(N, rng))
-            phi = lc.random_algebra(N, rng)
-            pt = forms.Point((rng.standard_normal(d) * 0.6,))
-            ws = [forms.Tangent((rng.standard_normal(d),)) for _ in range(2)]
-            yield [(f, phi, pt, *ws[:p]) for p in (0, 1, 2)]
+        # per sample a field (four rows, a matrix and x0), then phi, a point
+        # and two tangents; the fields differ, so each tuple is its own group
+        layout = ((("normal", (d,), 1.0),) * 4
+                  + (("normal", (d, d), 1.0), ("phi", N), ("phi", N),
+                     ("normal", (d,), 0.6)) + (("normal", (d,), 1.0),) * 2)
+        ((samples, slots),) = forms.random_samples([layout] * n, rng)
+        groups = []
+        for i in samples:
+            f = _polynomial_field(shape, *(x[i] for x in slots[:6]))
+            phi, pt, *ws = (_take(x, slice(i, i + 1)) for x in slots[6:])
+            groups += [([(i, j)], (f, phi, forms.Point((pt,)),
+                                   *(forms.Tangent((w,)) for w in ws[:p])))
+                       for j, p in enumerate((0, 1, 2))]
+        return groups
 
     tasks.append(_identity(
         config, "extended.homotopy-identity",
@@ -715,8 +742,11 @@ def _suite_moment(config):
     dkb = forms.cartan_differential(ob, step=chart_step)
 
     def omega_tilde_draws(rng):
-        for pt in md.sample_chart_points(config, rng, n):
-            yield [(pt, *_tangents(config.shape, rng, 3))]
+        pts = _stacked_points(config.shape,
+                              md.sample_chart_points(config, rng, n))
+        return _groups(
+            forms.random_samples([_frame(config.shape, 3)] * n, rng),
+            lambda *vs: [(pts, *vs)])
 
     tasks = [
         _identity(
@@ -748,9 +778,10 @@ def _suite_moment(config):
 
     def measured_draws(rng):
         # the linear part's chart points, each with a fresh phi and tangent
-        for pt in pts:
-            phi = lc.random_algebra(config.N, rng)
-            yield [(pt, phi, forms.random_tangent(config.shape, rng))]
+        layout = (("phi", config.N), ("tangent", config.shape))
+        return _groups(forms.random_samples([layout] * len(pts), rng),
+                       lambda phi, v: [(_stacked_points(config.shape, pts),
+                                        phi, v)])
 
     tasks.append(_identity(
         config, "moment.linear-part-measured",

@@ -9,6 +9,7 @@ from flatmod import forms, liecore as lc
 from flatmod import moduli as md
 from flatmod import simplicial as sp
 from flatmod import suites as su
+from haar import random_group
 
 SU2 = (forms.GroupFactor(2),)
 
@@ -20,7 +21,7 @@ def mc_form(A):
 
 def test_point_validation():
     shape = (forms.GroupFactor(2), forms.SimplexFactor(1))
-    g = lc.random_group(2, 0)
+    g = random_group(2, 0)
     forms.point(shape, g, [0.5, 0.5])
     with pytest.raises(ValueError):
         forms.point(shape, g, [0.7, 0.7])
@@ -42,7 +43,7 @@ def test_exterior_derivative_of_function():
     B = lc.random_algebra(2, 7)
     f = forms.FormField(SU2, 0, lambda pt: np.trace(pt[0] @ B, axis1=-2, axis2=-1).real)
     df = forms.exterior_derivative(f)
-    g = lc.random_group(2, 8)
+    g = random_group(2, 8)
     xi = lc.random_algebra(2, 9)
     pt = forms.Point((g,))
     v = forms.Tangent((xi,))
@@ -131,7 +132,7 @@ def test_pullback_commutes_with_d():
 
 def test_generating_field_values():
     phi = lc.random_algebra(2, 90)
-    h = lc.random_group(2, 91)
+    h = random_group(2, 91)
     lam = lc.random_algebra(2, 92)
     shape = (forms.GroupFactor(2), forms.GroupFactor(2), forms.VectorFactor(3))
     actions = ("conjugation", "left", "adjoint")
@@ -150,7 +151,7 @@ def test_generating_field_matches_action_flow():
     B = lc.random_algebra(2, 101)
     f = forms.FormField(SU2, 0, lambda pt: np.trace(pt[0] @ B, axis1=-2, axis2=-1).real)
     df = forms.exterior_derivative(f)
-    h = lc.random_group(2, 102)
+    h = random_group(2, 102)
     pt = forms.Point((h,))
     gen = forms.generating_field(SU2, ("conjugation",), phi, pt)
     s = 1e-6
@@ -174,8 +175,8 @@ def theta_form():
 def test_theta_equivariance():
     th = theta_form()
     phi = lc.random_algebra(2, 110)
-    k = lc.random_group(2, 111)
-    h = lc.random_group(2, 112)
+    k = random_group(2, 111)
+    h = random_group(2, 112)
     xi = lc.random_algebra(2, 113)
     lhs = th(lc.adjoint(k, phi), forms.Point((k @ h @ k.conj().T,)),
              forms.Tangent((lc.adjoint(k, xi),)))
@@ -284,7 +285,7 @@ def _point_factor_by_factor(shape, rng):
     parts = []
     for fac in shape:
         if isinstance(fac, forms.GroupFactor):
-            parts.append(lc.random_group(fac.n, rng))
+            parts.append(random_group(fac.n, rng))
         elif isinstance(fac, forms.VectorFactor):
             parts.append(rng.standard_normal(fac.dim))
         else:
@@ -613,3 +614,49 @@ def test_d_and_dk_at_a_point_batch_with_plain_tangents():
         vs = [forms.random_tangent(shp, rng) for _ in range(q)]
         _assert_matches_per_point(call(_point_stack(points), *vs),
                                   [call(pt, *vs) for pt in points])
+
+
+def _slot_by_draws(slot, rng):
+    kind, spec = slot[:2]
+    if kind == "phi":
+        return lc.random_algebra(spec, rng)
+    if kind == "normal":
+        return rng.standard_normal(spec) * slot[2]
+    draw = _point_factor_by_factor if kind == "point" else (
+        _tangent_factor_by_factor)
+    return draw(spec, rng)
+
+
+@pytest.mark.parametrize("simplex", [False, True])
+def test_random_samples_are_the_bytes_of_per_sample_draws(simplex):
+    # samples of three layouts, interleaved: one standard_normal call (or,
+    # with a simplex point, one call per run between Dirichlet draws) gives
+    # per layout the stacked values of the per-sample, per-slot draws and
+    # leaves the generator where those draws leave it
+    shape = (forms.GroupFactor(2), forms.GroupFactor(2), forms.VectorFactor(3),
+             forms.GroupFactor(3))
+    point = shape + ((forms.SimplexFactor(2),) if simplex else ())
+    a = (("phi", 3), ("point", point), ("tangent", shape), ("tangent", shape))
+    b = (("normal", (3,), 0.7),) + (("normal", (3,), 1.0),) * 2 + (
+        ("normal", (2, 2), 1.0), ("tangent", shape + (forms.SimplexFactor(3),)))
+    c = (("point", point),)
+    layouts = [a, b, a, c, b, a]
+    rng, oracle = lc.as_rng(5), lc.as_rng(5)
+    drawn = forms.random_samples(layouts, rng)
+    want = [[_slot_by_draws(slot, oracle) for slot in layout]
+            for layout in layouts]
+    assert [samples for samples, _ in drawn] == [[0, 2, 5], [1, 4], [3]]
+    for samples, slots in drawn:
+        assert len(slots) == len(layouts[samples[0]])
+        for k, i in enumerate(samples):
+            for got, value in zip(slots, want[i]):
+                if isinstance(got, np.ndarray):
+                    assert got[k].tobytes() == value.tobytes()
+                    assert got.flags.c_contiguous
+                    continue
+                assert len(got.parts) == len(value)
+                for x, y in zip(got.parts, value):
+                    assert x[k].shape == y.shape
+                    assert x[k].tobytes() == y.tobytes()
+    assert rng.standard_normal() == oracle.standard_normal()
+    assert forms.random_samples([], rng) == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, logm
 
 from flatmod import liecore as lc
+from haar import random_group
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -59,7 +60,7 @@ def test_inner_and_adjoint_on_stacks_match_pairs():
     # two matrices keep the plain formulas bit for bit; stacks broadcast
     rng = lc.as_rng(12)
     xs = np.stack([lc.random_algebra(3, rng) for _ in range(4)])
-    gs = np.stack([lc.random_group(3, rng) for _ in range(4)])
+    gs = np.stack([random_group(3, rng) for _ in range(4)])
     y = lc.random_algebra(3, rng)
     for x, g in zip(xs, gs):
         assert lc.inner(x, y) == float(-np.trace(x @ y).real)
@@ -77,7 +78,7 @@ def test_inner_and_adjoint_on_stacks_match_pairs():
 def test_inner_ad_invariance_and_total_antisymmetry():
     rng = np.random.default_rng(2)
     for n in (2, 3):
-        g = lc.random_group(n, rng)
+        g = random_group(n, rng)
         x, y, z = (lc.random_algebra(n, rng) for _ in range(3))
         assert lc.inner(lc.adjoint(g, x), lc.adjoint(g, y)) == pytest.approx(
             lc.inner(x, y), abs=1e-12
@@ -92,8 +93,8 @@ def test_inner_ad_invariance_and_total_antisymmetry():
 
 def test_adjoint_homomorphism():
     rng = np.random.default_rng(3)
-    g = lc.random_group(3, rng)
-    h = lc.random_group(3, rng)
+    g = random_group(3, rng)
+    h = random_group(3, rng)
     x = lc.random_algebra(3, rng)
     np.testing.assert_allclose(lc.adjoint(np.eye(3), x), x, atol=1e-15)
     np.testing.assert_allclose(
@@ -119,7 +120,7 @@ def test_exp_log_roundtrips():
             x = lc.random_algebra(n, rng, scale=0.4)
             g = lc.exp_alg(x)
             np.testing.assert_allclose(lc.log_group(g), x, atol=1e-10)
-            h = lc.random_group(n, rng)
+            h = random_group(n, rng)
             np.testing.assert_allclose(
                 lc.exp_alg(lc.log_group(h)), h, atol=1e-10
             )
@@ -158,7 +159,7 @@ def test_log_against_logm_oracle():
     rng = np.random.default_rng(41)
     for n in (2, 3, 4):
         for _ in range(40):
-            g = lc.random_group(n, rng)
+            g = random_group(n, rng)
             lam = lc.log_group(g)
             want = logm(g)
             if abs(np.trace(want)) < 1e-9:
@@ -179,7 +180,7 @@ def test_log_near_identity_cluster():
 def test_matrix_functions_on_stacks_match_per_item_calls():
     rng = np.random.default_rng(43)
     for n in (2, 3):
-        gs = np.stack([lc.random_group(n, rng) for _ in range(6)])
+        gs = np.stack([random_group(n, rng) for _ in range(6)])
         lams = np.stack([lc.random_algebra(n, rng) for _ in range(6)])
         ws = np.stack([lc.random_algebra(n, rng) for _ in range(6)])
         logs = lc.log_group(gs.reshape(2, 3, n, n)).reshape(6, n, n)
@@ -201,7 +202,7 @@ def test_matrix_functions_on_stacks_match_per_item_calls():
 
 def test_log_of_a_stack_raises_if_one_matrix_sits_at_the_cut():
     rng = np.random.default_rng(44)
-    gs = np.stack([lc.random_group(2, rng) for _ in range(4)])
+    gs = np.stack([random_group(2, rng) for _ in range(4)])
     lc.log_group(gs)
     gs[2] = -np.eye(2)
     with pytest.raises(lc.BranchCutError):
@@ -210,7 +211,7 @@ def test_log_of_a_stack_raises_if_one_matrix_sits_at_the_cut():
 
 def test_exp_ad_equivariance():
     rng = np.random.default_rng(6)
-    g = lc.random_group(3, rng)
+    g = random_group(3, rng)
     x = lc.random_algebra(3, rng)
     np.testing.assert_allclose(
         lc.exp_alg(lc.adjoint(g, x)), g @ lc.exp_alg(x) @ g.conj().T, atol=1e-10
@@ -266,7 +267,7 @@ def test_chern_polarization_symmetry_and_ad_invariance():
     assert q(xs[1], xs[0], xs[2]) == pytest.approx(base, abs=1e-15)
     assert q(xs[2], xs[1], xs[0]) == pytest.approx(base, abs=1e-15)
     for _ in range(100):
-        g = lc.random_group(3, rng)
+        g = random_group(3, rng)
         conj = [lc.adjoint(g, x) for x in xs]
         assert q(*conj) == pytest.approx(base, abs=1e-10)
 
@@ -407,8 +408,8 @@ def test_sampling_determinism_and_invariants():
     a1 = lc.random_algebra(3, 123)
     a2 = lc.random_algebra(3, 123)
     np.testing.assert_array_equal(a1, a2)
-    g1 = lc.random_group(3, 321)
-    g2 = lc.random_group(3, 321)
+    g1 = random_group(3, 321)
+    g2 = random_group(3, 321)
     np.testing.assert_array_equal(g1, g2)
     assert np.linalg.norm(a1 + a1.conj().T) <= 1e-12  # anti-Hermitian
     assert abs(np.trace(a1)) <= 1e-12  # traceless
@@ -421,7 +422,7 @@ def test_stacked_draws_are_the_bytes_of_single_draws(n):
     # the imaginary part of each matrix in turn, as k single draws do, and
     # leaves the generator where they leave it
     for draw in (lambda rng, **kw: lc.random_algebra(n, rng, 0.3, **kw),
-                 lambda rng, **kw: lc.random_group(n, rng, **kw)):
+                 lambda rng, **kw: random_group(n, rng, **kw)):
         for k in (1, 4):
             rng, again = lc.as_rng(n), lc.as_rng(n)
             singles = [draw(rng) for _ in range(k)]
@@ -439,7 +440,7 @@ def test_haar_trace_mean_near_zero():
     total = 0.0
     count = 10_000
     for _ in range(count):
-        total += np.trace(lc.random_group(2, rng))
+        total += np.trace(random_group(2, rng))
     assert abs(total / count) < 0.05
 
 
@@ -481,5 +482,5 @@ def test_coords_roundtrip():
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_group_samples_always_special_unitary(seed):
-    g = lc.random_group(2, seed)
+    g = random_group(2, seed)
     lc.check_group(g)

@@ -9,6 +9,7 @@ import flatmod.moduli as md
 import flatmod.simplicial as sp
 import flatmod.suites as su
 import flatmod.words as wd
+from haar import random_group
 
 CFG = md.ModuliConfig()
 CFG3 = md.ModuliConfig(N=3, genus=2, beta_index=0)
@@ -344,7 +345,7 @@ def _lam_coords(N, thetas, seed):
     traceless with consecutive gaps thetas."""
     x = np.concatenate([[0.0], np.cumsum(thetas)])
     x -= x.mean()
-    u = lc.random_group(N, seed)
+    u = random_group(N, seed)
     return lc.to_coords((u * 1j * x) @ u.conj().T, N)
 
 
@@ -1138,7 +1139,7 @@ def test_generator_forms_conjugation_invariance():
     rng = lc.as_rng(73)
     pt = fo.random_point(CFG.shape, rng)
     phi = lc.random_algebra(2, rng)
-    k = lc.random_group(2, rng)
+    k = random_group(2, rng)
     moved = fo.Point(tuple(k @ g @ k.conj().T for g in pt.parts))
     moved_phi = lc.adjoint(k, phi)
     for p in f.arities:

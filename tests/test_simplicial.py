@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from flatmod import forms, liecore as lc, simplicial as sp, words as wd
+from haar import random_group
 
 
 def simplex_moment(alpha):
@@ -528,7 +529,7 @@ def test_conjugation_equivariance_exact():
     N = 2
     engine = sp.bott_shulman_equivariant(2, lc.chern_polynomial(N, 2))
     phi = lc.random_algebra(N, 120)
-    k = lc.random_group(N, 121)
+    k = random_group(N, 121)
     pt = forms.random_point(engine.shape, 122)
     u = forms.random_tangent(engine.shape, 123)
     v = forms.random_tangent(engine.shape, 124)

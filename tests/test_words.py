@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from flatmod import forms, liecore as lc, words as wd
 from flatmod.words import Chain, Word
+from haar import random_group
 
 
 def parse_word(text, num_generators=None):
@@ -228,13 +229,13 @@ def test_word_map_validation_and_projection():
     with pytest.raises(ValueError):
         wd.WordMap.from_words([Word.generator(3)], 2)
     proj = wd.WordMap.from_words([Word.generator(2)], 3)
-    mats = tuple(lc.random_group(2, s) for s in range(3))
+    mats = tuple(random_group(2, s) for s in range(3))
     assert np.array_equal(proj.evaluate(mats)[0], mats[1])
 
 
 def test_multiplication_pushforward_hand_value():
     m = wd.WordMap.from_words([parse_word("x1 x2")], 2)
-    mats = (lc.random_group(2, 1), lc.random_group(2, 2))
+    mats = (random_group(2, 1), random_group(2, 2))
     xis = (lc.random_algebra(2, 3), lc.random_algebra(2, 4))
     (got,) = m.push(mats, xis)
     expect = lc.adjoint(mats[1].conj().T, xis[0]) + xis[1]
@@ -243,7 +244,7 @@ def test_multiplication_pushforward_hand_value():
 
 def test_inversion_pushforward_hand_value():
     m = wd.WordMap.from_words([parse_word("x1^-1")], 1)
-    g = lc.random_group(2, 5)
+    g = random_group(2, 5)
     xi = lc.random_algebra(2, 6)
     (got,) = m.push((g,), (xi,))
     expect = -lc.adjoint(g, xi)
@@ -256,7 +257,7 @@ def test_pushforward_matches_finite_differences(n):
     for trial in range(6):
         w = wd.random_word(3, int(rng.integers(2, 10)), rng)
         m = wd.WordMap.from_words([w], 3)
-        mats = tuple(lc.random_group(n, rng) for _ in range(3))
+        mats = tuple(random_group(n, rng) for _ in range(3))
         xis = tuple(lc.random_algebra(n, rng) for _ in range(3))
         (push,) = m.push(mats, xis)
         s = 1e-6
@@ -303,10 +304,10 @@ def test_push_matches_the_suffix_oracle(batch):
     # conjugation of each word on its own
     rng = np.random.default_rng(31)
     m = wd.WordMap.from_words(SHARED_PREFIX_WORDS, 3)
-    mats = tuple(lc.random_group(3, rng) for _ in range(3))
+    mats = tuple(random_group(3, rng) for _ in range(3))
     xis = tuple(lc.random_algebra(3, rng) for _ in range(3))
     if batch == "points-vs-tangents":
-        mats = tuple(np.stack([lc.random_group(3, rng) for _ in range(4)])[
+        mats = tuple(np.stack([random_group(3, rng) for _ in range(4)])[
             :, None] for _ in range(3))
         xis = tuple(np.stack([lc.random_algebra(3, rng) for _ in range(2)])[
             None] for _ in range(3))
@@ -322,7 +323,7 @@ def test_push_matches_the_suffix_oracle(batch):
 def test_relator_push_matches_the_suffix_oracle(genus):
     rng = np.random.default_rng(40 + genus)
     R = wd.surface_relator(genus)
-    mats = tuple(lc.random_group(2, rng) for _ in range(2 * genus))
+    mats = tuple(random_group(2, rng) for _ in range(2 * genus))
     xis = tuple(np.stack([lc.random_algebra(2, rng) for _ in range(5)])
                 for _ in range(2 * genus))
     (got,) = wd.WordMap.from_words([R], 2 * genus).push(mats, xis)
@@ -344,7 +345,7 @@ def test_push_makes_one_adjoint_per_prefix(monkeypatch):
     monkeypatch.setattr(lc, "adjoint", counting)
     m = wd.WordMap.from_words(SHARED_PREFIX_WORDS, 3)
     rng = np.random.default_rng(54)
-    m.push(tuple(lc.random_group(2, rng) for _ in range(3)),
+    m.push(tuple(random_group(2, rng) for _ in range(3)),
            tuple(lc.random_algebra(2, rng) for _ in range(3)))
     prefixes = {w.letters[:i + 1] for w in SHARED_PREFIX_WORDS
                 for i in range(len(w))}
@@ -355,8 +356,8 @@ def test_push_makes_one_adjoint_per_prefix(monkeypatch):
 def test_evaluate_is_the_left_to_right_product_bit_for_bit():
     rng = np.random.default_rng(52)
     m = wd.WordMap.from_words(SHARED_PREFIX_WORDS, 3)
-    for mats in (tuple(lc.random_group(2, rng) for _ in range(3)),
-                 tuple(np.stack([lc.random_group(2, rng) for _ in range(3)])
+    for mats in (tuple(random_group(2, rng) for _ in range(3)),
+                 tuple(np.stack([random_group(2, rng) for _ in range(3)])
                        for _ in range(3))):
         for w, g in zip(SHARED_PREFIX_WORDS, m.evaluate(mats), strict=True):
             assert np.array_equal(g, _left_to_right(w, mats))
@@ -368,7 +369,7 @@ def test_push_returns_fresh_arrays():
     m = wd.WordMap.from_words(
         [parse_word("x1"), parse_word("x2^-1"), Word.identity(),
          parse_word("x1 x2")], 2)
-    mats = tuple(lc.random_group(2, rng) for _ in range(2))
+    mats = tuple(random_group(2, rng) for _ in range(2))
     xis = tuple(lc.random_algebra(2, rng) for _ in range(2))
     kept = tuple(x.copy() for x in xis)
     out = m.push(mats, xis)
@@ -382,8 +383,8 @@ def test_push_returns_fresh_arrays():
 def test_evaluation_map_conjugation_equivariance():
     w = wd.random_word(4, 11, 23)
     m = wd.WordMap.from_words([w], 4)
-    mats = tuple(lc.random_group(2, 30 + i) for i in range(4))
-    k = lc.random_group(2, 40)
+    mats = tuple(random_group(2, 30 + i) for i in range(4))
+    k = random_group(2, 40)
     conj = tuple(k @ g @ k.conj().T for g in mats)
     lhs = m.evaluate(conj)[0]
     rhs = k @ m.evaluate(mats)[0] @ k.conj().T
@@ -393,7 +394,7 @@ def test_evaluation_map_conjugation_equivariance():
 def test_central_constant_component():
     c = lc.CentralElement(2, 1)
     m = wd.WordMap(1, ((c, Word.identity()),))
-    g = lc.random_group(2, 50)
+    g = random_group(2, 50)
     (val,) = m.evaluate((g,))
     assert np.max(np.abs(val + np.eye(2))) < 1e-14
     (push,) = m.push((g,), (lc.random_algebra(2, 51),))
@@ -403,7 +404,7 @@ def test_central_constant_component():
 def test_central_prefactor_on_word():
     c = lc.CentralElement(2, 1)
     m = wd.WordMap(2, ((c, parse_word("x1 x2")),))
-    mats = (lc.random_group(2, 60), lc.random_group(2, 61))
+    mats = (random_group(2, 60), random_group(2, 61))
     (val,) = m.evaluate(mats)
     assert np.max(np.abs(val + mats[0] @ mats[1])) < 1e-13
     # the central prefactor does not change the pushforward
