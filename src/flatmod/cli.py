@@ -27,7 +27,15 @@ _CONFIG_KEYS = tuple(f.name for f in fields(su.RunConfig) if f.name != "jobs")
 
 
 def _parse_int_list(text):
-    return tuple(int(tok) for tok in str(text).split(",") if tok.strip())
+    """The degrees of a comma list such as "2,3"."""
+    out = []
+    for tok in filter(str.strip, str(text).split(",")):
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(
+                f"r_list entry must be int, not {tok.strip()!r}") from None
+    return tuple(out)
 
 
 def _build_parser():

@@ -330,27 +330,31 @@ def chern_polynomial(n, r):
     which is symmetric and multilinear in the X_i for any complex matrices.
     Each distinct cyclic trace is computed once per batch; the matrix
     product of a cycle's leading slots is shared with the longer cycles
-    that start the same way.
+    that start the same way. The cycles are walked depth first, so a
+    product lives only while the cycles that extend it are computed: at
+    most r - 2 of them at a time.
     """
     if not 1 <= r <= n:
         raise ValueError("degree must satisfy 1 <= r <= n")
     norm = (1j / (2 * np.pi)) ** r / math.factorial(r)
     terms = _permutation_cycles(r)
     cycles = sorted({c for _, cs in terms for c in cs}, key=lambda c: (len(c), c))
-    shared = {c[:-1] for c in cycles if len(c) > 2}
+    longer = {}  # each cycle prefix -> the cycles one slot longer
+    for c in cycles[r:]:
+        longer.setdefault(c[:-1], []).append(c)
 
     def batch(stack):
         mats = [stack[:, i] for i in range(r)]
-        products = {}
-        traces = {}
-        for c in cycles:
-            if len(c) == 1:
-                traces[c] = np.trace(mats[c[0]], axis1=1, axis2=2)
-                continue
-            head = products[c[:-1]] if len(c) > 2 else mats[c[0]]
-            traces[c] = np.einsum("bij,bji->b", head, mats[c[-1]])
-            if c in shared:
-                products[c] = head @ mats[c[-1]]
+        traces = {(i,): np.trace(mats[i], axis1=1, axis2=2) for i in range(r)}
+
+        def walk(prefix, head):
+            for c in longer.get(prefix, ()):
+                traces[c] = np.einsum("bij,bji->b", head, mats[c[-1]])
+                if c in longer:
+                    walk(c, head @ mats[c[-1]])
+
+        for i in range(r):
+            walk((i,), mats[i])
         total = np.zeros(stack.shape[0], dtype=complex)
         for sign, cs in terms:
             term = traces[cs[0]]

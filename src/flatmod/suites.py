@@ -62,8 +62,11 @@ class RunConfig(md.ModuliConfig):
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "r_list", tuple(self.r_list))
-        object.__setattr__(self, "suites", tuple(self.suites))
+        for name in ("r_list", "suites"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, not {value!r}")
+            object.__setattr__(self, name, tuple(value))
         super().__post_init__()
         for name, value in (
             ("sample_count", self.sample_count), ("fd_step", self.fd_step),

@@ -515,6 +515,23 @@ def test_config_file_values_of_the_wrong_type_are_named(
     assert out == ""
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"r_list": 3}, "r_list must be a list, not 3"),
+    ({"suites": "cocycle"}, "suites must be a list, not 'cocycle'"),
+    ({"r_list": "2,x"}, "r_list entry must be int, not 'x'"),
+])
+def test_config_file_lists_of_the_wrong_shape_are_named(
+        setting, message, tmp_path, capsys):
+    # tuple() took an int's error, a suite name's letters and int()'s
+    # message, none of which named the key
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"suites": ["fox-symbolic"], **setting}))
+    code, out, err = run_cli(["verify", "--config", str(config)], capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_eval_form_ids_obey_the_degree_rule(capsys):
     for form in ("f_1", "a_1", "b_1_1", "extended_f_1"):
         code, out, err = run_cli(["eval", "--form", form], capsys)

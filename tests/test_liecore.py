@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,50 @@ def test_chern_matches_inclusion_exclusion_oracle():
             got = lc.chern_polynomial(n, r).eval_batch(stack)
             want = _chern_by_inclusion_exclusion(stack, r)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _chern_by_cycle_traces(stack, r):
+    """The cycle-trace sum with every cycle's product built from scratch,
+    left to right, and its trace taken against the last slot."""
+    total = np.zeros(stack.shape[0], dtype=complex)
+    for sign, cycles in lc._permutation_cycles(r):
+        term = None
+        for c in cycles:
+            if len(c) == 1:
+                t = np.trace(stack[:, c[0]], axis1=1, axis2=2)
+            else:
+                head = stack[:, c[0]]
+                for i in c[1:-1]:
+                    head = head @ stack[:, i]
+                t = np.einsum("bij,bji->b", head, stack[:, c[-1]])
+            term = t if term is None else term * t
+        total += sign * term
+    return total * ((1j / (2 * np.pi)) ** r / math.factorial(r))
+
+
+def test_chern_shares_cycle_products_without_changing_a_bit():
+    rng = np.random.default_rng(18)
+    for n in (2, 3, 4, 5):
+        for r in range(1, n + 1):
+            stack = _complex_stack(rng, 7, r, n)
+            got = lc.chern_polynomial(n, r).eval_batch(stack)
+            assert np.array_equal(got, _chern_by_cycle_traces(stack, r))
+
+
+def test_chern_holds_few_cycle_products_at_once():
+    # each shared product is one (rows, n, n) stack; at N = r = 5 the
+    # 1,024-row batch peaked at 21.4 MB while all 51 were held (about 55
+    # slot stacks), and the depth-first walk holds at most r - 2
+    q = lc.chern_polynomial(5, 5)
+    stack = _complex_stack(np.random.default_rng(19), 1024, 5, 5)
+    q.eval_batch(stack)
+    tracemalloc.start()
+    try:
+        q.eval_batch(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * stack[:, 0].nbytes
 
 
 def test_chern_is_multilinear_in_each_slot():
