@@ -181,18 +181,34 @@ def seed_point(config):
 
 
 def _level_rows(config, pts):
-    """The chart residual and Jacobian of each point of a batch, or None for
-    a point whose evaluation hits the logarithm cut. log_group raises for a
-    whole stack, so a batch that raises is evaluated again as batches of
-    one."""
+    """The chart residual row and relator logarithm of each point of a
+    batch, or None for a point whose logarithm hits the cut. log_group
+    raises for a whole stack, so a batch that raises is evaluated again as
+    batches of one."""
     try:
-        image, push = chart_map(config).at(pts)
-        return list(zip(image[0], _chart_jacobian(config, pts, push)))
+        rho = relator_residual(config, pts)
+        return list(zip(lc.to_coords(rho, config.N), rho))
     except lc.BranchCutError:
         if len(pts[0]) == 1:
             return [None]
         return [rows for i in range(len(pts[0])) for rows in _level_rows(
             config, forms.Point(tuple(x[i:i + 1] for x in pts.parts)))]
+
+
+def _level_steps(config, pts, rows):
+    """The Gauss-Newton step of each point of a batch from its rows, one
+    chart push of the tangent basis for all; None for a point where dlog is
+    singular, the batch then evaluated again as batches of one."""
+    try:
+        J = _chart_jacobian(config, pts, _chart_push(
+            config, pts.parts, np.stack([rho for _, rho in rows])))
+        return [-np.linalg.lstsq(j, res, rcond=None)[0]
+                for j, (res, _) in zip(J, rows)]
+    except lc.BranchCutError:
+        if len(rows) == 1:
+            return [None]
+        return [step for i, r in enumerate(rows) for step in _level_steps(
+            config, forms.Point(tuple(x[i:i + 1] for x in pts.parts)), [r])]
 
 
 def project_to_level(config, pts):
@@ -204,40 +220,43 @@ def project_to_level(config, pts):
     reaches LEVEL_TOL, the step halves after each rejection, and an entry
     fails when its chart hits the cut or ten step lengths or 60 steps run
     out. A round moves every open entry with one flow and evaluates all
-    candidates with one chart call, which also gives their Jacobians.
+    candidates with one chart call; only the accepted candidates that step
+    again push the tangent basis, with one Jacobian call.
     """
     out = [None] * len(pts[0])
-    open_ = {}  # entry -> its point, residual norm, steps taken, step, lam
-
-    def accept(i, pt, rows, steps):
-        res, J = rows
-        norm = float(np.linalg.norm(res))
-        if norm <= LEVEL_TOL:
-            out[i] = forms.Point(pt)
-        elif steps < 60:
-            step = -np.linalg.lstsq(J, res, rcond=None)[0]
-            open_[i] = (pt, norm, steps, step, 1.0)
-
-    for i, (start, rows) in enumerate(
-            zip(zip(*pts.parts), _level_rows(config, pts))):
-        if rows is not None:
-            accept(i, start, rows, 0)
-    while open_:
-        tries = list(open_.items())
-        open_.clear()
-        base = forms.Point(forms._stack_parts(
-            config.shape, [t[0] for _, t in tries], 0))
-        cands = forms.flow(config.shape, base, tangent_from_coords(
-            config, np.stack([t[4] * t[3] for _, t in tries])), 1.0)
-        for (i, (pt, norm, steps, step, lam)), cand, rows in zip(
-                tries, zip(*cands.parts), _level_rows(config, cands)):
+    batch = pts
+    # each open entry and its state: point, residual norm, steps taken,
+    # step, lam; None for a start point, which is accepted as it is
+    entries = [(i, None) for i in range(len(pts[0]))]
+    while entries:
+        moves, stepping = [], []
+        for k, ((i, state), rows) in enumerate(
+                zip(entries, _level_rows(config, batch))):
             if rows is None:
                 continue
-            cand_norm = float(np.linalg.norm(rows[0]))
-            if cand_norm < norm * (1 - 1e-4) or cand_norm <= LEVEL_TOL:
-                accept(i, cand, rows, steps + 1)
-            elif lam > 0.5 ** 9:  # step lengths 1, 1/2, .., 2^-9
-                open_[i] = (pt, norm, steps, step, 0.5 * lam)
+            norm = float(np.linalg.norm(rows[0]))
+            if (state is None or norm < state[1] * (1 - 1e-4)
+                    or norm <= LEVEL_TOL):
+                pt = tuple(x[k] for x in batch.parts)
+                steps = 0 if state is None else state[2] + 1
+                if norm <= LEVEL_TOL:
+                    out[i] = forms.Point(pt)
+                elif steps < 60:
+                    moves.append((i, (pt, norm, steps), len(stepping)))
+                    stepping.append((k, rows))
+            elif state[4] > 0.5 ** 9:  # step lengths 1, 1/2, .., 2^-9
+                moves.append((i, state[:4] + (0.5 * state[4],), None))
+        if stepping:
+            idx = [k for k, _ in stepping]
+            new = _level_steps(config, forms.Point(tuple(
+                x[idx] for x in batch.parts)), [rows for _, rows in stepping])
+        entries = [(i, state if j is None else state + (new[j], 1.0))
+                   for i, state, j in moves if j is None or new[j] is not None]
+        if entries:
+            batch = forms.flow(config.shape, forms.Point(forms._stack_parts(
+                config.shape, [state[0] for _, state in entries], 0)),
+                tangent_from_coords(config, np.stack(
+                    [state[4] * state[3] for _, state in entries])), 1.0)
     return out
 
 
@@ -301,21 +320,27 @@ def exp_beta_map(config):
     return forms.CallableMap(dom, cod, at)
 
 
+def _chart_push(config, parts, rho):
+    """The chart's pushforward at the points with group parts parts, whose
+    relator logarithm is rho."""
+    eps = epsilon_R(config)
+
+    def push(v):
+        w = eps.push(parts, v.parts)[0]
+        return forms.Tangent((lc.to_coords(lc.dlog_left(rho, w), config.N),))
+    return push
+
+
 def chart_map(config):
     """h -> coordinates of log(beta^-1 relator(h)), with exact pushforward."""
     d = config.algebra_dim
     dom = config.shape
     cod = (forms.VectorFactor(d),)
-    eps = epsilon_R(config)
 
     def at(pt):
         rho = relator_residual(config, pt)
-
-        def push(v):
-            w = eps.push(pt.parts, v.parts)[0]
-            return forms.Tangent((lc.to_coords(lc.dlog_left(rho, w), config.N),))
-
-        return forms.Point((lc.to_coords(rho, config.N),)), push
+        return (forms.Point((lc.to_coords(rho, config.N),)),
+                _chart_push(config, pt.parts, rho))
 
     return forms.CallableMap(dom, cod, at)
 

@@ -2,16 +2,18 @@
 
 Each suite builds a list of identity tasks; a task carries per-sample
 residual callables whose inputs are pre-generated from the run seed. Every
-vanishing or agreement identity takes one path: `_identity` draws each
-sample's argument tuples, and a sample's residual is the worst, over its
-tuples, of lhs against rhs (or against zero). The tuples of all samples are
-evaluated together: tuples that share their slot signature (the same forms
-by identity, the same part shapes) form a group, whose points, tangents and
-phis are stacked on a new leading axis, so lhs and rhs are called once per
-group. The first sample's callable evaluates every group; each callable
-then reads its own entry. A group whose stacked call raises a numeric
-failure is evaluated again as batches of one, so the failure is raised by
-the sample it belongs to. Everything runs on the calling thread, so reports
+vanishing or agreement identity takes one path: `_identity` calls its
+draw, which draws the inputs of all samples with one
+`forms.random_samples` call and returns groups, the (sample, tuple
+position) of each member and one argument tuple whose points, tangents and
+phis are stacked on a leading axis in member order. Tuples share a group
+when they share their forms (by identity) and part shapes, so lhs and rhs
+are called once per group. A sample's residual is the worst, over its
+tuples, of lhs against rhs (or against zero). The first sample's callable
+evaluates every group; each callable then reads its own entry. A group
+whose stacked call raises a numeric failure is evaluated again as batches
+of one, by indexing its leading axis, so the failure is raised by the
+sample it belongs to. Everything runs on the calling thread, so reports
 are bit-identical across repeated runs.
 """
 
