@@ -246,10 +246,10 @@ def project_to_level(config, pts):
                     stepping.append((k, rows))
             elif state[4] > 0.5 ** 9:  # step lengths 1, 1/2, .., 2^-9
                 moves.append((i, state[:4] + (0.5 * state[4],), None))
-        if stepping:
-            idx = [k for k, _ in stepping]
-            new = _level_steps(config, forms.Point(tuple(
-                x[idx] for x in batch.parts)), [rows for _, rows in stepping])
+        idx = [k for k, _ in stepping]
+        new = _level_steps(config, forms.Point(tuple(
+            x[idx] for x in batch.parts)), [rows for _, rows in stepping]
+        ) if stepping else []
         entries = [(i, state if j is None else state + (new[j], 1.0))
                    for i, state, j in moves if j is None or new[j] is not None]
         if entries:

@@ -296,12 +296,15 @@ def _chart_draws(config, arities, count):
     def draws(rng):
         pts = md.sample_chart_points(config, rng, count)
         drawn = forms.random_samples(
-            [(("phi", config.N),) + _frame(config.shape, arities[i % len(arities)])
+            [(("phi", config.N),)
+             + _frame(config.shape, arities[i % len(arities)])
              for i in range(count)], rng)
         return _groups([(samples, (phi, _stacked_points(
             config.shape, [pts[i] for i in samples]), *vs))
             for samples, (phi, *vs) in drawn], lambda *args: [args])
     return draws
+
+
 # ---------------------------------------------------------------------------
 # cocycle suite: simplicial identities of the plain fiber integrals
 
@@ -519,8 +522,7 @@ def _certificates(config, om, points):
     ok = [i for i, f in enumerate(out) if isinstance(f, md.ReducedTangentFrame)]
     if not ok:
         return out
-    pts = forms.Point(forms._stack_parts(
-        config.shape, [points[i].parts for i in ok], 0))
+    pts = _stacked_points(config.shape, [points[i] for i in ok])
     # omega(u_a, u_b) and omega(u_b, u_a) are separate: skew tests both
     vals = md.frame_matrix(config, om, pts,
                            np.stack([out[i].kernel for i in ok]))

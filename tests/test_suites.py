@@ -453,5 +453,5 @@ def test_each_identity_draws_its_normals_in_one_call(monkeypatch):
     for name in config.suites:
         su._BUILDERS[name](config)
     assert len(rngs) == 2 * 7 + 4 + 1
-    assert {ident: g.normal_calls for ident, g in rngs.items()} == dict.fromkeys(
-        rngs, 1)
+    calls = {ident: rng.normal_calls for ident, rng in rngs.items()}
+    assert calls == dict.fromkeys(rngs, 1)
