@@ -318,6 +318,17 @@ def _permutation_cycles(r):
     return terms
 
 
+def _cycle_traces(longer, mats, prefix, head, traces):
+    """Into traces, the trace of every cycle that extends prefix, whose
+    leading product is head, depth first. A module function, not a closure
+    that calls itself: that closure would be a reference cycle holding the
+    batch until the garbage collector runs."""
+    for c in longer.get(prefix, ()):
+        traces[c] = np.einsum("bij,bji->b", head, mats[c[-1]])
+        if c in longer:
+            _cycle_traces(longer, mats, c, head @ mats[c[-1]], traces)
+
+
 def chern_polynomial(n, r):
     """Polarization of the degree-r coefficient of det(I + (i/2pi) X).
 
@@ -346,15 +357,8 @@ def chern_polynomial(n, r):
     def batch(stack):
         mats = [stack[:, i] for i in range(r)]
         traces = {(i,): np.trace(mats[i], axis1=1, axis2=2) for i in range(r)}
-
-        def walk(prefix, head):
-            for c in longer.get(prefix, ()):
-                traces[c] = np.einsum("bij,bji->b", head, mats[c[-1]])
-                if c in longer:
-                    walk(c, head @ mats[c[-1]])
-
         for i in range(r):
-            walk((i,), mats[i])
+            _cycle_traces(longer, mats, (i,), mats[i], traces)
         total = np.zeros(stack.shape[0], dtype=complex)
         for sign, cs in terms:
             term = traces[cs[0]]

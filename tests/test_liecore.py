@@ -1,8 +1,10 @@
 """Core matrix layer: brackets, inner product, exp/log, invariant polynomials."""
 
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -359,6 +361,22 @@ def test_chern_holds_few_cycle_products_at_once():
     finally:
         tracemalloc.stop()
     assert peak < 10 * stack[:, 0].nbytes
+
+
+def test_chern_batch_frees_its_stack_on_return():
+    # a batch that left a reference cycle would hold its stack, through the
+    # slot views, until the garbage collector ran: 2.6 MB more peak RSS on
+    # a whole N = 3 cocycle run
+    q = lc.chern_polynomial(3, 3)
+    stack = _complex_stack(np.random.default_rng(20), 64, 3, 3)
+    ref = weakref.ref(stack)
+    gc.disable()
+    try:
+        q.eval_batch(stack)
+        del stack
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_chern_is_multilinear_in_each_slot():
