@@ -8,9 +8,11 @@ integral over the simplex reduces to a polynomial quadrature, a collapsed
 Gauss-Jacobi rule of the integrand's exact degree, paired with signed
 perfect matchings of the tangent slots. The curvature is a sum of vertex
 commutators weighted by t_i t_j; at level one it is t_0 t_1 times one
-commutator, and the rule takes (t_0 t_1)^k as its weight. No finite
-differences enter any evaluation here; d and the cocycle identities are
-checked against the form engine's FD derivative only in tests.
+commutator, and the rule takes (t_0 t_1)^k as its weight. Above level
+one a lone curvature slot without a moment slot is integrated in closed
+form, with no rule. No finite differences enter any evaluation here; d
+and the cocycle identities are checked against the form engine's FD
+derivative only in tests.
 """
 
 from __future__ import annotations
@@ -176,14 +178,19 @@ def _component_evaluator(n, Q, m):
     moment slots, mu(t) = -sum_i t_i Ad(g_i^-1) phi, are linear. So the
     integrand has degree 2k + m = 2(r - n) - m, and the rule has that
     degree; at level one F_ab(t) = -t_0 t_1 [edge_a, edge_b], the rule
-    takes (t_0 t_1)^k as its weight and the degree drops to m.
+    takes (t_0 t_1)^k as its weight and the degree drops to m. Above level
+    one with k = 1 and m = 0 the integrand is Q(F(t), edges), linear in
+    F(t), so its integral is Q(integral of F, edges): the curvature takes
+    the simplex integrals of t_i t_j, all 1/(n+2)!, in place of their
+    values at the nodes, one pseudo-node of weight 1, and no rule is built.
 
-    Each entry's slot values sit in one pool: curvatures at the nodes,
-    vertex differences (the edges among them), vertex moments and moments
-    at the nodes, all with the minus signs taken into the coefficient. The
-    rows are one gather from the pool by a (matchings x nodes, r) table, and
-    the quadrature and the matching signs are one fixed-order sum, so an
-    entry's value does not depend on the batch it shares.
+    Each entry's slot values sit in one pool: curvatures at the nodes (or
+    integrated), vertex differences (the edges among them), vertex moments
+    and moments at the nodes, all with the minus signs taken into the
+    coefficient. The rows are one gather from the pool by a (matchings x
+    nodes, r) table, and the quadrature and the matching signs are one
+    fixed-order sum, so an entry's value does not depend on the batch it
+    shares.
     """
     r, N = Q.degree, Q.n
     p = 2 * (r - m) - n
@@ -205,7 +212,9 @@ def _component_evaluator(n, Q, m):
 
     k = (p - n) // 2
     power = k if n == 1 else 0
-    nodes, weights = simplex_rule(n, 2 * (k - power) + m, power)
+    lone = n > 1 and k == 1 and not m
+    nodes, weights = ((None, np.ones(1)) if lone
+                      else simplex_rule(n, 2 * (k - power) + m, power))
     M = len(weights)
     curved = sorted({(a, b) for pairs, _ in kept for a, b in pairs if b < p})
     # vertex pairs (i, j), the edges (0, i) first; the others serve only
@@ -216,9 +225,13 @@ def _component_evaluator(n, Q, m):
                    for j in range(i + 1, n + 1)]
     P = len(vpairs)
     # t_i t_j at the nodes, pair by pair; at level one the rule's weight
-    # holds t_0 t_1, and each curvature is one node-free entry
-    tt = np.ones((1, 1)) if power else np.prod(nodes[:, vpairs], axis=-1)
-    tt, t = tt.astype(complex), nodes.astype(complex)
+    # holds t_0 t_1, and each curvature is one node-free entry; a lone slot
+    # takes the simplex integrals of t_i t_j, all 1/(n+2)!
+    if lone:
+        tt = np.full((1, P), 1 / math.factorial(n + 2))
+    else:
+        tt = np.ones((1, 1)) if power else np.prod(nodes[:, vpairs], axis=-1)
+    tt, t = tt.astype(complex), nodes.astype(complex) if m else None
     # the pool: [curvatures (pair, node), differences (slot, vertex pair),
     # vertex moments, moments at the nodes]
     diff0 = len(curved) * len(tt)

@@ -583,6 +583,40 @@ def test_cocycle_level_two_to_three():
     assert abs(lv) > 1e-6  # the identity is not vacuous at this sample
 
 
+def test_cocycle_level_two_to_three_quartic():
+    # delta Phi_2 = -d Phi_3 for c_4 at N = 4: Phi_3(c_4) has one curvature
+    # slot and no moment slot (k = 1, m = 0), the component integrated in
+    # closed form
+    N = 4
+    Q = lc.chern_polynomial(N, 4)
+    lhs = forms.at_phi(sp.simplicial_delta_equivariant(
+        sp.bott_shulman_equivariant(2, Q)), None, 6)
+    rhs = forms.exterior_derivative(sp.bott_shulman(3, Q), step=1e-4)
+    pt = forms.random_point(lhs.shape, 600)
+    vs = [forms.random_tangent(lhs.shape, 610 + i) for i in range(6)]
+    lv, rv = lhs(pt, *vs), rhs(pt, *vs)
+    assert abs(lv) > 1e-6  # the identity is not vacuous at this sample
+    assert abs(lv + rv) <= 1e-6 * abs(lv)
+
+
+def test_equivariant_cocycle_level_two_to_three():
+    # delta Phi_2^K = -d_K Phi_3^K componentwise for c_3 at N = 3; the top
+    # component of Phi_2^K(c_3) is the closed-form k = 1, m = 0 one
+    N = 3
+    Q = lc.chern_polynomial(N, 3)
+    lhs = sp.simplicial_delta_equivariant(sp.bott_shulman_equivariant(2, Q))
+    rhs = forms.cartan_differential(sp.bott_shulman_equivariant(3, Q),
+                                    step=1e-4)
+    assert lhs.arities == rhs.arities == [0, 2, 4]
+    phi = lc.random_algebra(N, 620)
+    pt = forms.random_point(lhs.shape, 630)
+    for p in lhs.arities:
+        vs = [forms.random_tangent(lhs.shape, 640 + i) for i in range(p)]
+        lv, rv = lhs(phi, pt, *vs), rhs(phi, pt, *vs)
+        assert abs(lv + rv) <= 1e-6 * abs(lv), p
+        assert (abs(lv) > 1e-6) == (p > 0), p
+
+
 def test_equivariant_cocycle_level_one_to_two():
     # delta Phi_1^K = +d_K Phi_2^K componentwise for the quadratic polynomial
     N = 2
@@ -757,7 +791,11 @@ def test_exact_degree_rule_matches_the_full_degree_rule(monkeypatch, N, r):
     # _lattice_rule(n, 2r), which this test keeps as its oracle: plain calls,
     # and the same B entries on one point and tangent batch. Each call hands
     # the polynomial matchings x (d // 2 + 1)^n rows per batch entry, and
-    # at level one, where the rule's weight holds (t_0 t_1)^k, d = m.
+    # at level one, where the rule's weight holds (t_0 t_1)^k, d = m. Above
+    # level one a lone curvature slot without a moment (k = 1, m = 0) is
+    # integrated in closed form: one row per matching. The oracle then
+    # integrates it too; test_lone_curvature_slot_is_integrated_in_closed_form
+    # checks that component against the nodes.
     Q = lc.chern_polynomial(N, r)
     levels = range(1, 2 * r + 1)
     exact = [sp.bott_shulman_total_equivariant(n, Q) for n in levels]
@@ -801,7 +839,9 @@ def test_exact_degree_rule_matches_the_full_degree_rule(monkeypatch, N, r):
             matchings = (math.perm(p, n) * math.prod(range(p - n - 1, 0, -2))
                          if p >= n else 0)
             d = m if n == 1 else 2 * (r - n) - m
-            assert count == B * matchings * (d // 2 + 1) ** n
+            lone = n > 1 and (p - n) // 2 == 1 and m == 0
+            nodes = 1 if lone else (d // 2 + 1) ** n
+            assert count == B * matchings * nodes
             tol = 1e-13 * np.abs(want).max()
             assert np.abs(plain - want).max() <= tol, (n, p)
             assert np.abs(batched - want).max() <= tol, (n, p)
@@ -901,6 +941,59 @@ def test_component_matches_the_per_node_formula(N):
         scale = np.abs(want).max()
         assert scale > 0, (Q.degree, n, m)
         assert np.abs(got - want).max() <= 1e-13 * scale, (Q.degree, n, m)
+
+
+@pytest.mark.parametrize("N, r, n", [(3, 3, 2), (4, 3, 2), (4, 4, 3),
+                                     (5, 5, 4)])
+def test_lone_curvature_slot_is_integrated_in_closed_form(monkeypatch, N, r,
+                                                          n):
+    # above level one the component with one curvature slot and no moment
+    # slot (k = 1, m = 0, arity n + 2) builds no simplex rule and hands the
+    # polynomial one row per matching and batch entry; plain and batched,
+    # its values are those of the per-node formula on the degree-2 lattice
+    # rule, which shares no code with the Gauss rule
+    Q = lc.chern_polynomial(N, r)
+    calls = []
+    rule = sp.simplex_rule
+
+    def spy(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(sp, "simplex_rule", spy)
+    p, fn = sp._component_evaluator(n, Q, 0)
+    monkeypatch.undo()
+    assert p == n + 2 and calls == []
+    rng = lc.as_rng(500 + 10 * N + r)
+    B = 3
+    shape = forms.group_power(N, n + 1)
+    points = [forms.random_point(shape, rng) for _ in range(B)]
+    frames = [[forms.random_tangent(shape, rng) for _ in range(p)]
+              for _ in range(B)]
+    monkeypatch.setattr(sp, "simplex_rule", lambda n, degree, power=0:
+                        _lattice_rule(n, 2))
+    want = np.array([_per_node_component(n, Q, 0, None, pt, vs)
+                     for pt, vs in zip(points, frames)])
+    monkeypatch.undo()
+    rows = []
+    batch = lc.InvariantPolynomial.eval_batch
+
+    def count(self, stack):
+        rows.append(len(stack))
+        return batch(self, stack)
+
+    plain = np.array([fn(None, pt, *vs) for pt, vs in zip(points, frames)])
+    monkeypatch.setattr(lc.InvariantPolynomial, "eval_batch", count)
+    batched = fn(None, _stacked_point(points),
+                 *(_stacked(slot) for slot in zip(*frames)))
+    monkeypatch.undo()
+    # the n simplex slots matched into the n + 2 tangent slots, the other
+    # two paired with each other
+    assert sum(rows) == B * math.perm(p, n)
+    tol = 1e-13 * np.abs(want).max()
+    assert tol > 0
+    assert np.abs(plain - want).max() <= tol
+    assert np.abs(batched - want).max() <= tol
 
 
 def test_level_one_without_its_weight_fails(monkeypatch):
