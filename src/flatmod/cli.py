@@ -2,8 +2,8 @@
 
 Exit codes: 0 pass, 1 identity failure, 2 usage or config error (a
 ValueError or TypeError), 3 numeric breakdown (any `liecore.NumericalFailure`:
-branch cut, non-normal logarithm, simplex margin, non-convergence, quadrature
-failure, non-generic point, non-finite residual). A breakdown in `verify`
+branch cut, non-normal logarithm, non-convergence, quadrature failure,
+non-generic point, non-finite residual). A breakdown in `verify`
 names its suite, and the identity and sample when a sample raised it; one
 in a report-only record still writes the report, then exits 3.
 """
@@ -181,12 +181,23 @@ def _load_points(config, path, count):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read point file: {exc}") from exc
-        entries = data.get("points", data) if isinstance(data, dict) else data
+        if isinstance(data, dict) and "points" in data:
+            data = data["points"]
+        if not isinstance(data, list):
+            raise ValueError(
+                'a point file holds a list of points or an object with "points"')
         pts = []
-        for entry in entries:
+        for i, entry in enumerate(data):
             body = entry.get("matrices", entry.get("h")) if isinstance(
                 entry, dict) else entry
-            pts.append(forms.point(config.shape, *md.point_from_json(body).parts))
+            try:
+                pts.append(forms.point(
+                    config.shape, *md.point_from_json(body).parts))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"point {i}: {exc}; a point is {config.num_generators} "
+                    f"matrices, each {config.N} rows of [re, im] pairs"
+                ) from exc
         return pts
     rng = lc.as_rng(config.seed)
     return [forms.random_point(config.shape, rng) for _ in range(count)]

@@ -1,10 +1,10 @@
-"""Differential forms on finite products of group, vector, and simplex factors.
+"""Differential forms on finite products of group and vector factors.
 
 Forms are evaluator-backed: a FormField is its shape, an arity, and a function
 (point, tangents...) -> complex. Group tangents are left-trivialized algebra
-elements; simplex tangents are zero-sum coordinate vectors; vector-factor
-tangents are plain real vectors. The exterior derivative is the invariant-frame
-finite-difference formula, so no charts are ever introduced.
+elements; vector-factor tangents are plain real vectors. The exterior
+derivative is the invariant-frame finite-difference formula, so no charts are
+ever introduced. Points and tangents are drawn and checked on group powers.
 
 Equivariant forms (Cartan model) carry one evaluator per tangent arity,
 because the Cartan differential d - iota mixes arities p+1 and p-1.
@@ -100,36 +100,18 @@ class Tangent:
 
 
 def point(shape, *parts):
+    """A point of a group power, each matrix checked to lie in SU(n)."""
     if len(parts) != len(shape):
         raise ValueError("wrong number of point components")
     fixed = []
     for fac, p in zip(shape, parts):
-        if isinstance(fac, GroupFactor):
-            p = lc.check_group(p)
-            if p.shape != (fac.n, fac.n):
-                raise ValueError("group component has wrong size")
-        elif isinstance(fac, VectorFactor):
-            p = np.asarray(p, dtype=float)
-            if p.shape != (fac.dim,):
-                raise ValueError("vector component has wrong dimension")
-        elif isinstance(fac, SimplexFactor):
-            p = np.asarray(p, dtype=float)
-            if p.shape != (fac.n + 1,):
-                raise ValueError("simplex component has wrong length")
-            if abs(p.sum() - 1.0) > 1e-12:
-                raise ValueError("barycentric coordinates must sum to 1")
-        else:
-            raise TypeError(f"unknown factor {fac!r}")
+        if not isinstance(fac, GroupFactor):
+            raise TypeError(f"point checks group factors only, not {fac!r}")
+        p = lc.check_group(p)
+        if p.shape != (fac.n, fac.n):
+            raise ValueError("group component has wrong size")
         fixed.append(p)
     return Point(tuple(fixed))
-
-
-def _factor_size(fac):
-    """Normals per factor: 2 n^2 for a group, dim for a vector, and n + 1
-    for a simplex (a tangent's normals, or a point's Dirichlet values)."""
-    if isinstance(fac, GroupFactor):
-        return 2 * fac.n * fac.n
-    return fac.dim if isinstance(fac, VectorFactor) else fac.n + 1
 
 
 def _slot_size(slot):
@@ -138,41 +120,17 @@ def _slot_size(slot):
         return 2 * spec * spec
     if kind == "normal":
         return math.prod(spec)
-    return sum(map(_factor_size, spec))
-
-
-def _simplex_point(slot):
-    return slot[0] == "point" and any(
-        isinstance(fac, SimplexFactor) for fac in slot[1])
-
-
-def _normals(rng, layouts, total):
-    """The numbers of every sample in turn: one standard_normal call, or,
-    when a layout holds a simplex point, whose Dirichlet draw (rejected
-    until at least 0.05 from every face) falls between the normals around
-    it, one call per slot and one per factor of such a point."""
-    if not any(map(_simplex_point, {s for lay in set(layouts) for s in lay})):
-        return rng.standard_normal(total)
-    out = []
-    for slot in (slot for layout in layouts for slot in layout):
-        for fac in slot[1] if _simplex_point(slot) else (None,):
-            if isinstance(fac, SimplexFactor):
-                t = rng.dirichlet(np.full(fac.n + 1, 2.0))
-                while t.min() < 0.05:
-                    t = rng.dirichlet(np.full(fac.n + 1, 2.0))
-                out.append(t)
-            else:
-                out.append(rng.standard_normal(
-                    _slot_size(slot) if fac is None else _factor_size(fac)))
-    return np.concatenate(out)
+    if not all(isinstance(fac, GroupFactor) for fac in spec):
+        raise TypeError(f"{kind}s are drawn on group factors only, not {spec}; "
+                        "draw others as ('normal', dims, scale) slots")
+    return sum(2 * fac.n * fac.n for fac in spec)
 
 
 def _carve(slot, z):
     """One slot from its numbers z of shape (..., size), every leading axis
-    a batch axis. Group factors are Haar points or unit algebra tangents,
-    vectors Gaussian points or unit tangents, simplex tangents zero-sum
-    unit vectors; a phi is an algebra element, a normal slot z times its
-    scale. Each run of equal factors is one stacked operation."""
+    a batch axis. Group factors are Haar points or unit algebra tangents; a
+    phi is an algebra element, a normal slot z times its scale. Each run of
+    equal factors is one stacked operation."""
     kind, spec = slot[:2]
     batch = z.shape[:-1]
     if kind == "phi":
@@ -181,21 +139,14 @@ def _carve(slot, z):
         return slot[2] * z.reshape(batch + spec)
     parts, at = [], 0
     for fac, run in groupby(spec):
-        k, size = len(list(run)), _factor_size(fac)
-        x = z[..., at:at + k * size].reshape(batch + (k, size))
+        k, size = len(list(run)), 2 * fac.n * fac.n
+        x = z[..., at:at + k * size].reshape(batch + (k, 2, fac.n, fac.n))
         at += k * size
-        if isinstance(fac, GroupFactor):
-            x = x.reshape(batch + (k, 2, fac.n, fac.n))
-            if kind == "point":
-                x = lc._haar(x)
-            else:
-                x = lc._algebra(x)
-                x = x / np.sqrt(lc.inner(x, x))[..., None, None]
-        elif kind == "tangent":
-            if isinstance(fac, SimplexFactor):
-                x = x - x.mean(axis=-1, keepdims=True)
-            norm = np.sqrt(np.vecdot(x, x))[..., None]
-            x = x / np.where(norm > 0, norm, 1.0)
+        if kind == "point":
+            x = lc._haar(x)
+        else:
+            x = lc._algebra(x)
+            x = x / np.sqrt(lc.inner(x, x))[..., None, None]
         parts.extend(_split(x, len(batch), k))
     return (Point if kind == "point" else Tangent)(tuple(parts))
 
@@ -208,12 +159,12 @@ def _split(x, axis, k):
 
 def random_samples(layouts, seed):
     """Random inputs for a list of samples, each of its own layout, drawn
-    in turn with one standard_normal call (see _normals for simplex
-    points). A layout is a tuple of slots: ("point", shape) and ("tangent",
-    shape) as random_point and random_tangent draw them, ("phi", n) an
-    algebra element of su(n), and ("normal", dims, scale) a Gaussian array
-    times scale. Since the generator fills in C order, the numbers are
-    those of one call per sample, slot and factor run.
+    in turn with one standard_normal call. A layout is a tuple of slots:
+    ("point", shape) and ("tangent", shape) on a group power as
+    random_point and random_tangent draw them, ("phi", n) an algebra
+    element of su(n), and ("normal", dims, scale) a Gaussian array times
+    scale, as vector factors are drawn. Since the generator fills in C
+    order, the numbers are those of one call per sample, slot and factor run.
 
     Returns (samples, slots) for each distinct layout in order of first
     appearance: the indices of its samples, in order, and per slot the
@@ -225,7 +176,7 @@ def random_samples(layouts, seed):
     sizes = {layout: sum(map(_slot_size, layout))
              for layout in dict.fromkeys(layouts)}
     starts = np.cumsum([0] + [sizes[layout] for layout in layouts])
-    z = _normals(rng, layouts, starts[-1])
+    z = rng.standard_normal(starts[-1])
     groups = {}
     for i, layout in enumerate(layouts):
         groups.setdefault(layout, []).append(i)
@@ -250,15 +201,14 @@ def random_samples(layouts, seed):
 
 
 def random_point(shape, seed):
-    """Haar group factors, Gaussian vectors and Dirichlet(2) simplex points
-    at least 0.05 from every face: the one-sample case of random_samples."""
+    """A Haar point of a group power: random_samples' one-sample case."""
     ((_, (pt,)),) = random_samples([(("point", tuple(shape)),)], seed)
     return Point(tuple(x[0] for x in pt.parts))
 
 
 def random_tangent(shape, seed):
-    """A Gaussian tangent, each part scaled to unit norm: the one-sample
-    case of random_samples."""
+    """A Gaussian tangent of a group power, each part scaled to unit norm:
+    the one-sample case of random_samples."""
     ((_, (v,)),) = random_samples([(("tangent", tuple(shape)),)], seed)
     return Tangent(tuple(x[0] for x in v.parts))
 
@@ -471,11 +421,7 @@ def _stack_parts(shape, group, rank):
 
 
 def _contract(coeffs, val):
-    """Sum a value over its leading term axis with the coefficients; a form
-    that reads neither point nor tangents returns no term axis."""
-    val = np.asarray(val)
-    if val.ndim == 0:
-        return coeffs.sum() * val
+    """Sum a value over its leading term axis with the coefficients."""
     return np.tensordot(coeffs, val, axes=1)
 
 
@@ -552,9 +498,8 @@ def exterior_derivative(f, step=DEFAULT_FD_STEP):
     One flow moves the point along the stacked tangents, one bracket call
     pairs them, and each term gathers its tangents from an index table.
     The 2(p+1) flowed points and the C(p+1, 2) bracket terms reach f as one
-    call, stacked on a leading batch axis, so f must accept a point batch;
-    a value without that axis (f reads neither point nor tangents) stands
-    for every term.
+    call, stacked on a leading batch axis, so f must accept a point batch
+    and return a value with that axis.
     """
     p = f.arity
     pairs = list(combinations(range(p + 1), 2))
@@ -579,10 +524,8 @@ def exterior_derivative(f, step=DEFAULT_FD_STEP):
                             np.broadcast_to(x, (len(pairs),) + m.shape[2:])])
             for m, x in zip(moved.parts, pt.parts)))
         frames = [np.concatenate(x) for x in zip(stack, brackets.parts)]
-        val = np.asarray(f(image, *(Tangent(tuple(x[col] for x in frames))
-                                    for col in table.T)))
-        if val.ndim == 0:
-            val = np.broadcast_to(val, (len(table),))
+        val = f(image, *(Tangent(tuple(x[col] for x in frames))
+                         for col in table.T))
         total = 0j
         for i in range(p + 1):
             total += (-1) ** i * (val[2 * i] - val[2 * i + 1]) / (2 * step)

@@ -349,51 +349,15 @@ def bott_shulman_equivariant(n, Q):
 # ---------------------------------------------------------------------------
 # closed forms the low levels must reproduce
 
-def lambda_form(N):
-    """Bi-invariant 3-form <xi_1, [xi_2, xi_3]> on one group factor."""
-    shape = forms.group_power(N, 1)
-
-    def fn(pt, v1, v2, v3):
-        return lc.inner(v1[0], lc.bracket(v2[0], v3[0]))
-
-    return forms.FormField(shape, 3, fn, name="lambda")
-
-
-def omega_form(N):
-    """2-form on K^2: <u_1, Ad(g_2) v_2> - <v_1, Ad(g_2) u_2>."""
-    shape = forms.group_power(N, 2)
-
-    def fn(pt, u, v):
-        g2 = pt[1]
-        return lc.inner(u[0], lc.adjoint(g2, v[1])) - lc.inner(
-            v[0], lc.adjoint(g2, u[1])
-        )
-
-    return forms.FormField(shape, 2, fn, name="omega")
-
-
-def theta_pairing_field(N):
-    """Conjugation-equivariant 1-form <phi, xi + Ad(h) xi> on one factor."""
-    shape = forms.group_power(N, 1)
-
-    def comp1(phi, pt, v):
-        return lc.inner(phi, v[0] + lc.adjoint(pt[0], v[0]))
-
-    return forms.EquivariantFormField(
-        shape, ("conjugation",), {1: comp1}, phi_degree=1, name="theta-pair"
-    )
-
-
 def phi1_inner_closed(N):
-    """Closed form of the level-1 equivariant integral for Q = <.,.>."""
-    lam = lambda_form(N)
-    th = theta_pairing_field(N)
+    """Closed form of the level-1 equivariant integral for Q = <.,.>:
+    -<xi_1, [xi_2, xi_3]> and -<phi, xi + Ad(h) xi>."""
 
     def comp3(phi, pt, v1, v2, v3):
-        return -lam(pt, v1, v2, v3)
+        return -lc.inner(v1[0], lc.bracket(v2[0], v3[0]))
 
     def comp1(phi, pt, v):
-        return -th(phi, pt, v)
+        return -lc.inner(phi, v[0] + lc.adjoint(pt[0], v[0]))
 
     return forms.EquivariantFormField(
         forms.group_power(N, 1), ("conjugation",), {3: comp3, 1: comp1},
@@ -402,11 +366,12 @@ def phi1_inner_closed(N):
 
 
 def phi2_inner_closed(N):
-    """Closed form of the level-2 equivariant integral for Q = <.,.>."""
-    om = omega_form(N)
+    """Closed form of the level-2 equivariant integral for Q = <.,.>:
+    omega(u, v) = <u_1, Ad(g_2) v_2> - <v_1, Ad(g_2) u_2> on K^2."""
 
     def comp2(phi, pt, u, v):
-        return om(pt, u, v)
+        return (lc.inner(u[0], lc.adjoint(pt[1], v[1]))
+                - lc.inner(v[0], lc.adjoint(pt[1], u[1])))
 
     return forms.EquivariantFormField(
         forms.group_power(N, 2), ("conjugation", "conjugation"), {2: comp2},

@@ -325,6 +325,23 @@ def test_eval_rejects_points_off_the_group(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("payload, says", [
+    ({"foo": 1}, 'a list of points or an object with "points"'),
+    ({"points": [{"x": 1}]}, "point 0: 'NoneType' object is not iterable"),
+    ([[1, 2]], "point 0: 'int' object is not iterable"),
+], ids=["no-points-key", "entry-without-matrices", "numbers-for-matrices"])
+def test_eval_names_what_is_wrong_with_a_point_file(payload, says, tmp_path,
+                                                    capsys):
+    pts = tmp_path / "bad.json"
+    pts.write_text(json.dumps(payload))
+    code, out, err = run_cli(
+        ["eval", "--form", "omega", "--points", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert says in err
+    if "point 0" in says:
+        assert "a point is 4 matrices, each 2 rows of [re, im] pairs" in err
+
+
 def test_eval_rejects_negative_sample_count(capsys):
     code, out, err = run_cli(["eval", "--form", "omega", "--sample", "-2"],
                              capsys)

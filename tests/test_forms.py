@@ -1,7 +1,5 @@
 """Form engine: flows, d, pullback, Cartan model."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from flatmod import forms, liecore as lc
 from flatmod import moduli as md
 from flatmod import simplicial as sp
 from flatmod import suites as su
-from haar import random_group
+from haar import point_by_factors, random_group, tangent_by_factors
 
 SU2 = (forms.GroupFactor(2),)
 
@@ -20,19 +18,40 @@ def mc_form(A):
 
 
 def test_point_validation():
-    shape = (forms.GroupFactor(2), forms.SimplexFactor(1))
+    shape = forms.group_power(2, 2)
     g = random_group(2, 0)
-    forms.point(shape, g, [0.5, 0.5])
+    forms.point(shape, g, g)
     with pytest.raises(ValueError):
-        forms.point(shape, g, [0.7, 0.7])
+        forms.point(shape, g, np.diag([2.0, 0.5]))
     with pytest.raises(ValueError):
-        forms.point(shape, np.eye(3), [0.5, 0.5])
+        forms.point(shape, np.eye(3), g)
+    with pytest.raises(ValueError):
+        forms.point(shape, g)
+
+
+@pytest.mark.parametrize("other", [
+    forms.VectorFactor(3), forms.SimplexFactor(2)], ids=["vector", "simplex"])
+def test_points_and_draws_take_group_factors_only(other):
+    # a vector factor's inputs are drawn as ('normal', dims, scale) slots;
+    # the refusal comes before the generator is touched
+    shape = (forms.GroupFactor(2), other)
+    with pytest.raises(TypeError, match="group factors only"):
+        forms.point(shape, random_group(2, 0), np.zeros(3))
+    rng, fresh = lc.as_rng(3), lc.as_rng(3)
+    for kind in ("point", "tangent"):
+        with pytest.raises(TypeError, match="'normal', dims, scale"):
+            forms.random_samples([(("phi", 2), (kind, shape))], rng)
+    with pytest.raises(TypeError, match="group factors only"):
+        forms.random_point(shape, rng)
+    with pytest.raises(TypeError, match="group factors only"):
+        forms.random_tangent(shape, rng)
+    assert rng.standard_normal() == fresh.standard_normal()
 
 
 def test_flow_stays_on_shape():
     shape = (forms.GroupFactor(2), forms.SimplexFactor(2))
-    pt = forms.random_point(shape, 3)
-    v = forms.random_tangent(shape, 4)
+    pt = point_by_factors(shape, 3)
+    v = tangent_by_factors(shape, 4)
     moved = forms.flow(shape, pt, v, 0.2)
     lc.check_group(moved[0])
     assert abs(moved[1].sum() - 1.0) < 1e-12
@@ -273,51 +292,11 @@ def test_linear_combination_sums_equivariant_arities():
     assert combo(phi, pt, v, v) == 0
 
 
-def test_random_point_margin_and_determinism():
-    shape = (forms.GroupFactor(2), forms.SimplexFactor(3))
-    a = forms.random_point(shape, 200)
-    b = forms.random_point(shape, 200)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    assert a[1].min() >= 0.05
-
-
-def _point_factor_by_factor(shape, rng):
-    parts = []
-    for fac in shape:
-        if isinstance(fac, forms.GroupFactor):
-            parts.append(random_group(fac.n, rng))
-        elif isinstance(fac, forms.VectorFactor):
-            parts.append(rng.standard_normal(fac.dim))
-        else:
-            t = rng.dirichlet(np.full(fac.n + 1, 2.0))
-            while t.min() < 0.05:
-                t = rng.dirichlet(np.full(fac.n + 1, 2.0))
-            parts.append(t)
-    return parts
-
-
-def _tangent_factor_by_factor(shape, rng):
-    parts = []
-    for fac in shape:
-        if isinstance(fac, forms.GroupFactor):
-            x = lc.random_algebra(fac.n, rng)
-            parts.append(x / math.sqrt(lc.inner(x, x)))
-        elif isinstance(fac, forms.VectorFactor):
-            v = rng.standard_normal(fac.dim)
-            parts.append(v / np.linalg.norm(v))
-        else:
-            tau = rng.standard_normal(fac.n + 1)
-            tau -= tau.mean()
-            parts.append(tau / np.linalg.norm(tau))
-    return parts
-
-
 @pytest.mark.parametrize("shape", [
     forms.group_power(2, 6),
     forms.group_power(3, 3),
-    (forms.GroupFactor(2), forms.GroupFactor(2), forms.VectorFactor(3),
-     forms.GroupFactor(3), forms.SimplexFactor(2), forms.GroupFactor(3),
-     forms.GroupFactor(3), forms.VectorFactor(2)),
+    (forms.GroupFactor(2), forms.GroupFactor(2), forms.GroupFactor(3),
+     forms.GroupFactor(2), forms.GroupFactor(3), forms.GroupFactor(3)),
 ])
 def test_random_point_and_tangent_are_the_bytes_of_factor_draws(shape):
     # each run of equal group factors is one stacked draw; a one-draw-per-
@@ -325,9 +304,9 @@ def test_random_point_and_tangent_are_the_bytes_of_factor_draws(shape):
     # state
     rng, oracle = lc.as_rng(17), lc.as_rng(17)
     for _ in range(3):
-        for draw, loop in ((forms.random_point, _point_factor_by_factor),
-                           (forms.random_tangent, _tangent_factor_by_factor)):
-            got, want = draw(shape, rng).parts, loop(shape, oracle)
+        for draw, loop in ((forms.random_point, point_by_factors),
+                           (forms.random_tangent, tangent_by_factors)):
+            got, want = draw(shape, rng).parts, loop(shape, oracle).parts
             assert len(got) == len(shape)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -400,12 +379,11 @@ def test_d_calls_its_operand_once_per_evaluation(monkeypatch):
         sp.bott_shulman(1, Q), sp.bott_shulman(2, Q), _mixed_form(),
         forms.FormField(SU2, 0, lambda pt: np.trace(
             pt[0] @ B, axis1=-2, axis2=-1).real),
-        forms.FormField(SU2, 0, lambda pt: 1.0),
     ]
     for k, f in enumerate(fields):
         d = forms.exterior_derivative(spied(f))
-        pt = forms.random_point(f.shape, 201 + k)
-        vs = [forms.random_tangent(f.shape, 210 + 5 * k + i)
+        pt = point_by_factors(f.shape, 201 + k)
+        vs = [tangent_by_factors(f.shape, 210 + 5 * k + i)
               for i in range(f.arity + 1)]
         calls.clear()
         d(pt, *vs)
@@ -472,25 +450,26 @@ def test_homotopy_and_constant_forms_take_the_stencil_batch():
         shape, *(rng.standard_normal(d) for _ in range(4)),
         rng.standard_normal((d, d)), lc.random_algebra(2, rng))
     h = md.homotopy_h(field)
-    const = md.generator_form(cfg, "a", 2)
+    # the constant a_2 form, returning its value at every point of a batch
+    # as d requires of its operand
+    Q = lc.chern_polynomial(2, 2)
+    const = forms.EquivariantFormField(
+        cfg.shape, ("conjugation",) * cfg.num_generators,
+        {0: lambda phi, pt: np.full(pt[0].shape[:-2], Q(phi, phi))},
+        phi_degree=2)
     for ef, shape in ((h, shape), (const, cfg.shape)):
         dk = forms.cartan_differential(ef)
         oracle = _dk_term_by_term(ef, forms.DEFAULT_FD_STEP)
         for q in dk.arities:
             phi = lc.random_algebra(2, rng)
-            pt = forms.random_point(shape, rng)
-            vs = [forms.random_tangent(shape, rng) for _ in range(q)]
+            pt = point_by_factors(shape, rng)
+            vs = [tangent_by_factors(shape, rng) for _ in range(q)]
             _assert_close(dk(phi, pt, *vs), oracle(phi, pt, *vs), 1e-10)
-    # an arity-0 form that returns one number for every point
-    one = forms.FormField(SU2, 0, lambda pt: 2.5)
-    d_one = forms.exterior_derivative(one)
-    pt, v = forms.random_point(SU2, 251), forms.random_tangent(SU2, 252)
-    assert d_one(pt, v) == 0
 
 
 def _tangent_batch(shape, rng, batch):
     """Random tangents on the batch shape batch, as one Tangent."""
-    vs = [forms.random_tangent(shape, rng) for _ in range(int(np.prod(batch)))]
+    vs = [tangent_by_factors(shape, rng) for _ in range(int(np.prod(batch)))]
     return forms.Tangent(tuple(np.stack(x).reshape(batch + x[0].shape)
                                for x in zip(*(v.parts for v in vs))))
 
@@ -553,8 +532,8 @@ def test_d_matches_the_oracle_at_arity_zero_and_on_mixed_factors():
     for f in (zero_form, _mixed_form()):
         oracle = _d_term_by_term(f, forms.DEFAULT_FD_STEP)
         d = forms.exterior_derivative(f)
-        pt = forms.random_point(f.shape, rng)
-        vs = [forms.random_tangent(f.shape, rng) for _ in range(f.arity + 1)]
+        pt = point_by_factors(f.shape, rng)
+        vs = [tangent_by_factors(f.shape, rng) for _ in range(f.arity + 1)]
         _assert_matches_per_point(np.array(d(pt, *vs)), oracle(pt, *vs))
         # the same with a batch on the first tangent
         vs[0] = _tangent_batch(f.shape, rng, (2,))
@@ -585,7 +564,8 @@ def test_pullbacks_push_plain_tangents_at_every_point_of_a_batch(B):
     phi = lc.random_algebra(2, rng)
     delta = sp.simplicial_delta_equivariant(sp.bott_shulman_equivariant(1, Q))
     for f in (sp.bott_shulman(2, Q),
-              forms.pullback(multiplication_map(2), sp.lambda_form(2)),
+              forms.pullback(multiplication_map(2), forms.at_phi(
+                  sp.phi1_inner_closed(2), None, 3)),
               forms.at_phi(delta, phi, 3)):
         points = [forms.random_point(f.shape, rng) for _ in range(B)]
         vs = [forms.random_tangent(f.shape, rng) for _ in range(f.arity)]
@@ -610,8 +590,8 @@ def test_d_and_dk_at_a_point_batch_with_plain_tangents():
     calls += [(lambda pt, *vs: dk(phi, pt, *vs), shape, q) for q in dk.arities]
     calls += [(group_d, group_d.shape, 3)]
     for call, shp, q in calls:
-        points = [forms.random_point(shp, rng) for _ in range(2)]
-        vs = [forms.random_tangent(shp, rng) for _ in range(q)]
+        points = [point_by_factors(shp, rng) for _ in range(2)]
+        vs = [tangent_by_factors(shp, rng) for _ in range(q)]
         _assert_matches_per_point(call(_point_stack(points), *vs),
                                   [call(pt, *vs) for pt in points])
 
@@ -622,24 +602,19 @@ def _slot_by_draws(slot, rng):
         return lc.random_algebra(spec, rng)
     if kind == "normal":
         return rng.standard_normal(spec) * slot[2]
-    draw = _point_factor_by_factor if kind == "point" else (
-        _tangent_factor_by_factor)
-    return draw(spec, rng)
+    draw = point_by_factors if kind == "point" else tangent_by_factors
+    return draw(spec, rng).parts
 
 
-@pytest.mark.parametrize("simplex", [False, True])
-def test_random_samples_are_the_bytes_of_per_sample_draws(simplex):
-    # samples of three layouts, interleaved: one standard_normal call (or,
-    # with a simplex point, one call per run between Dirichlet draws) gives
+def test_random_samples_are_the_bytes_of_per_sample_draws():
+    # samples of three layouts, interleaved: one standard_normal call gives
     # per layout the stacked values of the per-sample, per-slot draws and
     # leaves the generator where those draws leave it
-    shape = (forms.GroupFactor(2), forms.GroupFactor(2), forms.VectorFactor(3),
-             forms.GroupFactor(3))
-    point = shape + ((forms.SimplexFactor(2),) if simplex else ())
-    a = (("phi", 3), ("point", point), ("tangent", shape), ("tangent", shape))
+    shape = (forms.GroupFactor(2), forms.GroupFactor(2), forms.GroupFactor(3))
+    a = (("phi", 3), ("point", shape), ("tangent", shape), ("tangent", shape))
     b = (("normal", (3,), 0.7),) + (("normal", (3,), 1.0),) * 2 + (
-        ("normal", (2, 2), 1.0), ("tangent", shape + (forms.SimplexFactor(3),)))
-    c = (("point", point),)
+        ("normal", (2, 2), 1.0), ("tangent", shape[::-1]))
+    c = (("point", shape),)
     layouts = [a, b, a, c, b, a]
     rng, oracle = lc.as_rng(5), lc.as_rng(5)
     drawn = forms.random_samples(layouts, rng)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from flatmod import forms, liecore as lc, simplicial as sp, words as wd
-from haar import random_group
+from haar import point_by_factors, random_group, tangent_by_factors
 
 
 def simplex_moment(alpha):
@@ -411,9 +411,9 @@ def test_curvature_matches_fd_derivative():
 
     th = forms.FormField(shape, 1, theta_A)
     dth = forms.exterior_derivative(th, step=1e-5)
-    pt = forms.random_point(shape, 12)
-    X = forms.random_tangent(shape, 13)
-    Y = forms.random_tangent(shape, 14)
+    pt = point_by_factors(shape, 12)
+    X = tangent_by_factors(shape, 13)
+    Y = tangent_by_factors(shape, 14)
     t = pt[0]
     Fxy = curvature_value(t, (X[0], (X[1], X[2])), (Y[0], (Y[1], Y[2])))
     tX = connection_theta(t, (X[1], X[2]))
@@ -429,7 +429,7 @@ def test_moment_is_connection_contraction():
     N = 2
     n = 2
     shape = (forms.SimplexFactor(n),) + forms.group_power(N, n + 1)
-    pt = forms.random_point(shape, 21)
+    pt = point_by_factors(shape, 21)
     phi = lc.random_algebra(N, 22)
     gen = forms.generating_field(
         shape[1:], ("left",) * (n + 1), phi, forms.Point(pt.parts[1:]))
@@ -444,17 +444,17 @@ def test_moment_is_connection_contraction():
 @pytest.mark.parametrize("N", [2, 3])
 def test_level_one_anchor(N):
     phi1 = sp.bott_shulman(1, lc.inner_polynomial(N))
-    lam = sp.lambda_form(N)
+    closed = forms.at_phi(sp.phi1_inner_closed(N), None, 3)
     for seed in range(3):
         pt = forms.random_point(phi1.shape, 30 + seed)
         vs = [forms.random_tangent(phi1.shape, 40 + 3 * seed + i) for i in range(3)]
-        assert abs(phi1(pt, *vs) + lam(pt, *vs)) < 1e-9
+        assert abs(phi1(pt, *vs) - closed(pt, *vs)) < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_level_two_anchor(N):
     phi2 = sp.bott_shulman(2, lc.inner_polynomial(N))
-    om = sp.omega_form(N)
+    om = forms.at_phi(sp.phi2_inner_closed(N), None, 2)
     for seed in range(3):
         pt = forms.random_point(phi2.shape, 50 + seed)
         u = forms.random_tangent(phi2.shape, 60 + 2 * seed)
@@ -615,6 +615,42 @@ def test_equivariant_cocycle_level_two_to_three():
         lv, rv = lhs(phi, pt, *vs), rhs(phi, pt, *vs)
         assert abs(lv + rv) <= 1e-6 * abs(lv), p
         assert (abs(lv) > 1e-6) == (p > 0), p
+
+
+def test_cocycle_level_three_to_four_quartic():
+    # delta Phi_3 = +d Phi_4 for c_4 at N = 4, the first link above level
+    # two; at values of about 1e-5 only a relative tolerance sees an error
+    N = 4
+    Q = lc.chern_polynomial(N, 4)
+    lhs = forms.at_phi(sp.simplicial_delta_equivariant(
+        sp.bott_shulman_equivariant(3, Q)), None, 5)
+    rhs = forms.exterior_derivative(sp.bott_shulman(4, Q), step=1e-4)
+    pt = forms.random_point(lhs.shape, 650)
+    vs = [forms.random_tangent(lhs.shape, 660 + i) for i in range(5)]
+    lv, rv = lhs(pt, *vs), rhs(pt, *vs)
+    assert abs(lv) > 1e-6  # the identity is not vacuous at this sample
+    assert abs(lv - rv) <= 1e-6 * abs(lv)
+
+
+def test_equivariant_cocycle_level_three_to_four_quartic():
+    # delta Phi_3^K = +d_K Phi_4^K componentwise for c_4 at N = 4; arity 1
+    # vanishes on both sides
+    N = 4
+    Q = lc.chern_polynomial(N, 4)
+    lhs = sp.simplicial_delta_equivariant(sp.bott_shulman_equivariant(3, Q))
+    rhs = forms.cartan_differential(sp.bott_shulman_equivariant(4, Q),
+                                    step=1e-4)
+    assert lhs.arities == rhs.arities == [1, 3, 5]
+    phi = lc.random_algebra(N, 670)
+    pt = forms.random_point(lhs.shape, 680)
+    for p in lhs.arities:
+        vs = [forms.random_tangent(lhs.shape, 690 + i) for i in range(p)]
+        lv, rv = lhs(phi, pt, *vs), rhs(phi, pt, *vs)
+        if p == 1:
+            assert abs(lv) <= 1e-12 and abs(rv) <= 1e-9
+            continue
+        assert abs(lv) > 1e-6, p
+        assert abs(lv - rv) <= 1e-6 * abs(lv), p
 
 
 def test_equivariant_cocycle_level_one_to_two():
@@ -1140,9 +1176,9 @@ def test_plain_forms_are_phi_free_top_components():
             vs = [forms.random_tangent(plain.shape, rng)
                   for _ in range(plain.arity)]
             assert plain(pt, *vs) == ef(phi, pt, *vs)
-    th = sp.theta_pairing_field(2)
+    th = sp.phi1_inner_closed(2)
     phi = lc.random_algebra(2, rng)
-    view = forms.at_phi(th, phi, 1, name="theta-pair(phi)")
+    view = forms.at_phi(th, phi, 1, name="-theta-pair(phi)")
     assert view.arity == 1 and view.shape == th.shape
     pt = forms.random_point(th.shape, rng)
     v = forms.random_tangent(th.shape, rng)
