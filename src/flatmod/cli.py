@@ -248,6 +248,12 @@ def _cmd_eval(args):
         points = md.sample_Y(config, config.seed, count)
     else:
         points = _load_points(config, args.points, count)
+    if args.frame == "reduced" and args.points:
+        for i, pt in enumerate(points):
+            res = np.linalg.norm(md.relator_residual(config, pt))
+            if res > 100 * md.LEVEL_TOL:
+                raise ValueError(f"point {i} is off the relator level set "
+                                 f"(residual {res:.3g})")
 
     def tangent():
         if kind == "algebra":
@@ -296,7 +302,7 @@ def _cmd_sample(args):
             raise ValueError("space X does not take --perturbation")
         if not np.isfinite(args.perturbation):
             raise ValueError("perturbation must be finite")
-    eps, beta = md.epsilon_R(config), config.beta.matrix()
+    eps, beta = md.epsilon_R(config), config.beta
 
     def residual(pt, target):
         return float(np.linalg.norm(eps.evaluate(pt.parts)[0] - target))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,20 +47,6 @@ def check_group(mat, tol=GROUP_TOL):
     if abs(np.linalg.det(mat) - 1.0) > tol:
         raise ValueError("matrix is not unimodular")
     return mat
-
-
-@dataclass(frozen=True)
-class CentralElement:
-    """Scalar matrix exp(2 pi i k / n) I, an element of the center of SU(n)."""
-
-    n: int
-    phase_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "phase_index", self.phase_index % self.n)
-
-    def matrix(self):
-        return np.exp(2j * np.pi * self.phase_index / self.n) * np.eye(self.n)
 
 
 # ---------------------------------------------------------------------------

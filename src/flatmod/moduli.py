@@ -44,7 +44,7 @@ LEVEL_TOL = 1e-10
 @dataclass(frozen=True)
 class ModuliConfig:
     """The level set of h in SU(N)^(2g) whose surface relator equals the
-    central element beta = exp(2 pi i beta_index / N) I."""
+    central element beta = exp(2 pi i beta_index / N) I, the matrix .beta."""
 
     N: int = 2
     genus: int = 2
@@ -62,7 +62,7 @@ class ModuliConfig:
 
     @property
     def beta(self):
-        return lc.CentralElement(self.N, self.beta_index)
+        return np.exp(2j * np.pi * self.beta_index / self.N) * np.eye(self.N)
 
     @property
     def num_generators(self):
@@ -127,7 +127,7 @@ def tangent_to_coords(config, v):
 def relator_residual(config, pt):
     """log(beta^-1 relator(h)) as an algebra element."""
     val = epsilon_R(config).evaluate(pt.parts)[0]
-    return lc.log_group(config.beta.matrix().conj().T @ val)
+    return lc.log_group(config.beta.conj().T @ val)
 
 
 def _chart_jacobian(config, pt, push):
@@ -182,33 +182,22 @@ def seed_point(config):
 
 def _level_rows(config, pts):
     """The chart residual row and relator logarithm of each point of a
-    batch, or None for a point whose logarithm hits the cut. log_group
-    raises for a whole stack, so a batch that raises is evaluated again as
-    batches of one."""
-    try:
+    batch, or the BranchCutError of a point whose logarithm hits the cut
+    (log_group raises for a whole stack, so forms.per_entry settles it)."""
+    def rows(size, pts):
         rho = relator_residual(config, pts)
-        return list(zip(lc.to_coords(rho, config.N), rho))
-    except lc.BranchCutError:
-        if len(pts[0]) == 1:
-            return [None]
-        return [rows for i in range(len(pts[0])) for rows in _level_rows(
-            config, forms.Point(tuple(x[i:i + 1] for x in pts.parts)))]
+        return zip(lc.to_coords(rho, config.N), rho)
+    return forms.per_entry(rows, (pts,), len(pts[0]), lc.BranchCutError)
 
 
-def _level_steps(config, pts, rows):
-    """The Gauss-Newton step of each point of a batch from its rows, one
-    chart push of the tangent basis for all; None for a point where dlog is
-    singular, the batch then evaluated again as batches of one."""
-    try:
-        J = _chart_jacobian(config, pts, _chart_push(
-            config, pts.parts, np.stack([rho for _, rho in rows])))
-        return [-np.linalg.lstsq(j, res, rcond=None)[0]
-                for j, (res, _) in zip(J, rows)]
-    except lc.BranchCutError:
-        if len(rows) == 1:
-            return [None]
-        return [step for i, r in enumerate(rows) for step in _level_steps(
-            config, forms.Point(tuple(x[i:i + 1] for x in pts.parts)), [r])]
+def _level_steps(config, pts, res, rho):
+    """The Gauss-Newton step of each point of a batch from its stacked
+    residual rows and logarithms, one chart push of the tangent basis for
+    all; the BranchCutError of a point where dlog is singular."""
+    def steps(size, pts, res, rho):
+        J = _chart_jacobian(config, pts, _chart_push(config, pts.parts, rho))
+        return [-np.linalg.lstsq(j, r, rcond=None)[0] for j, r in zip(J, res)]
+    return forms.per_entry(steps, (pts, res, rho), len(res), lc.BranchCutError)
 
 
 def project_to_level(config, pts):
@@ -232,69 +221,78 @@ def project_to_level(config, pts):
         moves, stepping = [], []
         for k, ((i, state), rows) in enumerate(
                 zip(entries, _level_rows(config, batch))):
-            if rows is None:
+            if isinstance(rows, lc.BranchCutError):
                 continue
             norm = float(np.linalg.norm(rows[0]))
             if (state is None or norm < state[1] * (1 - 1e-4)
                     or norm <= LEVEL_TOL):
-                pt = tuple(x[k] for x in batch.parts)
+                pt = forms.take(batch, k)
                 steps = 0 if state is None else state[2] + 1
                 if norm <= LEVEL_TOL:
-                    out[i] = forms.Point(pt)
+                    out[i] = pt
                 elif steps < 60:
                     moves.append((i, (pt, norm, steps), len(stepping)))
                     stepping.append((k, rows))
             elif state[4] > 0.5 ** 9:  # step lengths 1, 1/2, .., 2^-9
                 moves.append((i, state[:4] + (0.5 * state[4],), None))
         idx = [k for k, _ in stepping]
-        new = _level_steps(config, forms.Point(tuple(
-            x[idx] for x in batch.parts)), [rows for _, rows in stepping]
+        new = _level_steps(config, forms.take(batch, idx), *(
+            np.stack(x) for x in zip(*(rows for _, rows in stepping)))
         ) if stepping else []
         entries = [(i, state if j is None else state + (new[j], 1.0))
-                   for i, state, j in moves if j is None or new[j] is not None]
+                   for i, state, j in moves
+                   if j is None or not isinstance(new[j], lc.BranchCutError)]
         if entries:
             batch = forms.flow(config.shape, forms.Point(forms._stack_parts(
-                config.shape, [state[0] for _, state in entries], 0)),
+                config.shape, [state[0].parts for _, state in entries], 0)),
                 tangent_from_coords(config, np.stack(
                     [state[4] * state[3] for _, state in entries])), 1.0)
     return out
+
+
+def _rounds(count, cap, draw, message):
+    """count results drawn in rounds, and the attempts spent: each round
+    draws the k still missing by draw(k), which returns those that pass,
+    in order. ConvergenceError(message) once cap attempts are spent."""
+    out, attempts = [], 0
+    while len(out) < count:
+        k = min(count - len(out), cap - attempts)
+        if not k:
+            raise ConvergenceError(message)
+        attempts += k
+        out.extend(draw(k))
+    return out, attempts
 
 
 def sample_Y(config, seed, count, perturbation=0.25, stats=None):
     """Perturb the shipped seed and project back; all outputs satisfy the
     relator constraint to LEVEL_TOL.
 
-    Rounds draw the perturbations of every point still missing, in order,
-    and project them as one batch; a point that fails is counted and
-    redrawn in the next round. The projection draws nothing, so the points
-    drawn and kept are those of one attempt at a time. When stats is a
-    dict it receives the attempt and failure counts, in points.
+    Each of _rounds' rounds draws the perturbations of every point still
+    missing, in order, and projects them as one batch; a point that fails
+    is redrawn in the next round. The projection draws nothing, so the
+    points drawn and kept are those of one attempt at a time. When stats
+    is a dict it receives the attempt and failure counts, in points.
     """
     rng = lc.as_rng(seed)
     base = seed_point(config)
-    out = []
-    attempts = failures = 0
-    cap = 20 * count + 10
-    while len(out) < count:
-        k = min(count - len(out), cap - attempts)
-        if not k:
-            raise ConvergenceError("sampling kept failing to converge")
-        attempts += k
+
+    def draw(k):
         if perturbation == 0:
-            out.extend([base] * k)
-            continue
+            return [base] * k
         draws = lc.random_algebra(config.N, rng, perturbation,
                                   count=k * config.num_generators)
         draws = draws.reshape(k, config.num_generators, config.N, config.N)
         parts = tuple(g @ lc.exp_alg(draws[:, j])
                       for j, g in enumerate(base.parts))
-        kept = [p for p in project_to_level(config, forms.Point(parts))
+        return [p for p in project_to_level(config, forms.Point(parts))
                 if p is not None]
-        failures += k - len(kept)
-        out.extend(kept)
+
+    out, attempts = _rounds(count, 20 * count + 10, draw,
+                            "sampling kept failing to converge")
     if stats is not None:
         stats["attempts"] = attempts
-        stats["failures"] = failures
+        stats["failures"] = attempts - count
     return out
 
 
@@ -306,7 +304,7 @@ def exp_beta_map(config):
     d = config.algebra_dim
     dom = (forms.VectorFactor(d),)
     cod = forms.group_power(config.N, 1)
-    beta_mat = config.beta.matrix()
+    beta = config.beta
 
     def at(pt):
         lam = lc.from_coords(np.asarray(pt[0]), config.N)
@@ -315,7 +313,7 @@ def exp_beta_map(config):
             w = lc.from_coords(np.asarray(v[0]), config.N)
             return forms.Tangent((lc.dexp_left(lam, w),))
 
-        return forms.Point((beta_mat @ lc.exp_alg(lam),)), push
+        return forms.Point((beta @ lc.exp_alg(lam),)), push
 
     return forms.CallableMap(dom, cod, at)
 
@@ -349,7 +347,7 @@ def cut_margin(config, pt):
     """Distance of the relator value's eigenphases from the logarithm cut;
     a point batch gives the array of its entries' margins."""
     val = epsilon_R(config).evaluate(pt.parts)[0]
-    m = config.beta.matrix().conj().T @ val
+    m = config.beta.conj().T @ val
     phases = np.angle(np.linalg.eigvals(m))
     margin = np.min(np.pi - np.abs(phases), axis=-1)
     return float(margin) if margin.ndim == 0 else margin
@@ -362,23 +360,19 @@ def sample_chart_points(config, seed, count, margin=0.7):
     the cut at pi; rejection keeps points at least margin away so derivative
     estimates of chart-composed forms are trustworthy. Rounds draw as many
     candidates as points are missing with one random_samples call and test
-    them with one cut_margin call, so the points drawn and kept are those
-    of one draw at a time.
+    them with one cut_margin call (the rounds of _rounds), so the points
+    drawn and kept are those of one draw at a time.
     """
     rng = lc.as_rng(seed)
-    out = []
-    attempts, cap = 0, 200 * count + 50
-    while len(out) < count:
-        k = min(count - len(out), cap - attempts)
-        if not k:
-            raise ConvergenceError("chart sampling kept hitting the cut")
-        attempts += k
+
+    def draw(k):
         ((_, (cands,)),) = forms.random_samples(
             [(("point", config.shape),)] * k, rng)
-        out.extend(forms.Point(tuple(x[i] for x in cands.parts))
-                   for i, m in enumerate(cut_margin(config, cands))
-                   if m >= margin)
-    return out
+        return [forms.take(cands, i) for i in np.flatnonzero(
+            cut_margin(config, cands) >= margin)]
+
+    return _rounds(count, 200 * count + 50, draw,
+                   "chart sampling kept hitting the cut")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +429,10 @@ def frame_matrix(config, form, pt, rows):
 
 def _constant_polynomial_form(config, Q):
     def comp0(phi, pt):
-        return Q(*([phi] * Q.degree))
+        # one value per entry of the point batch, as d takes of its operand
+        val = Q(*([phi] * Q.degree))
+        return np.broadcast_to(val, np.broadcast_shapes(
+            np.shape(val), pt[0].shape[:-2]))
 
     return forms.EquivariantFormField(
         config.shape, ("conjugation",) * config.num_generators,

@@ -12,9 +12,10 @@ are called once per group. A sample's residual is the worst, over its
 tuples, of lhs against rhs (or against zero). The first sample's callable
 evaluates every group; each callable then reads its own entry. A group
 whose stacked call raises a numeric failure is evaluated again as batches
-of one, by indexing its leading axis, so the failure is raised by the
-sample it belongs to. Everything runs on the calling thread, so reports
-are bit-identical across repeated runs.
+of one by `forms.per_entry`, which slices its leading axis with
+`forms.take`, so the failure is raised by the sample it belongs to.
+Everything runs on the calling thread, so reports are bit-identical
+across repeated runs.
 """
 
 from __future__ import annotations
@@ -162,14 +163,6 @@ def _call(f, *args):
     return f(*args)
 
 
-def _take(slot, idx):
-    """The entries idx of a stacked slot's leading axis; a slot shared by
-    the whole group (a form) as it is."""
-    if isinstance(slot, (forms.Point, forms.Tangent)):
-        return type(slot)(tuple(x[idx] for x in slot.parts))
-    return slot[idx] if isinstance(slot, np.ndarray) else slot
-
-
 def _modulus(z):
     """|z| entrywise by hypot, which is Python's abs of a complex; numpy's
     complex absolute can differ from it in the last bit."""
@@ -179,20 +172,15 @@ def _modulus(z):
 def _group_residuals(lhs, rhs, args, size):
     """The residual at each of a group's size entries, |lhs| when rhs is
     None, else |lhs - rhs| / max(1, |rhs|), from one call of each on its
-    stacked argument tuple. A group whose call raises a numeric failure is
-    evaluated again as batches of one, and an entry that raises alone gets
-    its failure."""
-    try:
+    stacked argument tuple. forms.per_entry settles a group whose call
+    raises a numeric failure entry by entry."""
+    def residuals(size, *args):
         got = np.broadcast_to(lhs(*args), (size,))
         if rhs is None:
-            return list(_modulus(got))
+            return _modulus(got)
         want = np.broadcast_to(rhs(*args), (size,))
-        return list(_modulus(got - want) / np.maximum(1.0, _modulus(want)))
-    except lc.NumericalFailure as exc:
-        if size == 1:
-            return [exc]
-        return [out for k in range(size) for out in _group_residuals(
-            lhs, rhs, tuple(_take(a, slice(k, k + 1)) for a in args), 1)]
+        return _modulus(got - want) / np.maximum(1.0, _modulus(want))
+    return forms.per_entry(residuals, args, size, lc.NumericalFailure)
 
 
 def _sample_residuals(lhs, rhs, groups, count):
@@ -256,7 +244,7 @@ def _groups(drawn, tuples, key=None):
             parts.setdefault(None if key is None else key(i), []).append(k)
         for form, ks in parts.items():
             part = slots if len(ks) == len(samples) else tuple(
-                _take(x, ks) for x in slots)
+                forms.take(x, ks) for x in slots)
             out += [([(samples[k], j) for k in ks],
                      args if form is None else (form, *args))
                     for j, args in enumerate(tuples(*part))]
@@ -724,7 +712,7 @@ def _suite_extended(config):
         groups = []
         for i in samples:
             f = _polynomial_field(shape, *(x[i] for x in slots[:6]))
-            phi, pt, *ws = (_take(x, slice(i, i + 1)) for x in slots[6:])
+            phi, pt, *ws = (forms.take(x, slice(i, i + 1)) for x in slots[6:])
             groups += [([(i, j)], (f, phi, forms.Point((pt,)),
                                    *(forms.Tangent((w,)) for w in ws[:p])))
                        for j, p in enumerate((0, 1, 2))]

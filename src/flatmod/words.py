@@ -222,12 +222,8 @@ def random_word(num_generators, length, seed):
 
 @dataclass(frozen=True)
 class WordMap:
-    """Tuple of words (with optional central prefactors) read as a map K^m -> K^k.
-
-    components are (central, word) pairs; central is a CentralElement or None.
-    A component with the identity word and a central prefactor is a constant
-    map to the center.
-    """
+    """Tuple of words read as a map K^m -> K^k; components are (None, word)
+    pairs, kept as pairs because benchmarks/tracer.py unpacks them."""
 
     arity: int
     components: tuple
@@ -256,17 +252,15 @@ class WordMap:
         arguments give stacks (the identity word stays one matrix)."""
         if len(mats) != self.arity:
             raise ValueError("wrong number of group arguments")
-        values = self._through_prefixes(
+        return tuple(self._through_prefixes(
             np.eye(mats[0].shape[-1], dtype=complex), lambda g, l: g @ (
-                mats[l - 1] if l > 0 else mats[-l - 1].conj().mT))
-        return tuple(g if c is None else c.matrix() @ g
-                     for (c, _), g in zip(self.components, values))
+                mats[l - 1] if l > 0 else mats[-l - 1].conj().mT)))
 
     def push(self, mats, tangents):
         """Exact left-trivialized pushforward, <= 1 adjoint per prefix:
         D(w x_j) = Ad(x_j^-1) D(w) + xi_j, D(w x_j^-1) = Ad(x_j)(D(w) - xi_j)
-        from D(1) = 0; central prefactors drop out. Batches broadcast, and
-        each component is a new array of the full broadcast shape."""
+        from D(1) = 0. Batches broadcast, and each component is a new array
+        of the full broadcast shape."""
         zero = np.zeros(np.broadcast_shapes(
             *(m.shape for m in mats), *(x.shape for x in tangents)),
             dtype=complex)

@@ -300,6 +300,29 @@ def test_eval_reduced_frame_samples_the_level_set(form, tmp_path, capsys):
     assert json.loads(out)["evaluations"] == drawn
 
 
+@pytest.mark.parametrize("space", ["Y", "X"])
+def test_eval_reduced_frame_takes_level_set_points_only(space, tmp_path,
+                                                        capsys):
+    # a file of `sample --space Y` lies on the level set; the points of
+    # `sample --space X` do not, and eval names the first one it refuses
+    pts = tmp_path / "pts.json"
+    code, _, _ = run_cli(["sample", "--space", space, "--count", "2",
+                          "--out", str(pts)], capsys)
+    assert code == 0
+    res = [float(np.linalg.norm(md.relator_residual(
+        md.ModuliConfig(), md.point_from_json(e.get("matrices", e.get("h"))))))
+        for e in json.loads(pts.read_text())["points"]]
+    code, out, err = run_cli(["eval", "--form", "omega", "--frame",
+                              "reduced", "--points", str(pts)], capsys)
+    if space == "Y":
+        assert code == 0 and max(res) <= 100 * md.LEVEL_TOL
+        return
+    assert code == 2 and out == ""
+    assert min(res) > 100 * md.LEVEL_TOL
+    assert f"point 0 is off the relator level set (residual {res[0]:.3g})" \
+        in err
+
+
 def test_numeric_failures_in_eval_exit_three(tmp_path, capsys):
     # the all-identity point sits on the chart's branch cut at beta = -1
     # and is a non-generic point of the relator at beta = 1

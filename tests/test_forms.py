@@ -450,13 +450,8 @@ def test_homotopy_and_constant_forms_take_the_stencil_batch():
         shape, *(rng.standard_normal(d) for _ in range(4)),
         rng.standard_normal((d, d)), lc.random_algebra(2, rng))
     h = md.homotopy_h(field)
-    # the constant a_2 form, returning its value at every point of a batch
-    # as d requires of its operand
-    Q = lc.chern_polynomial(2, 2)
-    const = forms.EquivariantFormField(
-        cfg.shape, ("conjugation",) * cfg.num_generators,
-        {0: lambda phi, pt: np.full(pt[0].shape[:-2], Q(phi, phi))},
-        phi_degree=2)
+    # the constant a_2 form returns its value at every point of a batch
+    const = md.generator_form(cfg, "a", 2)
     for ef, shape in ((h, shape), (const, cfg.shape)):
         dk = forms.cartan_differential(ef)
         oracle = _dk_term_by_term(ef, forms.DEFAULT_FD_STEP)
@@ -635,3 +630,32 @@ def test_random_samples_are_the_bytes_of_per_sample_draws():
                     assert x[k].tobytes() == y.tobytes()
     assert rng.standard_normal() == oracle.standard_normal()
     assert forms.random_samples([], rng) == []
+
+
+def test_per_entry_calls_once_and_settles_a_failure_entry_by_entry():
+    # log_group raises for a whole stack when one matrix sits at the cut,
+    # so that batch is evaluated again entry by entry
+    calls = []
+
+    def rows(size, pt, scale):
+        calls.append(size)
+        return scale * lc.to_coords(lc.log_group(pt[0]), 2)
+
+    mats = random_group(2, 261, count=3)
+    scale = np.arange(1.0, 4.0)[:, None]
+    args = (forms.Point((mats,)), scale)
+    assert len(forms.per_entry(rows, args, 3, lc.BranchCutError)) == 3
+    assert calls == [3]
+    mats[1] = -np.eye(2)
+    calls.clear()
+    got = forms.per_entry(rows, args, 3, lc.BranchCutError)
+    assert calls == [3, 1, 1, 1]
+    assert isinstance(got[1], lc.BranchCutError)
+    for k in (0, 2):
+        (alone,) = rows(1, *(forms.take(a, slice(k, k + 1)) for a in args))
+        assert got[k].tobytes() == alone.tobytes()
+    # an error outside errors leaves at once
+    calls.clear()
+    with pytest.raises(lc.BranchCutError):
+        forms.per_entry(rows, args, 3, ValueError)
+    assert calls == [3]

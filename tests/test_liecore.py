@@ -514,13 +514,6 @@ def test_validation_rejects_bad_matrices():
         lc.check_group(np.diag([1j, 1j]))  # unitary, determinant -1
 
 
-def test_central_element():
-    z = lc.CentralElement(2, 1)
-    np.testing.assert_allclose(z.matrix(), -np.eye(2), atol=1e-15)
-    lc.check_group(z.matrix())
-    assert lc.CentralElement(3, 4).phase_index == 1
-
-
 def test_algebra_basis_orthonormal():
     for n in (2, 3):
         basis = lc.algebra_basis(n)

@@ -23,7 +23,15 @@ def _random_phis(n, seed, count):
 def _relator_distance(config, pt):
     """||R(h) - beta|| at a point h of K^2g."""
     val = md.epsilon_R(config).evaluate(pt.parts)[0]
-    return float(np.linalg.norm(val - config.beta.matrix()))
+    return float(np.linalg.norm(val - config.beta))
+
+
+def test_beta_is_the_central_matrix():
+    for n in range(2, 6):
+        for k in range(n):
+            beta = md.ModuliConfig(N=n, beta_index=k).beta
+            assert np.array_equal(beta, np.exp(2j * np.pi * k / n) * np.eye(n))
+            lc.check_group(beta)
 
 
 def test_config_validation():
@@ -54,7 +62,7 @@ def test_seed_point_meets_every_central_relator():
             for g in seed.parts:
                 lc.check_group(g, tol=1e-12)
             val = md.epsilon_R(config).evaluate(seed.parts)[0]
-            assert np.linalg.norm(val - config.beta.matrix()) <= 1e-12
+            assert np.linalg.norm(val - config.beta) <= 1e-12
 
 
 def test_sampling_constraint_and_distinctness():
@@ -87,7 +95,7 @@ def _lift_residual(config, h):
     """|relator(h) - beta exp(Lam)| for the chart lift Lam of h."""
     lam = md.relator_residual(config, h)
     val = md.epsilon_R(config).evaluate(h.parts)[0]
-    return np.linalg.norm(val - config.beta.matrix() @ lc.exp_alg(lam))
+    return np.linalg.norm(val - config.beta @ lc.exp_alg(lam))
 
 
 def test_lift_roundtrip():
@@ -1126,7 +1134,7 @@ def test_generator_forms_ignore_central_shifts():
     rng = lc.as_rng(71)
     pt = fo.random_point(CFG.shape, rng)
     phi = lc.random_algebra(2, rng)
-    z = lc.CentralElement(2, 1).matrix()
+    z = CFG.beta
     shifted = fo.Point(tuple(z @ g if i % 2 else g for i, g in enumerate(pt.parts)))
     for field in (f, b):
         for p in field.arities:

@@ -391,29 +391,6 @@ def test_evaluation_map_conjugation_equivariance():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-def test_central_constant_component():
-    c = lc.CentralElement(2, 1)
-    m = wd.WordMap(1, ((c, Word.identity()),))
-    g = random_group(2, 50)
-    (val,) = m.evaluate((g,))
-    assert np.max(np.abs(val + np.eye(2))) < 1e-14
-    (push,) = m.push((g,), (lc.random_algebra(2, 51),))
-    assert np.max(np.abs(push)) == 0.0
-
-
-def test_central_prefactor_on_word():
-    c = lc.CentralElement(2, 1)
-    m = wd.WordMap(2, ((c, parse_word("x1 x2")),))
-    mats = (random_group(2, 60), random_group(2, 61))
-    (val,) = m.evaluate(mats)
-    assert np.max(np.abs(val + mats[0] @ mats[1])) < 1e-13
-    # the central prefactor does not change the pushforward
-    plain = wd.WordMap.from_words([parse_word("x1 x2")], 2)
-    xis = (lc.random_algebra(2, 62), lc.random_algebra(2, 63))
-    assert np.max(np.abs(np.array(m.push(mats, xis))
-                         - np.array(plain.push(mats, xis)))) == 0.0
-
-
 def test_geometry_adapter():
     m = wd.WordMap.from_words([parse_word("x1 x2 x1^-1")], 2).geometry(2)
     pt = forms.random_point(m.domain, 70)
